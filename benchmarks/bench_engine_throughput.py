@@ -17,8 +17,8 @@ tiles — reflects that.  Compiled results are asserted bit-identical to
 the interpreter on randomised inputs and assignments before timing.
 
 The *generation-batch* section measures the configuration-axis batched
-``evaluate_many`` against the per-config loop on NSGA-II-shaped
-generations (C in {8, 32, 128} offspring built with
+``evaluate_many`` against the direct per-config ``evaluate`` loop on
+NSGA-II-shaped generations (C in {8, 32, 128} offspring built with
 :func:`repro.core.nsga2.make_offspring`): results are asserted
 byte-identical, the C = 32 speed-up must stay >= 2x, and the
 machine-readable doc of each run is appended to the
@@ -54,7 +54,6 @@ from benchmarks._common import (
 )
 from repro.accelerators.profiler import profile_accelerator
 from repro.accelerators.sobel import SobelEdgeDetector
-from repro.core.engine import NO_CONFIG_BATCH_ENV
 from repro.core.nsga2 import make_offspring
 from repro.core.preprocessing import reduce_library
 from repro.imaging.datasets import benchmark_images
@@ -216,18 +215,11 @@ def test_generation_batch():
 
     repeats = 3
     rows, speedups = [], {}
-    saved = os.environ.get(NO_CONFIG_BATCH_ENV)
     for count, configs in sorted(batches.items()):
-        try:
-            os.environ[NO_CONFIG_BATCH_ENV] = "1"
-            per_s, per_results = _best_of(
-                repeats, lambda: engine.evaluate_many(space, configs)
-            )
-        finally:
-            if saved is None:
-                os.environ.pop(NO_CONFIG_BATCH_ENV, None)
-            else:
-                os.environ[NO_CONFIG_BATCH_ENV] = saved
+        per_s, per_results = _best_of(
+            repeats,
+            lambda: [engine.evaluate(space, c) for c in configs],
+        )
         batch_s, batch_results = _best_of(
             repeats, lambda: engine.evaluate_many(space, configs)
         )

@@ -415,7 +415,9 @@ def _run_accelerator_pipeline(
     if library_path:
         library = load_library(library_path)
     else:
-        library = scaled_library(scale, seed=seed, store=store)
+        library = scaled_library(
+            scale, seed=seed, store=store, workers=workers
+        )
     accelerator = ACCELERATORS[accelerator_name]()
     images = benchmark_images(n_images)
     config = AutoAxConfig(
@@ -556,6 +558,7 @@ def _run_search(
 
     setup = workload_setup(
         workload, scale=scale, n_images=n_images, seed=seed,
+        workers=workers,
     )
     profiles = profile_accelerator(
         setup.accelerator, setup.images, rng=seed

@@ -10,10 +10,10 @@ The implementation lives in :mod:`repro.core.engine`:
 alias for) :class:`~repro.core.engine.EvaluationEngine`, which compiles
 the accelerator graph, batches all (image x scenario) runs into one
 vectorised pass, memoises synthesis, and analyses whole configuration
-batches in one configuration-axis compiled pass (``evaluate_many``
-stacks the per-config LUTs and lets the runtime cost model pick between
-that vectorized pass, a process pool, and the serial loop — all
-bit-identical).
+batches along one fixed route per space: ``evaluate_many`` stacks the
+per-config LUTs of a LUT-capable space into one configuration-axis
+compiled pass, and evaluates any other space per configuration, in a
+process pool when ``workers > 1`` — all bit-identical.
 """
 
 from __future__ import annotations

@@ -281,6 +281,7 @@ def run_workload_pipeline(
 
     setup = workload_setup(
         name, scale=scale, n_images=n_images, seed=seed,
+        workers=workers,
     )
     config = AutoAxConfig(
         n_train=train,

@@ -136,16 +136,15 @@ class BatchedSsim:
     def shape(self):
         return self._ref.shape
 
-    def __call__(self, test: np.ndarray) -> np.ndarray:
-        """Per-run SSIM scores of ``test`` (same shape as the reference)."""
-        b = np.asarray(test, dtype=float)
-        if b.shape != self._ref.shape:
-            raise ValueError(
-                f"shape mismatch: {b.shape} vs {self._ref.shape}"
-            )
-        mu_b = self._blur(b)
-        mu_bb = self._blur(b * b)
-        mu_ab = self._blur(self._ref * b)
+    def _score(self, b: np.ndarray, blur, axes) -> np.ndarray:
+        """The SSIM formula on test stack ``b``, reduced over ``axes``.
+
+        ``blur`` is the Gaussian window matching ``b``'s rank; the
+        reference-side statistics broadcast against it.
+        """
+        mu_b = blur(b)
+        mu_bb = blur(b * b)
+        mu_ab = blur(self._ref * b)
         # cov_ab = mu_ab - mu_a * mu_b, built in place on mu_ab.
         mu_ab -= self._mu_a * mu_b
         mu_ab *= 2.0
@@ -157,7 +156,16 @@ class BatchedSsim:
         mu_b += self._mu_a_sq_c1
         numerator /= mu_b
         numerator /= mu_bb
-        return np.mean(numerator, axis=(1, 2))
+        return np.mean(numerator, axis=axes)
+
+    def __call__(self, test: np.ndarray) -> np.ndarray:
+        """Per-run SSIM scores of ``test`` (same shape as the reference)."""
+        b = np.asarray(test, dtype=float)
+        if b.shape != self._ref.shape:
+            raise ValueError(
+                f"shape mismatch: {b.shape} vs {self._ref.shape}"
+            )
+        return self._score(b, self._blur, (1, 2))
 
     def batch(self, test: np.ndarray) -> np.ndarray:
         """Per-run SSIM of a ``(C, runs, H, W)`` configuration stack.
@@ -183,20 +191,7 @@ class BatchedSsim:
                 mode="reflect",
             )
 
-        mu_b = blur4(b)
-        mu_bb = blur4(b * b)
-        mu_ab = blur4(self._ref * b)
-        mu_ab -= self._mu_a * mu_b
-        mu_ab *= 2.0
-        mu_ab += self._c2
-        numerator = (self._two_mu_a * mu_b + self._c1) * mu_ab
-        mu_b *= mu_b
-        mu_bb -= mu_b
-        mu_bb += self._var_a_c2
-        mu_b += self._mu_a_sq_c1
-        numerator /= mu_b
-        numerator /= mu_bb
-        return np.mean(numerator, axis=(2, 3))
+        return self._score(b, blur4, (2, 3))
 
 
 def ssim_batch(

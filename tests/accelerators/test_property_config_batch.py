@@ -4,17 +4,16 @@
 approximate op and evaluates all ``C`` configurations in one
 gather-per-step pass.  Its contract is byte-identity: row ``c`` of the
 batched output must equal ``execute(inputs, assignment_c)`` exactly, for
-every well-formed graph, table mix (some ops exact for all configs),
-input shape regime, and executor flavour (fused and classic).  This
-module checks that on ~100 random dataflow DAGs with random config
-batches, plus the ``REPRO_NO_CONFIG_BATCH`` engine fallback knob.
+every well-formed graph, table mix (some ops exact for all configs)
+and input shape regime.  This module checks that on ~100 random
+dataflow DAGs with random config batches, against both the compiled
+per-config path and the dict interpreter, plus the engine-level
+batched ``evaluate_many`` against the per-config loop.
 """
 
 import numpy as np
 import pytest
 
-from repro.accelerators.graph import NO_FUSION_ENV
-from repro.core.engine import NO_CONFIG_BATCH_ENV
 from repro.utils.bitops import bit_mask
 
 from tests.accelerators.test_property_random_graphs import (
@@ -43,9 +42,9 @@ def config_row(batched, inputs, c):
     return batched
 
 
-def assert_rows_equal(batched, inputs, assignments, program, g):
+def assert_rows_equal(batched, inputs, assignments, execute, g):
     for c, assignment in enumerate(assignments):
-        expected = program.execute(inputs, assignment or None)
+        expected = execute(inputs, assignment or None)
         row = config_row(batched, inputs, c)
         pair = np.broadcast_arrays(row, np.asarray(expected))
         assert np.array_equal(pair[0], pair[1]), g.name
@@ -93,12 +92,14 @@ def test_execute_batch_matches_per_config(regime):
         tables, assignments = random_tables(rng, g, program, n_configs)
 
         batched = program.execute_batch(inputs, tables)
-        assert_rows_equal(batched, inputs, assignments, program, g)
+        assert_rows_equal(
+            batched, inputs, assignments, program.execute, g
+        )
 
 
-def test_execute_batch_fused_and_classic_identical(monkeypatch):
-    """The per-config reference is executor-independent, so the batch
-    matches both the fused and the classic per-config paths."""
+def test_execute_batch_matches_interpreter():
+    """Row ``c`` of the batch also equals the dict interpreter's output,
+    so batched, compiled and interpreted evaluation all agree."""
     rng = np.random.default_rng(99)
     for _ in range(10):
         g = random_graph(rng)
@@ -106,12 +107,9 @@ def test_execute_batch_fused_and_classic_identical(monkeypatch):
         inputs = random_inputs(rng, g, "batch")
         tables, assignments = random_tables(rng, g, program, 4)
         batched = program.execute_batch(inputs, tables)
-        for no_fusion in ("", "1"):
-            if no_fusion:
-                monkeypatch.setenv(NO_FUSION_ENV, no_fusion)
-            else:
-                monkeypatch.delenv(NO_FUSION_ENV, raising=False)
-            assert_rows_equal(batched, inputs, assignments, program, g)
+        assert_rows_equal(
+            batched, inputs, assignments, g.evaluate_interpreted, g
+        )
 
 
 def test_execute_batch_masks_inputs_unless_assume_masked():
@@ -144,13 +142,11 @@ def test_execute_batch_rejects_misaligned_tables():
         )
 
 
-def test_no_config_batch_env_forces_classic_loop(
-    monkeypatch, sobel_space, sobel_evaluator
+def test_evaluate_many_matches_per_config_loop(
+    sobel_space, sobel_evaluator
 ):
-    """The fallback knob and the batched path agree exactly."""
+    """The engine's batched route and the per-config loop agree."""
     configs = sobel_space.random_configurations(6, rng=21)
-    monkeypatch.setenv(NO_CONFIG_BATCH_ENV, "1")
-    classic = sobel_evaluator.evaluate_many(sobel_space, configs)
-    monkeypatch.delenv(NO_CONFIG_BATCH_ENV)
+    classic = [sobel_evaluator.evaluate(sobel_space, c) for c in configs]
     batched = sobel_evaluator.evaluate_many(sobel_space, configs)
     assert batched == classic

@@ -8,7 +8,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.accelerators import SobelEdgeDetector, profile_accelerator
+from repro.accelerators import (
+    FixedGaussianFilter,
+    SobelEdgeDetector,
+    profile_accelerator,
+)
 from repro.core import AcceleratorEvaluator, reduce_library
 from repro.imaging import benchmark_images
 from repro.library import generate_library
@@ -66,6 +70,21 @@ def sobel_space(sobel, tiny_library, sobel_profiles):
 @pytest.fixture(scope="session")
 def sobel_evaluator(sobel, small_images):
     return AcceleratorEvaluator(sobel, small_images)
+
+
+@pytest.fixture(scope="session")
+def fixed_gf():
+    return FixedGaussianFilter()
+
+
+@pytest.fixture(scope="session")
+def gf_space(fixed_gf, tiny_library, small_images):
+    """A space with 16-bit slots: not LUT-capable, so ``evaluate_many``
+    takes the classic (loop or pool) route on it."""
+    profiles = profile_accelerator(fixed_gf, small_images, rng=0)
+    space = reduce_library(fixed_gf, tiny_library, profiles)
+    assert not space.lut_capable()
+    return space
 
 
 @pytest.fixture()

@@ -118,25 +118,26 @@ class TestEvaluateMany:
         )
         assert serial == parallel
 
-    def test_parallel_merges_worker_memo(self, sobel, small_images,
-                                         sobel_space, monkeypatch):
+    def test_parallel_merges_worker_memo(self, fixed_gf, small_images,
+                                         gf_space, monkeypatch):
         from repro.core.runtime import reset_runtime
 
         # Force a real fan-out: the shared runtime's cost model would
-        # otherwise keep a 3-configuration batch serial.
+        # otherwise keep a 3-configuration batch serial.  The space is
+        # not LUT-capable, so evaluate_many takes the pool route.
         monkeypatch.setenv("REPRO_PARALLEL", "always")
         reset_runtime()
         try:
-            engine = EvaluationEngine(sobel, small_images)
-            configs = sobel_space.random_configurations(3, rng=10)
-            engine.evaluate_many(sobel_space, configs, workers=2)
+            engine = EvaluationEngine(fixed_gf, small_images)
+            configs = gf_space.random_configurations(3, rng=10)
+            engine.evaluate_many(gf_space, configs, workers=2)
             # Every unique configuration reached the parent memo: the
             # probe chunk ran in-process (one miss), the pool chunks'
             # synthesis reports were adopted on merge.
             assert len(engine._synth_memo) == 3
             assert engine.synth_misses == 1
             # ... so a follow-up in-process evaluation hits the memo.
-            engine.evaluate(sobel_space, configs[0])
+            engine.evaluate(gf_space, configs[0])
             assert engine.synth_hits == 1
             assert engine.synth_misses == 1
         finally:

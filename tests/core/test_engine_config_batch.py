@@ -4,15 +4,15 @@ The property layer (``tests/accelerators/test_property_config_batch``)
 pins ``GraphProgram.execute_batch`` against random graphs; this module
 pins everything the engine stacks on top of it:
 
-* ``evaluate_many`` returns the same results whichever execution mode
-  the cost model picks (classic loop, vectorized pass, process pool);
-* config-axis tiling (``REPRO_CONFIG_TILE`` or the auto budget) never
-  changes a byte of the output;
+* ``evaluate_many`` takes one fixed route per space — the batched pass
+  on a LUT-capable space whatever ``workers`` says, the classic loop or
+  pool otherwise — and every route is byte-identical to the direct
+  per-configuration ``evaluate`` loop;
+* config-axis tiling never changes a byte of the output;
 * ``BatchedSsim.batch`` rows are bit-identical to per-slice calls;
-* the lazy space caches (stacked LUTs, impl memo) and the engine's
-  probe cache behave across reuse and pickling (worker shipping);
-* the runtime's three-way cost model picks ``vectorized`` exactly when
-  the margins say so — including where the pool is unavailable.
+* the lazy space caches (stacked LUTs, impl memo) behave across reuse
+  and pickling, and a pickled engine (worker shipping) evaluates
+  identically.
 """
 
 from __future__ import annotations
@@ -22,15 +22,12 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_mod
 from repro.core import runtime as rt
-from repro.core.engine import (
-    CONFIG_TILE_ENV,
-    NO_CONFIG_BATCH_ENV,
-    EvaluationEngine,
-)
+from repro.core.engine import EvaluationEngine
 from repro.core.runtime import get_runtime, reset_runtime
-from repro.errors import ValidationError
 from repro.imaging.metrics import BatchedSsim
+from repro.telemetry import get_metrics
 
 
 @pytest.fixture()
@@ -47,27 +44,63 @@ def some_configs(space, n=6, rng=17):
     return list(configs) + list(configs[:2])
 
 
+def as_bytes(results):
+    """The raw float64 bytes of every result field, in order."""
+    return np.array(
+        [(r.qor, r.area, r.delay, r.power) for r in results]
+    ).tobytes()
+
+
+def direct(engine, space, configs):
+    """The reference every route must reproduce byte for byte."""
+    return as_bytes([engine.evaluate(space, c) for c in configs])
+
+
 class TestEvaluateManyModes:
     def test_classic_vectorized_and_pool_identical(
-        self, sobel_space, sobel_evaluator, monkeypatch, fresh_runtime
+        self, sobel, sobel_space, fixed_gf, gf_space, small_images,
+        monkeypatch, fresh_runtime,
     ):
-        configs = some_configs(sobel_space)
+        """The selection rule: a LUT-capable space takes the batched
+        pass under any ``workers``; a non-LUT space with ``workers=2``
+        takes the pool route; all match the direct reference."""
+        metrics = get_metrics()
+        routed = []
+        parallel = EvaluationEngine._evaluate_parallel
 
-        monkeypatch.setenv(NO_CONFIG_BATCH_ENV, "1")
-        classic = sobel_evaluator.evaluate_many(sobel_space, configs)
-        monkeypatch.delenv(NO_CONFIG_BATCH_ENV)
+        def spy(engine, *args, **kwargs):
+            routed.append(args[0])
+            return parallel(engine, *args, **kwargs)
 
-        batched = sobel_evaluator.evaluate_many(sobel_space, configs)
-        assert batched == classic
-
-        # Force the pool even on a single-core host: ``always`` is the
-        # operator override the hybrid model never second-guesses.
+        monkeypatch.setattr(EvaluationEngine, "_evaluate_parallel", spy)
+        # Whatever reaches the runtime really fans out, even on one core.
         monkeypatch.setenv(rt.PARALLEL_MODE_ENV, "always")
-        pooled = sobel_evaluator.evaluate_many(
-            sobel_space, configs, workers=2
+
+        configs = some_configs(sobel_space)
+        reference = direct(
+            EvaluationEngine(sobel, small_images), sobel_space, configs
         )
-        assert pooled == classic
+        for workers in (None, 2):
+            before = metrics.counter("engine.config_batches")
+            batched = EvaluationEngine(sobel, small_images).evaluate_many(
+                sobel_space, configs, workers=workers
+            )
+            assert metrics.counter("engine.config_batches") == before + 1
+            assert as_bytes(batched) == reference
+        assert routed == []
+
+        configs = some_configs(gf_space, n=4)
+        reference = direct(
+            EvaluationEngine(fixed_gf, small_images), gf_space, configs
+        )
+        before = metrics.counter("engine.config_batches")
+        pooled = EvaluationEngine(fixed_gf, small_images).evaluate_many(
+            gf_space, configs, workers=2
+        )
+        assert routed == [gf_space]
         assert fresh_runtime.last_decision.mode == "parallel"
+        assert metrics.counter("engine.config_batches") == before
+        assert as_bytes(pooled) == reference
 
     def test_duplicates_share_one_analysis(
         self, sobel_space, sobel_evaluator
@@ -81,8 +114,8 @@ class TestEvaluateManyModes:
     def test_forced_vectorized_matches_serial(
         self, sobel_space, sobel_evaluator
     ):
-        """The vectorized pass itself (not just whatever mode the cost
-        model happens to pick) is bit-identical to ``evaluate``."""
+        """The batched pass itself, called directly, is bit-identical
+        to ``evaluate``."""
         configs = list(sobel_space.random_configurations(5, rng=29))
         tables = sobel_evaluator._batch_tables(sobel_space, configs)
         assert tables is not None
@@ -95,40 +128,41 @@ class TestEvaluateManyModes:
         assert vectorized == serial
 
 
+def tile_budget(engine, tile):
+    """A ``_CONFIG_TILE_BUDGET_BYTES`` that yields ``tile`` configs."""
+    per_config = (
+        int(np.prod(engine._run_shape)) * 8 * engine_mod._ARRAYS_PER_CONFIG
+    )
+    return tile * per_config
+
+
 class TestConfigTiling:
     def test_any_tile_size_is_identity(
         self, sobel_space, sobel_evaluator, monkeypatch
     ):
         configs = some_configs(sobel_space, n=7, rng=41)
-        monkeypatch.delenv(CONFIG_TILE_ENV, raising=False)
         baseline = sobel_evaluator.evaluate_many(sobel_space, configs)
-        for tile in ("1", "3", "64"):
-            monkeypatch.setenv(CONFIG_TILE_ENV, tile)
+        for tile in (1, 3, 64):
+            monkeypatch.setattr(
+                engine_mod, "_CONFIG_TILE_BUDGET_BYTES",
+                tile_budget(sobel_evaluator, tile),
+            )
             assert (
                 sobel_evaluator.evaluate_many(sobel_space, configs)
                 == baseline
             )
 
-    def test_tile_env_clamped_to_batch(
-        self, sobel_evaluator, monkeypatch
-    ):
-        monkeypatch.setenv(CONFIG_TILE_ENV, "64")
-        assert sobel_evaluator.config_tile(4) == 4
-        monkeypatch.setenv(CONFIG_TILE_ENV, "3")
-        assert sobel_evaluator.config_tile(4) == 3
+    def test_tile_clamped_to_batch(self, sobel_evaluator, monkeypatch):
+        for tile, expected in ((64, 4), (3, 3)):
+            monkeypatch.setattr(
+                engine_mod, "_CONFIG_TILE_BUDGET_BYTES",
+                tile_budget(sobel_evaluator, tile),
+            )
+            assert sobel_evaluator.config_tile(4) == expected
 
-    def test_auto_tile_bounded(self, sobel_evaluator, monkeypatch):
-        monkeypatch.delenv(CONFIG_TILE_ENV, raising=False)
+    def test_auto_tile_bounded(self, sobel_evaluator):
         tile = sobel_evaluator.config_tile(5)
         assert 1 <= tile <= 5
-
-    def test_invalid_tile_env_rejected(
-        self, sobel_evaluator, monkeypatch
-    ):
-        for bad in ("0", "", "many"):
-            monkeypatch.setenv(CONFIG_TILE_ENV, bad)
-            with pytest.raises(ValidationError):
-                sobel_evaluator.config_tile(4)
 
 
 class TestQorBatch:
@@ -197,126 +231,12 @@ class TestSpaceCaches:
             )
 
 
-class TestProbeCache:
-    def test_set_after_first_batch_then_reused(
-        self, sobel, small_images, sobel_space
-    ):
-        engine = EvaluationEngine(sobel, small_images)
-        assert engine._probe_sim is None
-        configs = some_configs(sobel_space, n=4, rng=61)
-        first = engine.evaluate_many(sobel_space, configs)
-        assert engine._probe_sim is not None
-        assert engine._probe_sim[0]() is sobel_space
-        # Steady state: the cached probe skips re-measurement but must
-        # not change any result.
-        assert engine.evaluate_many(sobel_space, configs) == first
-
-    def test_pickle_drops_probe_cache(
+class TestEnginePickle:
+    def test_pickled_engine_evaluates_identically(
         self, sobel, small_images, sobel_space
     ):
         engine = EvaluationEngine(sobel, small_images)
         configs = some_configs(sobel_space, n=4, rng=67)
         first = engine.evaluate_many(sobel_space, configs)
         clone = pickle.loads(pickle.dumps(engine))
-        assert clone._probe_sim is None
         assert clone.evaluate_many(sobel_space, configs) == first
-
-
-class TestHybridCostModel:
-    """Three-way decide(): margins, floors, and pool-free fallbacks."""
-
-    @pytest.fixture(autouse=True)
-    def _stable_knobs(self, monkeypatch):
-        monkeypatch.delenv(rt.PARALLEL_MODE_ENV, raising=False)
-        monkeypatch.delenv(rt.THRESHOLD_ENV, raising=False)
-        monkeypatch.setattr(rt, "_IN_WORKER", False)
-
-    def test_vectorized_below_pool_threshold(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setattr(rt, "usable_cores", lambda: 4)
-        d = fresh_runtime.decide(
-            "t", n_tasks=4, workers=4,
-            probe_seconds=0.004, vectorized_seconds=0.004,
-        )
-        # est_serial = 12ms: under the 50ms pool threshold but over the
-        # 5ms vectorized floor, and the 4ms estimate clears the margin.
-        assert d.mode == "vectorized"
-        assert d.reason == "below-threshold"
-        assert d.est_vectorized_seconds == 0.004
-
-    def test_serial_below_vectorized_floor(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setattr(rt, "usable_cores", lambda: 4)
-        d = fresh_runtime.decide(
-            "t", n_tasks=4, workers=4,
-            probe_seconds=0.0004, vectorized_seconds=0.0001,
-        )
-        assert d.mode == "serial"
-        assert d.reason == "below-threshold"
-
-    def test_vectorized_needs_margin_over_serial(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setattr(rt, "usable_cores", lambda: 1)
-        d = fresh_runtime.decide(
-            "t", n_tasks=9, workers=1,
-            probe_seconds=0.05, vectorized_seconds=0.39,
-        )
-        # 0.39 >= 0.9 * 0.4: not enough predicted win, stay serial.
-        assert d.mode == "serial"
-
-    @pytest.mark.parametrize(
-        "env,workers,reason",
-        [
-            (None, 1, "workers<=1"),
-            ("never", 8, "REPRO_PARALLEL=never"),
-        ],
-    )
-    def test_vectorized_where_pool_unavailable(
-        self, fresh_runtime, monkeypatch, env, workers, reason
-    ):
-        if env is not None:
-            monkeypatch.setenv(rt.PARALLEL_MODE_ENV, env)
-        monkeypatch.setattr(rt, "usable_cores", lambda: 4)
-        before = fresh_runtime.stats["vectorized_batches"]
-        d = fresh_runtime.decide(
-            "t", n_tasks=9, workers=workers,
-            probe_seconds=0.05, vectorized_seconds=0.05,
-        )
-        assert d.mode == "vectorized"
-        assert d.reason == reason
-        assert fresh_runtime.stats["vectorized_batches"] == before + 1
-        assert fresh_runtime.last_decision is d
-
-    def test_single_core_still_vectorizes(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setattr(rt, "usable_cores", lambda: 1)
-        d = fresh_runtime.decide(
-            "t", n_tasks=9, workers=8,
-            probe_seconds=0.05, vectorized_seconds=0.05,
-        )
-        assert d.mode == "vectorized"
-        assert d.reason == "single-core"
-
-    def test_always_overrides_vectorized(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setenv(rt.PARALLEL_MODE_ENV, "always")
-        monkeypatch.setattr(rt, "usable_cores", lambda: 4)
-        d = fresh_runtime.decide(
-            "t", n_tasks=9, workers=4,
-            probe_seconds=0.05, vectorized_seconds=0.001,
-        )
-        assert d.mode == "parallel"
-        assert d.reason == "REPRO_PARALLEL=always"
-
-    def test_single_task_never_vectorizes(self, fresh_runtime):
-        d = fresh_runtime.decide(
-            "t", n_tasks=1, workers=4,
-            probe_seconds=0.05, vectorized_seconds=0.0,
-        )
-        assert d.mode == "serial"
-        assert d.reason == "single-task"

@@ -21,17 +21,18 @@ from repro.workloads import build_bundle
 
 class TestParallelEquivalence:
     def test_workers2_matches_serial_result_for_result(
-        self, sobel, small_images, sobel_space
+        self, fixed_gf, small_images, gf_space
     ):
-        serial_engine = EvaluationEngine(sobel, small_images)
-        parallel_engine = EvaluationEngine(sobel, small_images)
-        configs = sobel_space.random_configurations(9, rng=42)
+        # A non-LUT space: evaluate_many takes the chunked route on it.
+        serial_engine = EvaluationEngine(fixed_gf, small_images)
+        parallel_engine = EvaluationEngine(fixed_gf, small_images)
+        configs = gf_space.random_configurations(9, rng=42)
         configs += configs[:3]  # duplicates cross chunk boundaries
         serial = serial_engine.evaluate_many(
-            sobel_space, configs, workers=1
+            gf_space, configs, workers=1
         )
         parallel = parallel_engine.evaluate_many(
-            sobel_space, configs, workers=2
+            gf_space, configs, workers=2
         )
         assert serial == parallel  # EvaluationResult is frozen/eq
 

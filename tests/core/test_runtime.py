@@ -361,20 +361,21 @@ class TestForcedSpawn:
     """Satellite: the non-fork path must be bit-identical (and exist)."""
 
     def test_spawn_evaluate_many_matches_serial(
-        self, sobel, small_images, sobel_space, monkeypatch
+        self, fixed_gf, small_images, gf_space, monkeypatch
     ):
+        # A non-LUT space: evaluate_many takes the pool route on it.
         reset_runtime()
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         monkeypatch.setenv("REPRO_PARALLEL", "always")
         try:
             assert get_runtime().start_method == "spawn"
-            configs = sobel_space.random_configurations(6, rng=7)
+            configs = gf_space.random_configurations(6, rng=7)
             serial = EvaluationEngine(
-                sobel, small_images
-            ).evaluate_many(sobel_space, configs, workers=1)
+                fixed_gf, small_images
+            ).evaluate_many(gf_space, configs, workers=1)
             spawned = EvaluationEngine(
-                sobel, small_images
-            ).evaluate_many(sobel_space, configs, workers=2)
+                fixed_gf, small_images
+            ).evaluate_many(gf_space, configs, workers=2)
             assert pickle.dumps(serial) == pickle.dumps(spawned)
         finally:
             reset_runtime()

@@ -51,6 +51,27 @@ class TestParser:
         )
         assert engine.workers is None  # in-process, env ignored
 
+    def test_workers_reach_library_build(self, tmp_path, monkeypatch):
+        import repro.library.pipeline as library_pipeline
+
+        class Built(Exception):
+            pass
+
+        seen = {}
+
+        def fake_build_library(plan, **kwargs):
+            seen.update(kwargs)
+            raise Built  # the library build is all this test needs
+
+        monkeypatch.setattr(
+            library_pipeline, "build_library", fake_build_library
+        )
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "legacy"))
+        with pytest.raises(Built):
+            main(["run", "--scale", "0.0005", "--workers", "2",
+                  "--store", str(tmp_path / "store")])
+        assert seen["workers"] == 2
+
     @pytest.mark.parametrize("bad", ["-2", "2.5", "many"])
     def test_workers_rejects_bad_values(self, bad, capsys):
         for command in (
