@@ -14,9 +14,7 @@ Environment knobs:
                           evaluations, 384x256 images).  Expect hours.
 * ``REPRO_STORE_DIR``   — persistent experiment-store root (library
                           cache, stage artifacts, run ledger; default
-                          ``.repro-store``).
-* ``REPRO_CACHE_DIR``   — legacy cache root, honoured as the store
-                          fallback; blank values are rejected.
+                          ``.repro-store``); blank values are rejected.
 * ``REPRO_WORKERS``     — worker processes for real evaluation (default:
                           in-process; picked up by the evaluation engine).
 """

@@ -1,10 +1,9 @@
 """Store-backend benchmark — cold/warm pipeline cost per topology.
 
-Runs the same tiny workload pipeline against all three store backends:
+Runs the same tiny workload pipeline against both store backends:
 
-1. **sqlite**  — the default single-tree store;
-2. **sharded** — N hash-sharded subtrees under one root;
-3. **remote**  — an HTTP store served by an in-process ``repro serve``.
+1. **sqlite**  — the local single-tree store;
+2. **remote**  — an HTTP store served by an in-process ``repro serve``.
 
 For each backend the pipeline runs twice on a fresh root: the **cold**
 pass pays synthesis and model fitting, the **warm** pass must answer
@@ -75,25 +74,18 @@ def _assert_warm(name, cold, warm):
 
 
 def _backend_cases(tmp):
-    """Yield ``(name, store, cleanup)`` for the three topologies."""
+    """Yield ``(name, store, cleanup)`` for the two topologies."""
     from repro.serve import (
         ApiKeyRegistry,
         Coordinator,
         ServeApp,
         ServerThread,
     )
-    from repro.store import ArtifactStore, ShardedBackend, open_store
+    from repro.store import ArtifactStore, open_store
 
     yield (
         "sqlite",
         ArtifactStore(Path(tmp) / "sqlite"),
-        lambda: None,
-    )
-    yield (
-        "sharded",
-        ArtifactStore(
-            backend=ShardedBackend(Path(tmp) / "sharded", shards=4)
-        ),
         lambda: None,
     )
     server = ServerThread(

@@ -50,6 +50,12 @@ class ArithmeticCircuit:
 
     op: Operation
 
+    #: Version of the behavioural model.  Store keys of characterised
+    #: components and libraries include it, so bump it in any subclass
+    #: whose ``_compute`` changes its outputs: cached records of the
+    #: old model then miss instead of being served.
+    model_version = 1
+
     def __init__(self, width: int, name: str):
         if width < 1:
             raise CircuitError(f"operand width must be >= 1, got {width}")

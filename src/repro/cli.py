@@ -42,8 +42,8 @@ Commands
 Store-aware commands accept ``--store [URI]``/``--no-store`` to enable
 the persistent stage cache (default: on when ``REPRO_STORE_DIR`` is
 set).  The optional URI selects a backend: ``sqlite:PATH`` (or a bare
-path), ``sharded:PATH?shards=N``, or ``http://host:port`` for the
-store API of a ``repro serve`` instance.  ``run``, ``workloads run``,
+path), or ``http://host:port`` for the store API of a ``repro serve``
+instance.  ``run``, ``workloads run``,
 ``search`` and every ``runs`` command accept ``--json`` for
 machine-readable output (stable key order, ``version`` field).  With
 ``--json``, stdout carries the JSON document and nothing else —
@@ -160,8 +160,7 @@ def _add_store_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store", nargs="?", const=True, default=None, metavar="URI",
         help="persist/reuse pipeline stages in the experiment store; "
-             "optionally a store URI (sqlite:PATH, "
-             "sharded:PATH?shards=N, http://host:port) "
+             "optionally a store URI (sqlite:PATH, http://host:port) "
              "(default: enabled when REPRO_STORE_DIR is set)",
     )
     parser.add_argument(
@@ -184,8 +183,7 @@ def _resolve_store(flag):
 
     ``None`` (unset) enables the store iff ``REPRO_STORE_DIR`` is set;
     ``True``/``False`` force it on/off; a string is a store URI
-    (``sqlite:PATH``, ``sharded:PATH?shards=N``, ``http://host:port``)
-    or plain path.
+    (``sqlite:PATH``, ``http://host:port``) or plain path.
     """
     import os
 
@@ -1188,9 +1186,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = runs_sub.add_parser(name, help=help_text)
         cmd.add_argument(
             "--store-dir", default=None, metavar="URI",
-            help="store root or URI (sqlite:PATH, "
-                 "sharded:PATH?shards=N, http://host:port; default: "
-                 "REPRO_STORE_DIR / REPRO_CACHE_DIR / .repro-store)",
+            help="store root or URI (sqlite:PATH, http://host:port; "
+                 "default: REPRO_STORE_DIR / .repro-store)",
         )
         cmd.add_argument("--json", action="store_true",
                          help="machine-readable output")

@@ -44,8 +44,6 @@ Environment knobs
 ``REPRO_START_METHOD``       fork | forkserver | spawn (default: fork
                              where available)
 ``REPRO_PARALLEL``           auto | always | never (cost-model override)
-``REPRO_PARALLEL_THRESHOLD`` minimum estimated serial seconds before a
-                             batch may go parallel (default 0.05)
 ``REPRO_NO_SHM``             set to disable shared-memory publishing
                              (contexts then travel inline per task)
 """
@@ -81,10 +79,6 @@ START_METHOD_ENV = "REPRO_START_METHOD"
 #: model decide ("auto", default) parallel execution.
 PARALLEL_MODE_ENV = "REPRO_PARALLEL"
 
-#: Environment knob: minimum estimated serial seconds before the cost
-#: model considers fanning a batch out.
-THRESHOLD_ENV = "REPRO_PARALLEL_THRESHOLD"
-
 #: Environment knob: disable shared-memory publishing when set.
 NO_SHM_ENV = "REPRO_NO_SHM"
 
@@ -92,8 +86,8 @@ NO_SHM_ENV = "REPRO_NO_SHM"
 #: context is published; smaller ones ride along in the pickle.
 MIN_SHARED_ARRAY_BYTES = 1 << 14
 
-#: Default cost-model floor: batches whose estimated *remaining* serial
-#: time is below this many seconds always stay serial.
+#: Cost-model floor: batches whose estimated *remaining* serial time is
+#: below this many seconds always stay serial.
 DEFAULT_PARALLEL_THRESHOLD = 0.05
 
 #: Cost-model constants (rough, deliberately conservative: the penalty
@@ -393,18 +387,6 @@ class ParallelRuntime:
         return sorted(self._segments)
 
     @staticmethod
-    def threshold_seconds() -> float:
-        raw = os.environ.get(THRESHOLD_ENV)
-        if raw is None:
-            return DEFAULT_PARALLEL_THRESHOLD
-        from repro.utils.validation import check_env_float
-
-        # Set-but-blank is a configuration error (the knob was clearly
-        # meant to do something), not a silent fallback — the same
-        # contract as check_env_dir for REPRO_STORE_DIR.
-        return check_env_float(raw, source=THRESHOLD_ENV, minimum=0.0)
-
-    @staticmethod
     def _parallel_mode() -> str:
         from repro.errors import ValidationError
 
@@ -636,7 +618,7 @@ class ParallelRuntime:
             overhead += _PUBLISH_SECONDS
         est_parallel = overhead + est_serial / effective
 
-        if est_serial < self.threshold_seconds():
+        if est_serial < DEFAULT_PARALLEL_THRESHOLD:
             return decision(
                 "serial", "below-threshold", est_serial, est_parallel
             )

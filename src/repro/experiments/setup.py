@@ -2,34 +2,31 @@
 
 Generating and characterising a library takes tens of seconds, so the
 default setup caches it in the persistent experiment store
-(:mod:`repro.store`) — content-addressed by generation plan, under
-``REPRO_STORE_DIR`` (legacy ``REPRO_CACHE_DIR``, else ``.repro-store``).
-Libraries cached by older versions as loose ``.cache/library_*.json``
-files are imported into the store on first use.  ``REPRO_SCALE``
-overrides the library scale: 1.0 regenerates the paper-size Table 2
-library (tens of thousands of components — expect a long build).
+(:mod:`repro.store`) — content-addressed by generation plan and circuit
+model versions, under ``REPRO_STORE_DIR`` (else ``.repro-store``).
+``REPRO_SCALE`` overrides the library scale: 1.0 regenerates the
+paper-size Table 2 library (tens of thousands of components — expect a
+long build).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.accelerators.base import ImageAccelerator
 from repro.core.engine import EvaluationEngine
-from repro.errors import LibraryError
 from repro.imaging.datasets import benchmark_images
+from repro.library.component import FAMILY_REGISTRY
 from repro.library.generation import (
     PAPER_COUNTS,
     GenerationPlan,
     generate_library,
     scaled_plan,
 )
-from repro.library.io import load_library
 from repro.library.library import ComponentLibrary
 from repro.store import ArtifactStore, content_hash, open_store
 from repro.workloads import WorkloadBundle, WorkloadRegistry, build_bundle
@@ -92,10 +89,15 @@ def experiment_store() -> ArtifactStore:
 
 
 def _plan_key(kind: str, plan: GenerationPlan, scale: float) -> str:
-    """Content key of a generated library: everything that shapes it."""
+    """Content key of a generated library: everything that shapes it,
+    including the behavioural model version of every circuit family."""
     return content_hash(
         {
             "kind": kind,
+            "models": {
+                family: klass.model_version
+                for family, klass in FAMILY_REGISTRY.items()
+            },
             "counts": [
                 [k, w, count]
                 for (k, w), count in sorted(plan.counts.items())
@@ -117,54 +119,34 @@ def default_library_key(plan: GenerationPlan, scale: float) -> str:
     return _plan_key("default-library", plan, scale)
 
 
-def _legacy_cache_file(filename: str) -> Optional[Path]:
-    """A pre-store ``.cache/`` library JSON, if one exists."""
-    root = os.environ.get("REPRO_CACHE_DIR") or ".cache"
-    path = Path(root) / filename
-    return path if path.is_file() else None
-
-
 def _cached_library(
     store: Optional[ArtifactStore],
     key: str,
-    legacy_name: str,
     plan: GenerationPlan,
     workers: Optional[int] = None,
 ) -> ComponentLibrary:
-    """Load the library from the store (or a legacy file), else build it.
+    """Load the library from the store, else build it.
 
     Misses build through the parallel construction pipeline
     (:func:`repro.library.pipeline.build_library`): ``workers``
     processes and per-component memoisation in ``store``, so even a
     whole-library miss only recomputes components no previous plan
     characterised.  With ``store=None`` (``use_cache=False``) nothing
-    is read or written — the library is always regenerated.  Legacy
-    loose JSON caches are migrated into the store so the old
-    ``.cache/`` path keeps paying off after an upgrade; an unreadable
-    legacy file is a transparent miss, matching the store's
-    recompute-never-crash contract.
+    is read or written — the library is always regenerated.
     """
     if store is None:
         return generate_library(plan, workers=workers)
     library = store.get("library", key)
     if library is not None:
         return library
-    legacy = _legacy_cache_file(legacy_name)
-    library = None
-    if legacy is not None:
-        try:
-            library = load_library(legacy)
-        except (OSError, ValueError, LibraryError):
-            library = None
-    if library is None:
-        # record_run=False: this build is a sub-step of the calling
-        # pipeline run, which records its own manifest — the ledger
-        # lists runs, not stages.
-        from repro.library.pipeline import build_library
+    # record_run=False: this build is a sub-step of the calling
+    # pipeline run, which records its own manifest — the ledger lists
+    # runs, not stages.
+    from repro.library.pipeline import build_library
 
-        library = build_library(
-            plan, workers=workers, store=store, record_run=False
-        ).library
+    library = build_library(
+        plan, workers=workers, store=store, record_run=False
+    ).library
     store.put(
         "library", key,
         library,
@@ -241,14 +223,10 @@ def workload_setup(
         registry=registry,
     )
     plan = workload_plan(bundle.accelerator, scale, seed=seed)
-    tag = "-".join(
-        f"{kind}{width}" for kind, width in sorted(plan.counts)
-    )
     store = experiment_store() if use_cache else None
     library = _cached_library(
         store,
         _plan_key("workload-library", plan, scale),
-        f"library_wl_{tag}_scale_{scale:g}_seed_{seed}.json",
         plan,
         workers=workers,
     )
@@ -390,15 +368,14 @@ def scaled_library(
 ) -> ComponentLibrary:
     """The Table 2 library at ``scale``, store-cached when asked.
 
-    Shares cache keys (and the legacy-file import) with
-    :func:`default_setup`, so the CLI's ``run --store`` and the
-    experiment drivers reuse one characterised library.
+    Shares cache keys with :func:`default_setup`, so the CLI's ``run
+    --store`` and the experiment drivers reuse one characterised
+    library.
     """
     plan = scaled_plan(scale, seed=seed)
     return _cached_library(
         store,
         default_library_key(plan, scale),
-        f"library_scale_{scale:g}_seed_{seed}.json",
         plan,
         workers=workers,
     )

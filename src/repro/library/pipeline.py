@@ -24,13 +24,14 @@ worker consumes shared RNG state, so the built library is
 
 With a ``store``, every component is memoised individually in the
 experiment store under the ``component`` artifact kind, keyed by a
-content hash of (family, width, params[, sample size]).  Interrupted,
-re-scaled or re-planned builds therefore only pay for components they
-have never seen: growing a plan from 500 to 5000 components
-characterises 4500, and a warm rebuild characterises **zero** and runs
-**zero** synthesis (asserted by ``benchmarks/bench_library_build.py``).
-Each store-backed build also records a ``library-build`` manifest in
-the run ledger with its cache statistics.
+content hash of (family, model version, width, params[, sample
+size]).  Interrupted, re-scaled or re-planned builds therefore only pay
+for components they have never seen: growing a plan from 500 to 5000
+components characterises 4500, and a warm rebuild characterises
+**zero** and runs **zero** synthesis (asserted by
+``benchmarks/bench_library_build.py``).  Each store-backed build also
+records a ``library-build`` manifest in the run ledger with its cache
+statistics.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ def component_key(circuit, sample_size: int) -> str:
     """Content-address of one characterised component.
 
     The key covers everything that shapes the stored record: the
-    circuit identity (family + width + params) and, for wide operands
-    only, the characterisation sample size — exhaustive
+    circuit identity (family + width + params), the family's behavioural
+    :attr:`~repro.circuits.base.ArithmeticCircuit.model_version` and,
+    for wide operands only, the characterisation sample size — exhaustive
     characterisation does not depend on it, so narrow components stay
     warm across sample-size changes.
     """
@@ -75,6 +77,7 @@ def component_key(circuit, sample_size: int) -> str:
         {
             "component": {
                 "family": type(circuit).__name__,
+                "model_version": circuit.model_version,
                 "width": circuit.width,
                 "params": circuit.params(),
                 "sample_size": (

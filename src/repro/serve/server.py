@@ -87,7 +87,7 @@ def default_port() -> int:
 
     Blank or non-numeric values raise a
     :class:`~repro.errors.ValidationError` naming the knob — the
-    numeric-env-knob contract shared with ``REPRO_PARALLEL_THRESHOLD``.
+    numeric-env-knob contract shared with ``REPRO_SCALE``.
     """
     raw = os.environ.get(SERVE_PORT_ENV)
     if raw is None:

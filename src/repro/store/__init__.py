@@ -27,15 +27,13 @@ persistent and shareable:
   shared across processes and runs.
 
 The byte layer underneath is pluggable (see
-:mod:`~repro.store.backends`): the same facade runs over the default
-single-sqlite tree (``sqlite:PATH``), N hash-sharded subtrees
-(``sharded:PATH?shards=N``) or a remote ``repro serve`` instance
+:mod:`~repro.store.backends`): the same facade runs over the local
+sqlite tree (``sqlite:PATH``) or a remote ``repro serve`` instance
 (``http://host:port``) — one store URI grammar, parsed by
 :func:`~repro.store.uri.parse_store_uri`, accepted everywhere a store
 location is (``--store``, ``REPRO_STORE_DIR``).
 
-Default (sqlite) disk layout — everything under ``REPRO_STORE_DIR``,
-falling back to the legacy ``REPRO_CACHE_DIR`` and then
+Local disk layout — everything under ``REPRO_STORE_DIR``, else
 ``.repro-store``::
 
     index.sqlite3                       artifact index
@@ -44,7 +42,6 @@ falling back to the legacy ``REPRO_CACHE_DIR`` and then
 """
 
 from repro.store.artifacts import (
-    CACHE_ENV,
     DEFAULT_STORE_DIR,
     STORE_ENV,
     ArtifactRef,
@@ -54,7 +51,6 @@ from repro.store.artifacts import (
     require_store,
 )
 from repro.store.backends import (
-    ShardedBackend,
     SqliteBackend,
     StoreBackend,
     atomic_write_bytes,
@@ -78,13 +74,11 @@ from repro.store.synth_cache import (
 __all__ = [
     "ArtifactRef",
     "ArtifactStore",
-    "CACHE_ENV",
     "DEFAULT_STORE_DIR",
     "MANIFEST_VERSION",
     "MemorySynthCache",
     "RunLedger",
     "STORE_ENV",
-    "ShardedBackend",
     "SqliteBackend",
     "StoreBackend",
     "StoreSynthCache",

@@ -12,7 +12,6 @@ serves every topology:
         objects/<kind>/<k0k1>/<key>.<ext>   -- the blobs themselves
         runs/<run_id>.json        -- run-ledger manifests (ledger.py)
 
-* ``sharded:PATH?shards=N`` — N such subtrees, hash-routed.
 * ``http://host:port``      — a ``repro serve`` instance's store API.
 
 Writes are crash- and concurrency-safe without locks: blobs land via
@@ -41,42 +40,37 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import StoreError
-from repro.store.backends import (  # noqa: F401  (re-exported compat)
-    _TMP_PREFIX,
-    ArtifactRef,
-    SqliteBackend,
-    StoreBackend,
-    atomic_write_bytes,
-)
+from repro.store.backends import ArtifactRef, SqliteBackend, StoreBackend
 from repro.store.uri import parse_store_uri
 from repro.telemetry import get_metrics
 from repro.utils.validation import check_env_dir
 
-#: Environment knobs: the store root (a path or store URI), and the
-#: legacy library-cache root (used as a fallback store root so old
-#: workflows keep one cache tree).
+#: Environment knob: the store root (a path or store URI).
 STORE_ENV = "REPRO_STORE_DIR"
-CACHE_ENV = "REPRO_CACHE_DIR"
 
 #: Default store root in the working tree.
 DEFAULT_STORE_DIR = ".repro-store"
 
 
-def default_store_dir() -> Path:
-    """Resolve the *local* store root: ``REPRO_STORE_DIR``, legacy
-    ``REPRO_CACHE_DIR``, then ``.repro-store``.
+def _env_store_root() -> str:
+    """``REPRO_STORE_DIR`` if set (blank is an error), else the default."""
+    value = os.environ.get(STORE_ENV)
+    if value is None:
+        return DEFAULT_STORE_DIR
+    return check_env_dir(value, source=STORE_ENV)
 
-    Set-but-blank values are configuration errors (see
-    :func:`~repro.utils.validation.check_env_dir`), not silent
-    fallbacks.  Callers that also accept store URIs go through
-    :func:`open_store` instead, which resolves the same knobs through
+
+def default_store_dir() -> Path:
+    """Resolve the *local* store root: ``REPRO_STORE_DIR``, else
+    ``.repro-store``.
+
+    A set-but-blank value is a configuration error (see
+    :func:`~repro.utils.validation.check_env_dir`), not a silent
+    fallback.  Callers that also accept store URIs go through
+    :func:`open_store` instead, which resolves the same knob through
     :func:`~repro.store.uri.parse_store_uri`.
     """
-    for env in (STORE_ENV, CACHE_ENV):
-        value = os.environ.get(env)
-        if value is not None:
-            return Path(check_env_dir(value, source=env))
-    return Path(DEFAULT_STORE_DIR)
+    return Path(_env_store_root())
 
 
 # -- codecs -----------------------------------------------------------------
@@ -199,11 +193,10 @@ _DEFAULT_CODEC = Codec(_json_encode, _json_decode, "json")
 class ArtifactStore:
     """Typed content-addressed cache over one store backend.
 
-    ``ArtifactStore(root)`` keeps the historic constructor: a bare path
-    opens the default :class:`~repro.store.backends.SqliteBackend` with
-    the exact pre-protocol on-disk format (zero migration).  Pass
-    ``backend=`` (usually from
-    :func:`~repro.store.uri.parse_store_uri`) for any other topology.
+    ``ArtifactStore(root)`` with a bare path opens the local
+    :class:`~repro.store.backends.SqliteBackend`.  Pass ``backend=``
+    (usually from :func:`~repro.store.uri.parse_store_uri`) for a
+    remote store.
 
     Stores are cheap to construct, safe to share across fork() and
     picklable into worker processes — live connections never cross
@@ -228,10 +221,7 @@ class ArtifactStore:
         return {"backend": self.backend}
 
     def __setstate__(self, state):
-        if "backend" in state:
-            self.backend = state["backend"]
-        else:  # pre-protocol pickles carried only the root path
-            self.backend = SqliteBackend(state["root"])
+        self.backend = state["backend"]
 
     @property
     def root(self) -> Optional[Path]:
@@ -245,23 +235,9 @@ class ArtifactStore:
 
     # -- plumbing -----------------------------------------------------------
 
-    def _connect(self):
-        # Compat shim for callers (and tests) that poke the sqlite
-        # index directly; only meaningful on local sqlite backends.
-        return self.backend._connect()
-
     @staticmethod
     def _codec(kind: str) -> Codec:
         return CODECS.get(kind, _DEFAULT_CODEC)
-
-    def _blob_path(self, kind: str, key: str) -> Path:
-        return self.backend._blob_path(kind, key, self._codec(kind).ext)
-
-    def _index(
-        self, kind: str, key: str, path: Path, digest: str,
-        size: int, meta: Optional[Dict],
-    ) -> None:
-        self.backend._index(kind, key, path, digest, size, meta)
 
     def _evict(self, kind: str, key: str) -> None:
         self.backend.delete(kind, key, self._codec(kind).ext)
@@ -381,20 +357,14 @@ class ArtifactStore:
 def open_store(root=None) -> ArtifactStore:
     """An :class:`ArtifactStore` at ``root`` (default: env-resolved).
 
-    ``root`` may be a path, a store URI (``sqlite:``/``sharded:``/
-    ``http://``), a backend, or an existing store (returned as-is);
+    ``root`` may be a path, a store URI (``sqlite:``/``http://``), a
+    backend, or an existing store (returned as-is);
     ``REPRO_STORE_DIR`` accepts the same URIs.
     """
     if isinstance(root, ArtifactStore):
         return root
     if root is None:
-        for env in (STORE_ENV, CACHE_ENV):
-            value = os.environ.get(env)
-            if value is not None:
-                root = check_env_dir(value, source=env)
-                break
-        else:
-            root = DEFAULT_STORE_DIR
+        root = _env_store_root()
     return ArtifactStore(backend=parse_store_uri(root))
 
 

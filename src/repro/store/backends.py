@@ -10,21 +10,13 @@ typed codecs on top and every consumer (stage caches,
 queue) goes through that facade, so swapping the backend swaps the
 topology without touching a single caller.
 
-Implementations in this module:
+Implementations:
 
-* :class:`SqliteBackend` — the original single ``index.sqlite3`` + blob
-  tree under one root.  The default; the on-disk format is unchanged,
-  so every pre-protocol ``.repro-store`` opens as-is.
-* :class:`ShardedBackend` — N hash-sharded sqlite+blob subtrees under
-  one root (``shards/00 .. shards/NN``), concurrent-writer friendly
-  because writers hash to different indexes.  The shard count is
-  recorded in a root manifest (``store-manifest.json``) and validated
-  on open, so a store can never be silently reopened with the wrong
-  topology.
-
-:class:`~repro.store.remote.RemoteBackend` (its own module: it is the
-only backend with a network dependency) speaks the versioned
-``/v1/store/*`` HTTP API served by ``repro serve``.
+* :class:`SqliteBackend` (this module) — the one local layout: a single
+  ``index.sqlite3`` + blob tree under one root.
+* :class:`~repro.store.remote.RemoteBackend` (its own module: it is the
+  only backend with a network dependency) — speaks the versioned
+  ``/v1/store/*`` HTTP API served by ``repro serve``.
 
 All backends are cheap to construct, picklable (live sqlite
 connections and locks never cross pickling) and fork-aware: a cached
@@ -47,17 +39,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.errors import StoreError
 from repro.telemetry import get_metrics
 
 #: Prefix of in-flight temp files (pre-rename); gc must never touch them.
 _TMP_PREFIX = ".tmp-"
-
-#: Root manifest of non-default store layouts (sharded trees).
-STORE_MANIFEST = "store-manifest.json"
-
-#: Shard count of a ``sharded:`` store created without ``?shards=N``.
-DEFAULT_SHARDS = 8
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS artifacts (
@@ -139,16 +124,6 @@ def _gc_count(stats: Dict, kind: str, size: int) -> None:
     bucket["bytes"] += size
 
 
-def _merge_gc_stats(into: Dict, part: Dict) -> None:
-    into["removed"] += part["removed"]
-    into["freed_bytes"] += part["freed_bytes"]
-    into["kept"] += part["kept"]
-    for kind, bucket in part["by_kind"].items():
-        out = into["by_kind"].setdefault(kind, {"count": 0, "bytes": 0})
-        out["count"] += bucket["count"]
-        out["bytes"] += bucket["bytes"]
-
-
 class _LocalManifests:
     """Run-ledger manifest files under ``<root>/runs/``.
 
@@ -205,7 +180,7 @@ class StoreBackend(ABC):
     trees, carried so every topology lays blobs out identically.
     """
 
-    #: URI scheme of this backend ("sqlite", "sharded", "http").
+    #: URI scheme of this backend ("sqlite", "http").
     scheme: str = ""
 
     @property
@@ -298,7 +273,7 @@ class StoreBackend(ABC):
 
 
 class SqliteBackend(StoreBackend):
-    """The original single-host layout: one sqlite index + blob tree.
+    """The local store layout: one sqlite index + blob tree.
 
     Persistent state is only the root path, so the backend is cheap to
     construct, safe to share across ``fork()`` and picklable into
@@ -317,21 +292,6 @@ class SqliteBackend(StoreBackend):
         self._conn: Optional[sqlite3.Connection] = None
         self._conn_pid: Optional[int] = None
         self._lock = threading.RLock()
-        self._check_layout()
-
-    def _check_layout(self) -> None:
-        manifest = self._root / STORE_MANIFEST
-        if not manifest.is_file():
-            return
-        try:
-            fmt = json.loads(manifest.read_text()).get("format")
-        except (OSError, json.JSONDecodeError):
-            return
-        if fmt and fmt != self.scheme:
-            raise StoreError(
-                f"store at {self._root} is a {fmt!r} layout; open it "
-                f"with a {fmt}:{self._root} URI"
-            )
 
     def __getstate__(self):
         return {"root": self._root}
@@ -532,180 +492,6 @@ class SqliteBackend(StoreBackend):
         return _LocalManifests(self._root)
 
     def put_manifest(self, run_id: str, manifest: Dict) -> None:
-        self._manifests.put(run_id, manifest)
-
-    def get_manifest(self, run_id: str) -> Optional[Dict]:
-        return self._manifests.get(run_id)
-
-    def list_manifests(self) -> List[Dict]:
-        return self._manifests.list()
-
-    def delete_manifest(self, run_id: str) -> bool:
-        return self._manifests.delete(run_id)
-
-
-class ShardedBackend(StoreBackend):
-    """N hash-sharded :class:`SqliteBackend` subtrees under one root.
-
-    ``(kind, key)`` hashes to one shard, so concurrent writers spread
-    across N independent sqlite indexes instead of serialising on one.
-    The shard count is written to ``store-manifest.json`` when the
-    store is created and validated on every open: reopening with a
-    different ``?shards=N`` is a :class:`~repro.errors.StoreError`, not
-    a silently split cache.  Run manifests live unsharded at the root
-    (they are few, small, and enumerated as a set).
-    """
-
-    scheme = "sharded"
-
-    def __init__(self, root, shards: Optional[int] = None) -> None:
-        self._root = Path(root)
-        recorded = self._read_manifest()
-        if recorded is not None:
-            if shards is not None and shards != recorded:
-                raise StoreError(
-                    f"sharded store at {self._root} has {recorded} "
-                    f"shards (root manifest); cannot reopen with "
-                    f"shards={shards}"
-                )
-            shards = recorded
-        elif shards is None:
-            shards = DEFAULT_SHARDS
-        if shards < 1:
-            raise StoreError("a sharded store needs shards >= 1")
-        self.shards = int(shards)
-        self._backends = [
-            SqliteBackend(self._root / "shards" / f"{i:02d}")
-            for i in range(self.shards)
-        ]
-        self._manifest_written = recorded is not None
-
-    def _read_manifest(self) -> Optional[int]:
-        manifest = self._root / STORE_MANIFEST
-        if not manifest.is_file():
-            if (self._root / "index.sqlite3").is_file():
-                raise StoreError(
-                    f"store at {self._root} is a plain sqlite layout; "
-                    f"open it with sqlite:{self._root}"
-                )
-            return None
-        try:
-            doc = json.loads(manifest.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise StoreError(
-                f"unreadable store manifest at {manifest}: {exc}"
-            ) from None
-        if doc.get("format") != self.scheme:
-            raise StoreError(
-                f"store at {self._root} is a "
-                f"{doc.get('format')!r} layout, not sharded"
-            )
-        count = doc.get("shards")
-        if not isinstance(count, int) or count < 1:
-            raise StoreError(
-                f"store manifest at {manifest} has an invalid shard "
-                f"count {count!r}"
-            )
-        return count
-
-    def _ensure_manifest(self) -> None:
-        if self._manifest_written:
-            return
-        doc = {"format": self.scheme, "version": 1,
-               "shards": self.shards}
-        atomic_write_bytes(
-            self._root / STORE_MANIFEST,
-            json.dumps(doc, sort_keys=True, indent=2).encode("utf-8"),
-        )
-        self._manifest_written = True
-
-    def __getstate__(self):
-        return {"root": self._root, "shards": self.shards,
-                "written": self._manifest_written}
-
-    def __setstate__(self, state):
-        self._root = state["root"]
-        self.shards = state["shards"]
-        self._backends = [
-            SqliteBackend(self._root / "shards" / f"{i:02d}")
-            for i in range(self.shards)
-        ]
-        self._manifest_written = state["written"]
-
-    @property
-    def uri(self) -> str:
-        return f"sharded:{self._root}?shards={self.shards}"
-
-    @property
-    def root(self) -> Path:
-        return self._root
-
-    def exists(self) -> bool:
-        return self._root.is_dir()
-
-    def initialize(self) -> None:
-        self._ensure_manifest()
-        for backend in self._backends:
-            backend.initialize()
-
-    def _shard(self, kind: str, key: str) -> int:
-        digest = hashlib.sha256(f"{kind}:{key}".encode("utf-8"))
-        return int.from_bytes(digest.digest()[:8], "big") % self.shards
-
-    def _route(self, kind: str, key: str) -> SqliteBackend:
-        shard = self._shard(kind, key)
-        get_metrics().inc(f"store.shard.{shard:02d}.ops")
-        return self._backends[shard]
-
-    # -- blobs ---------------------------------------------------------------
-
-    def put_bytes(self, kind, key, data, ext="json", meta=None):
-        self._ensure_manifest()
-        ref = self._route(kind, key).put_bytes(
-            kind, key, data, ext=ext, meta=meta
-        )
-        return ref
-
-    def get_bytes(self, kind, key, ext="json"):
-        shard = self._shard(kind, key)
-        metrics = get_metrics()
-        metrics.inc(f"store.shard.{shard:02d}.ops")
-        data = self._backends[shard].get_bytes(kind, key, ext=ext)
-        if data is not None:
-            metrics.inc(f"store.shard.{shard:02d}.hits")
-        return data
-
-    def delete(self, kind, key, ext="json"):
-        self._route(kind, key).delete(kind, key, ext=ext)
-
-    def iter_refs(self, kind: Optional[str] = None) -> List[ArtifactRef]:
-        refs: List[ArtifactRef] = []
-        for backend in self._backends:
-            refs.extend(backend.iter_refs(kind))
-        refs.sort(key=lambda ref: (ref.kind, ref.key))
-        return refs
-
-    def gc(
-        self,
-        referenced: Set[Tuple[str, str]],
-        keep_kinds: Set[str],
-        dry_run: bool = False,
-    ) -> Dict:
-        stats = _empty_gc_stats(dry_run)
-        for backend in self._backends:
-            _merge_gc_stats(
-                stats, backend.gc(referenced, keep_kinds, dry_run)
-            )
-        return stats
-
-    # -- manifests -----------------------------------------------------------
-
-    @property
-    def _manifests(self) -> _LocalManifests:
-        return _LocalManifests(self._root)
-
-    def put_manifest(self, run_id: str, manifest: Dict) -> None:
-        self._ensure_manifest()
         self._manifests.put(run_id, manifest)
 
     def get_manifest(self, run_id: str) -> Optional[Dict]:

@@ -5,11 +5,11 @@ Every surface that accepts a store location (``--store``,
 same URI grammar:
 
 * ``sqlite:PATH``            — single sqlite index + blob tree (default)
-* ``sharded:PATH?shards=N``  — N hash-sharded subtrees under one root
 * ``http://host:port``       — remote store served by ``repro serve``
 * ``PATH``                   — bare paths mean ``sqlite:PATH``
 
-:func:`parse_store_uri` returns the matching
+Any other ``scheme:`` prefix is rejected rather than read as a
+relative directory name.  :func:`parse_store_uri` returns the matching
 :class:`~repro.store.backends.StoreBackend`; callers wrap it in an
 :class:`~repro.store.artifacts.ArtifactStore` (or use
 :func:`~repro.store.artifacts.open_store`, which accepts URIs
@@ -18,14 +18,17 @@ directly).
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
-from urllib.parse import parse_qs
 
 from repro.errors import ValidationError
-from repro.store.backends import ShardedBackend, SqliteBackend, StoreBackend
-from repro.utils.validation import check_env_int
+from repro.store.backends import SqliteBackend, StoreBackend
 
 __all__ = ["parse_store_uri"]
+
+#: A leading URI scheme (RFC 3986 syntax, at least two characters so a
+#: one-letter drive prefix such as ``C:`` stays a path).
+_SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]+:")
 
 
 def parse_store_uri(target) -> StoreBackend:
@@ -34,7 +37,7 @@ def parse_store_uri(target) -> StoreBackend:
     ``target`` may already be a backend (returned as-is), a
     :class:`~pathlib.Path` (always a local sqlite store; never
     re-parsed, so odd filenames round-trip), or a URI string per the
-    module docstring.  Malformed URIs raise
+    module docstring.  Malformed URIs and unknown schemes raise
     :class:`~repro.errors.ValidationError`.
     """
     if isinstance(target, StoreBackend):
@@ -53,31 +56,13 @@ def parse_store_uri(target) -> StoreBackend:
                 f"store URI {text!r} is missing a path"
             )
         return SqliteBackend(Path(path))
-    if text.startswith("sharded:"):
-        rest = text[len("sharded:"):]
-        path, _, query = rest.partition("?")
-        if not path:
-            raise ValidationError(
-                f"store URI {text!r} is missing a path"
-            )
-        shards = None
-        if query:
-            params = parse_qs(query, keep_blank_values=True)
-            unknown = sorted(set(params) - {"shards"})
-            if unknown:
-                raise ValidationError(
-                    f"store URI {text!r} has unknown parameters: "
-                    f"{', '.join(unknown)}"
-                )
-            shards = check_env_int(
-                params["shards"][-1],
-                source=f"store URI {text!r} shards",
-                minimum=1,
-                maximum=4096,
-            )
-        return ShardedBackend(Path(path), shards=shards)
     if text.startswith(("http://", "https://")):
         from repro.store.remote import RemoteBackend
 
         return RemoteBackend(text)
+    if _SCHEME.match(text):
+        raise ValidationError(
+            f"store URI {text!r} has an unknown scheme; accepted: "
+            f"sqlite:PATH, http://, https:// or a bare path"
+        )
     return SqliteBackend(Path(text))

@@ -153,11 +153,6 @@ class TestCostModel:
                 _sum_task, [1, 2], context=(BIG,), workers=2
             )
 
-    def test_bad_threshold_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "soon")
-        with pytest.raises(ValueError, match="REPRO_PARALLEL_THRESHOLD"):
-            ParallelRuntime.threshold_seconds()
-
 
 class TestParallelExecution:
     def test_forced_parallel_matches_serial(

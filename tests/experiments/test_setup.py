@@ -8,7 +8,6 @@ from repro.experiments.setup import (
     workload_plan,
     workload_setup,
 )
-from repro.library.io import save_library
 from repro.store import ArtifactStore
 from repro.workloads import WORKLOADS
 
@@ -23,7 +22,7 @@ def _library_blobs(tmp_path):
 
 class TestDefaultSetup:
     def test_builds_and_caches(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         setup = default_setup(
             scale=0.002, n_images=2, image_shape=(32, 48), use_cache=True
         )
@@ -33,7 +32,7 @@ class TestDefaultSetup:
         assert len(_library_blobs(tmp_path)) == 1
 
     def test_cache_reused(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         first = default_setup(scale=0.002, n_images=1,
                               image_shape=(16, 16))
         [(_, blob)] = _library_blobs(tmp_path)
@@ -46,22 +45,21 @@ class TestDefaultSetup:
         assert first.library.summary() == second.library.summary()
 
     def test_store_dir_env_takes_priority(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "legacy"))
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
         default_setup(scale=0.002, n_images=1, image_shape=(16, 16))
         assert len(_library_blobs(tmp_path / "store")) == 1
-        assert not (tmp_path / "legacy").exists()
+        assert not (tmp_path / ".repro-store").exists()
 
     def test_blank_cache_dir_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", "   ")
-        with pytest.raises(ValidationError, match="REPRO_CACHE_DIR"):
+        monkeypatch.setenv("REPRO_STORE_DIR", "   ")
+        with pytest.raises(ValidationError, match="REPRO_STORE_DIR"):
             default_setup(
                 scale=0.002, n_images=1, image_shape=(16, 16)
             )
 
     def test_scale_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_SCALE", "0.002")
         setup = default_setup(n_images=1, image_shape=(16, 16),
                               use_cache=False)
@@ -77,7 +75,7 @@ class TestWorkloadSetup:
         assert all(count >= 8 for count in plan.counts.values())
 
     def test_builds_library_and_engine(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         setup = workload_setup(
             "sharpen3", scale=0.0005, n_images=1,
             image_shape=(16, 24),
@@ -95,7 +93,7 @@ class TestWorkloadSetup:
     def test_cache_shared_across_same_signature_workloads(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         # gaussian5 and box5 share (mul, 8) x (add, 16) signatures
         workload_setup(
             "gaussian5", scale=0.0005, n_images=1,
@@ -111,36 +109,8 @@ class TestWorkloadSetup:
         assert blob.stat().st_mtime == mtime
         assert setup.scenarios is not None and len(setup.scenarios) == 3
 
-    def test_legacy_json_cache_migrates_into_store(
-        self, tmp_path, monkeypatch
-    ):
-        """Pre-store ``.cache`` library files are imported, not rebuilt."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        first = workload_setup(
-            "sharpen3", scale=0.0005, n_images=1, image_shape=(16, 16)
-        )
-        # recreate the old loose-JSON layout from the built library,
-        # then wipe the store: the next setup must import the file
-        plan = workload_plan(
-            first.accelerator, scale=0.0005, seed=0
-        )
-        tag = "-".join(
-            f"{kind}{width}" for kind, width in sorted(plan.counts)
-        )
-        legacy = (
-            tmp_path / f"library_wl_{tag}_scale_0.0005_seed_0.json"
-        )
-        save_library(first.library, legacy)
-        for ref in ArtifactStore(tmp_path).entries("library"):
-            ArtifactStore(tmp_path).delete(ref.kind, ref.key)
-        second = workload_setup(
-            "sharpen3", scale=0.0005, n_images=1, image_shape=(16, 16)
-        )
-        assert second.library.summary() == first.library.summary()
-        assert len(_library_blobs(tmp_path)) == 1  # re-imported
-
     def test_scenarios_reach_engine(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         setup = workload_setup(
             "box3_6b", scale=0.0005, n_images=2, image_shape=(16, 16)
         )

@@ -15,6 +15,7 @@ from repro.library.component import ComponentRecord
 from repro.library.generation import (
     GenerationPlan,
     enumerate_adders,
+    enumerate_plan,
     generate_adders,
     generate_library,
     generate_multipliers,
@@ -207,6 +208,35 @@ class TestComponentKey:
         circuits = enumerate_adders(4, 20)
         keys = {component_key(c, 1 << 8) for c in circuits}
         assert len(keys) == len(circuits)
+
+
+class TestModelVersion:
+    def test_version_bump_invalidates_exactly_that_family(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.circuits.adders import LowerOrAdder
+        from repro.experiments.setup import default_library_key
+
+        store = ArtifactStore(tmp_path / "store")
+        plan = GenerationPlan(
+            {("add", 4): 12}, seed=0, sample_size=1 << 8
+        )
+        build_library(plan, store=store)
+        circuits = [circuit for _, circuit in enumerate_plan(plan)]
+        keys = [component_key(c, plan.sample_size) for c in circuits]
+        library_key = default_library_key(plan, 0.01)
+
+        monkeypatch.setattr(LowerOrAdder, "model_version", 2)
+        bumped = [type(c) is LowerOrAdder for c in circuits]
+        assert 0 < sum(bumped) < len(circuits)
+        for circuit, key, is_bumped in zip(circuits, keys, bumped):
+            changed = component_key(circuit, plan.sample_size) != key
+            assert changed == is_bumped
+        assert default_library_key(plan, 0.01) != library_key
+
+        warm = build_library(plan, store=store)
+        assert warm.stats.characterized == sum(bumped)
+        assert warm.stats.store_hits == len(circuits) - sum(bumped)
 
 
 class TestStoreRoundTrip:

@@ -102,7 +102,7 @@ class TestRobustness:
         with open(ref.path, "rb") as fh:
             data = fh.read()
         # re-index the rewritten bytes so the checksum matches
-        store._index(
+        store.backend._index(
             "synthesis", KEY, ref.path,
             hashlib.sha256(data).hexdigest(), len(data), None,
         )
@@ -113,7 +113,7 @@ class TestRobustness:
         store = ArtifactStore(tmp_path)
         ref = self._put(store)
         # simulate a writer that died between rename and index insert
-        with store._connect() as conn:
+        with store.backend._connect() as conn:
             conn.execute("DELETE FROM artifacts")
         assert store.get("training-set", KEY) == {"qor": [1.0, 2.0]}
         assert store.entries("training-set") != []
@@ -171,19 +171,13 @@ class TestGc:
 class TestEnvResolution:
     def test_default_dir_priority(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         assert str(default_store_dir()) == ".repro-store"
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "legacy"))
-        assert default_store_dir() == tmp_path / "legacy"
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "new"))
         assert default_store_dir() == tmp_path / "new"
 
-    @pytest.mark.parametrize("env", ["REPRO_STORE_DIR",
-                                     "REPRO_CACHE_DIR"])
+    @pytest.mark.parametrize("env", ["REPRO_STORE_DIR"])
     @pytest.mark.parametrize("bad", ["", "   ", "\t"])
     def test_blank_env_values_rejected(self, monkeypatch, env, bad):
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.setenv(env, bad)
         with pytest.raises(ValidationError, match=env):
             default_store_dir()

@@ -1,25 +1,18 @@
-"""StoreBackend protocol: equivalence, sharding, fork safety, URIs.
+"""StoreBackend protocol: equivalence, fork safety, URIs.
 
-The three backends (plain sqlite, sharded, remote HTTP) must be
-observationally equivalent: any interleaving of put/get/delete/iter —
-including corrupting a blob on disk mid-sequence — yields the same
-visible results no matter which backend holds the bytes.
+The two backends (local sqlite, remote HTTP) must be observationally
+equivalent: any interleaving of put/get/delete/iter — including
+corrupting a blob on disk mid-sequence — yields the same visible
+results no matter which backend holds the bytes.
 """
 
-import json
 import multiprocessing
 import random
 
 import pytest
 
-from repro.errors import StoreError, ValidationError
-from repro.store import (
-    ArtifactStore,
-    ShardedBackend,
-    SqliteBackend,
-    parse_store_uri,
-)
-from repro.store.backends import STORE_MANIFEST
+from repro.errors import ValidationError
+from repro.store import ArtifactStore, SqliteBackend, parse_store_uri
 from repro.store.remote import RemoteBackend
 
 KEY = "a" * 64
@@ -88,13 +81,9 @@ def run_sequence(backend, seed, steps=120):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_backends_observationally_equivalent(tmp_path, remote, seed):
     remote_backend, _ = remote
-    backends = [
-        SqliteBackend(tmp_path / "plain"),
-        ShardedBackend(tmp_path / "sharded", shards=3),
-        remote_backend,
-    ]
+    backends = [SqliteBackend(tmp_path / "plain"), remote_backend]
     traces = [run_sequence(b, seed) for b in backends]
-    assert traces[0] == traces[1] == traces[2]
+    assert traces[0] == traces[1]
 
 
 def _blob_paths(root, kind, key):
@@ -107,13 +96,11 @@ def test_corrupt_blob_heals_identically(tmp_path, remote):
     At the byte level changed bytes are indistinguishable from a raced
     valid write, so every backend adopts and re-serves them; the codec
     layer above (:class:`ArtifactStore`) is where garbage turns into a
-    transparent miss.  Both halves must hold for all three backends.
+    transparent miss.  Both halves must hold for both backends.
     """
     remote_backend, served_root = remote
     cases = [
         (SqliteBackend(tmp_path / "plain"), tmp_path / "plain"),
-        (ShardedBackend(tmp_path / "sharded", shards=3),
-         tmp_path / "sharded"),
         (remote_backend, served_root),
     ]
     for backend, root in cases:
@@ -133,11 +120,7 @@ def test_corrupt_blob_heals_identically(tmp_path, remote):
 
 def test_gc_equivalent_across_backends(tmp_path, remote):
     remote_backend, _ = remote
-    backends = [
-        SqliteBackend(tmp_path / "plain"),
-        ShardedBackend(tmp_path / "sharded", shards=3),
-        remote_backend,
-    ]
+    backends = [SqliteBackend(tmp_path / "plain"), remote_backend]
     stats = []
     for backend in backends:
         for i in range(6):
@@ -152,56 +135,7 @@ def test_gc_equivalent_across_backends(tmp_path, remote):
         dry.pop("dry_run"), real.pop("dry_run")
         assert dry == real
         stats.append(real)
-    assert stats[0] == stats[1] == stats[2]
-
-
-# -- sharded layout invariants ----------------------------------------------
-
-
-class TestSharded:
-    def test_manifest_written_and_validated(self, tmp_path):
-        store = ShardedBackend(tmp_path, shards=4)
-        store.put_bytes("dse", KEY, b"{}")
-        doc = json.loads((tmp_path / STORE_MANIFEST).read_text())
-        assert doc == {"format": "sharded", "version": 1, "shards": 4}
-        # reopening with the recorded count works ...
-        again = ShardedBackend(tmp_path, shards=4)
-        assert again.get_bytes("dse", KEY) == b"{}"
-
-    def test_shard_count_mismatch_rejected(self, tmp_path):
-        ShardedBackend(tmp_path, shards=4).put_bytes("dse", KEY, b"{}")
-        with pytest.raises(StoreError, match="shard"):
-            ShardedBackend(tmp_path, shards=8)
-
-    def test_plain_store_rejected_as_sharded(self, tmp_path):
-        SqliteBackend(tmp_path).put_bytes("dse", KEY, b"{}")
-        with pytest.raises(StoreError):
-            ShardedBackend(tmp_path, shards=4)
-
-    def test_sharded_store_rejected_as_plain(self, tmp_path):
-        ShardedBackend(tmp_path, shards=4).put_bytes("dse", KEY, b"{}")
-        with pytest.raises(StoreError):
-            SqliteBackend(tmp_path)
-
-    def test_routing_is_stable(self, tmp_path):
-        store = ShardedBackend(tmp_path, shards=4)
-        keys = [format(i, "x") * 16 for i in range(16)]
-        for key in keys:
-            store.put_bytes("dse", key, key.encode())
-        shards = {key: store._shard("dse", key) for key in keys}
-        assert len(set(shards.values())) > 1  # actually spread out
-        reopened = ShardedBackend(tmp_path, shards=4)
-        for key in keys:
-            assert reopened._shard("dse", key) == shards[key]
-            assert reopened.get_bytes("dse", key) == key.encode()
-
-    def test_artifact_store_facade_over_sharded(self, tmp_path):
-        store = ArtifactStore(
-            backend=ShardedBackend(tmp_path, shards=2)
-        )
-        store.put("dse", KEY, {"front": [1, 2]})
-        assert store.get("dse", KEY) == {"front": [1, 2]}
-        assert store.uri == f"sharded:{tmp_path}?shards=2"
+    assert stats[0] == stats[1]
 
 
 # -- fork safety -------------------------------------------------------------
@@ -247,28 +181,16 @@ class TestStoreUri:
         assert isinstance(backend, SqliteBackend)
         assert backend.root == tmp_path
 
-    def test_sharded_scheme(self, tmp_path):
-        backend = parse_store_uri(f"sharded:{tmp_path}?shards=5")
-        assert isinstance(backend, ShardedBackend)
-        assert backend.shards == 5
-        assert backend.uri == f"sharded:{tmp_path}?shards=5"
-
-    def test_sharded_default_shards(self, tmp_path):
-        from repro.store.backends import DEFAULT_SHARDS
-
-        backend = parse_store_uri(f"sharded:{tmp_path}")
-        assert backend.shards == DEFAULT_SHARDS
-
     def test_http_scheme(self):
         backend = parse_store_uri("http://127.0.0.1:9999")
         assert isinstance(backend, RemoteBackend)
         assert backend.uri == "http://127.0.0.1:9999"
 
-    def test_bad_shards_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            parse_store_uri(f"sharded:{tmp_path}?shards=zero")
-        with pytest.raises(ValidationError):
-            parse_store_uri(f"sharded:{tmp_path}?bogus=1")
+    @pytest.mark.parametrize("uri", ["sharded:/x", "s3://b/x",
+                                     "sqlit:/x"])
+    def test_unknown_scheme_rejected(self, uri):
+        with pytest.raises(ValidationError, match="unknown scheme"):
+            parse_store_uri(uri)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -276,14 +198,13 @@ class TestStoreUri:
 
     def test_uri_round_trips(self, tmp_path):
         for uri in (f"sqlite:{tmp_path / 'a'}",
-                    f"sharded:{tmp_path / 'b'}?shards=3",
                     "http://localhost:8035"):
             assert parse_store_uri(uri).uri == uri
 
     def test_open_store_accepts_uri(self, tmp_path):
         from repro.store import open_store
 
-        store = open_store(f"sharded:{tmp_path}?shards=2")
+        store = open_store(f"sqlite:{tmp_path}")
         store.put("dse", KEY, {"x": 1})
         assert open_store(store) is store
         assert open_store(store.uri).get("dse", KEY) == {"x": 1}

@@ -66,7 +66,6 @@ class TestParser:
         monkeypatch.setattr(
             library_pipeline, "build_library", fake_build_library
         )
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "legacy"))
         with pytest.raises(Built):
             main(["run", "--scale", "0.0005", "--workers", "2",
                   "--store", str(tmp_path / "store")])
@@ -166,7 +165,7 @@ class TestCommands:
     def test_workloads_run_family_dse(self, name, tmp_path,
                                       monkeypatch, capsys):
         """End-to-end DSE on new N x N family workloads."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "cache"))
         front_path = tmp_path / "front.csv"
         assert main(
             ["workloads", "run", name, "--scale", "0.001",

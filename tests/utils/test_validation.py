@@ -88,9 +88,8 @@ class TestEnvNumberKnobs:
         from repro.errors import ValidationError
         from repro.utils.validation import check_env_float
 
-        with pytest.raises(ValidationError,
-                           match="REPRO_PARALLEL_THRESHOLD"):
-            check_env_float(raw, source="REPRO_PARALLEL_THRESHOLD")
+        with pytest.raises(ValidationError, match="REPRO_SCALE"):
+            check_env_float(raw, source="REPRO_SCALE")
 
     def test_env_float_minimum(self):
         from repro.errors import ValidationError
@@ -110,25 +109,6 @@ class TestEnvNumberKnobs:
 
 class TestKnobConsumers:
     """The real knobs route through the validated parsers."""
-
-    def test_parallel_threshold_blank_rejected(self, monkeypatch):
-        from repro.core.runtime import ParallelRuntime
-        from repro.errors import ValidationError
-
-        monkeypatch.setenv("REPRO_PARALLEL_THRESHOLD", "")
-        with pytest.raises(ValidationError,
-                           match="REPRO_PARALLEL_THRESHOLD"):
-            ParallelRuntime.threshold_seconds()
-
-    def test_parallel_threshold_unset_defaults(self, monkeypatch):
-        from repro.core.runtime import (
-            DEFAULT_PARALLEL_THRESHOLD,
-            ParallelRuntime,
-        )
-
-        monkeypatch.delenv("REPRO_PARALLEL_THRESHOLD", raising=False)
-        assert (ParallelRuntime.threshold_seconds()
-                == DEFAULT_PARALLEL_THRESHOLD)
 
     @pytest.mark.parametrize("raw", ["", "http", "8035.5", "-2"])
     def test_serve_port_rejects_junk(self, monkeypatch, raw):
