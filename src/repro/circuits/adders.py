@@ -124,7 +124,10 @@ class AlmostCorrectAdder(ArithmeticCircuit):
         return result
 
 
-def _check_blocks(width: int, blocks: Sequence[int]) -> Tuple[int, ...]:
+def _block_layout(
+    width: int, blocks: Sequence[int], predictions: Sequence[int]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """Validated ``(blocks, predictions, offsets)`` of a block circuit."""
     blocks = tuple(int(x) for x in blocks)
     if not blocks or any(x < 1 for x in blocks):
         raise CircuitError(f"blocks must be positive, got {blocks}")
@@ -132,7 +135,17 @@ def _check_blocks(width: int, blocks: Sequence[int]) -> Tuple[int, ...]:
         raise CircuitError(
             f"blocks {blocks} must sum to the operand width {width}"
         )
-    return blocks
+    predictions = tuple(int(p) for p in predictions) or (0,) * len(blocks)
+    if len(predictions) != len(blocks):
+        raise CircuitError("predictions must match blocks in length")
+    offsets = tuple(sum(blocks[:k]) for k in range(len(blocks)))
+    for k, pred in enumerate(predictions):
+        if pred < 0 or pred > offsets[k]:
+            raise CircuitError(
+                f"prediction {pred} of block {k} exceeds available "
+                f"lower bits ({offsets[k]})"
+            )
+    return blocks, predictions, offsets
 
 
 class QuAdAdder(ArithmeticCircuit):
@@ -152,28 +165,14 @@ class QuAdAdder(ArithmeticCircuit):
         blocks: Sequence[int],
         predictions: Sequence[int] = (),
     ):
-        blocks = _check_blocks(width, blocks)
-        if not predictions:
-            predictions = tuple(0 for _ in blocks)
-        predictions = tuple(int(p) for p in predictions)
-        if len(predictions) != len(blocks):
-            raise CircuitError("predictions must match blocks in length")
-        offsets = []
-        total = 0
-        for length in blocks:
-            offsets.append(total)
-            total += length
-        for k, pred in enumerate(predictions):
-            if pred < 0 or pred > offsets[k]:
-                raise CircuitError(
-                    f"prediction {pred} of block {k} exceeds available "
-                    f"lower bits ({offsets[k]})"
-                )
+        blocks, predictions, offsets = _block_layout(
+            width, blocks, predictions
+        )
         tag = "-".join(f"{l}p{p}" for l, p in zip(blocks, predictions))
         super().__init__(width, name=f"add{width}_quad_{tag}")
         self.blocks = blocks
         self.predictions = predictions
-        self._offsets = tuple(offsets)
+        self._offsets = offsets
 
     def is_exact(self) -> bool:
         return len(self.blocks) == 1

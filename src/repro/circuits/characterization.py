@@ -20,9 +20,9 @@ apart.
 
 :func:`characterize_many` is the batched front end for library
 construction: it computes the same statistics for a whole chunk of
-circuits while sharing the exact reference LUT per (operation, width)
-and the operand sample per width, which amortises the dominant
-allocation cost across the chunk.
+circuits while sharing the operand sample per width and the exact
+reference per (operation, width); exhaustive exact tables are memoised
+process-wide by :func:`~repro.circuits.luts.build_exact_lut`.
 """
 
 from __future__ import annotations
@@ -142,25 +142,19 @@ def characterize_many(
     Produces exactly the stats of ``[characterize(c, sample_size, rng)
     for c in circuits]`` when ``rng`` is a seed (each distinct width
     re-seeds its operand sample, matching :func:`characterize`'s
-    per-call seeding), while computing the exact reference outputs only
-    once per (operation, width) and drawing the operand sample only
-    once per width.  Passing a live ``Generator`` instead consumes it
-    once per distinct width in first-use order.
+    per-call seeding), while drawing the operand sample only once per
+    width and computing the exact reference outputs and the MRE
+    denominator only once per (operation, width) — the same arrays,
+    hence bit-identical statistics.  Passing a live ``Generator``
+    instead consumes it once per distinct width in first-use order.
     """
-    exact_luts: dict = {}
     operands: dict = {}
-    exact_outputs: dict = {}
-    denoms: dict = {}
+    references: dict = {}
     stats: List[ErrorStats] = []
     for circuit in circuits:
-        key = (circuit.op.value, circuit.width)
-        if circuit.width <= MAX_LUT_WIDTH:
-            exact = exact_luts.get(key)
-            if exact is None:
-                exact = build_exact_lut(circuit)
-                exact_luts[key] = exact
+        exhaustive = circuit.width <= MAX_LUT_WIDTH
+        if exhaustive:
             approx = build_lut(circuit)
-            exhaustive = True
         else:
             if circuit.width not in operands:
                 # A seed re-seeds per width (matching characterize's
@@ -170,19 +164,16 @@ def characterize_many(
                     circuit.width, sample_size, rng
                 )
             a, b = operands[circuit.width]
-            exact = exact_outputs.get(key)
-            if exact is None:
-                exact = np.asarray(circuit.exact(a, b), dtype=np.int64)
-                exact_outputs[key] = exact
             approx = np.asarray(circuit.evaluate(a, b), dtype=np.int64)
-            exhaustive = False
-        # The MRE denominator depends only on the shared exact
-        # reference, so it too is computed once per (operation, width) —
-        # same float64 array, hence bit-identical statistics.
-        denom = denoms.get(key)
-        if denom is None:
+        key = (circuit.op.value, circuit.width)
+        if key not in references:
+            if exhaustive:
+                exact = build_exact_lut(circuit)
+            else:
+                exact = np.asarray(circuit.exact(a, b), dtype=np.int64)
             denom = np.maximum(np.abs(exact).astype(np.float64), 1.0)
-            denoms[key] = denom
+            references[key] = (exact, denom)
+        exact, denom = references[key]
         stats.append(
             _stats_from_outputs(approx, exact, exhaustive, denom=denom)
         )

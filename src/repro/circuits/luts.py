@@ -4,6 +4,10 @@ Accelerator simulation evaluates each operation on ~10**5 pixel values per
 image.  For operand widths up to :data:`MAX_LUT_WIDTH` bits we pre-compute
 the full truth table once per circuit; the hot path then reduces to a numpy
 gather.  The flat index of operand pair ``(a, b)`` is ``(a << n) | b``.
+
+Behavioural models run on broadcast operands ``v[:, None], v[None, :]``
+(``v = 0 .. 2**n - 1``): per-operand work stays on ``2**n`` entries.
+Exact tables are built once per process and shared read-only.
 """
 
 from __future__ import annotations
@@ -17,24 +21,30 @@ from repro.utils.bitops import bit_mask
 #: Widest operands for which an exhaustive LUT is reasonable (2**20 entries).
 MAX_LUT_WIDTH = 10
 
-#: Per-width exhaustive operand grids, built once per process.  Every
-#: characterised circuit of a given width enumerates the same
-#: ``4**width`` operand pairs, so the grids are cached as read-only
-#: views instead of being re-materialised (three fresh arrays) per LUT
-#: build — the dominant allocation of exhaustive characterisation.
+#: Per-width flat operand grids for the packed netlist hooks, which
+#: simulate bit-planes over explicit ``4**width``-length operand
+#: vectors.  Cached read-only so those hooks share one grid per width.
 _OPERAND_GRIDS: dict = {}
+
+#: Exact tables keyed by ``(operation, width)``, read-only.
+_EXACT_LUTS: dict = {}
+
+
+def _check_width(n: int) -> None:
+    if n > MAX_LUT_WIDTH:
+        raise CircuitError(
+            f"LUT for {n}-bit operands would need {4**n} entries; "
+            f"widths above {MAX_LUT_WIDTH} must use evaluate()"
+        )
 
 
 def operand_grid(width: int):
     """The exhaustive ``(a, b)`` operand arrays of ``width``-bit pairs.
 
-    Cached and read-only: all LUT builds of the same width share one
-    grid.  ``a`` varies in the high bits (index ``(a << width) | b``).
+    Cached and read-only: all packed LUT builds of the same width share
+    one grid.  ``a`` varies in the high bits (index ``(a << width) | b``).
     """
-    if width > MAX_LUT_WIDTH:
-        raise CircuitError(
-            f"width {width} exceeds LUT limit {MAX_LUT_WIDTH}"
-        )
+    _check_width(width)
     grid = _OPERAND_GRIDS.get(width)
     if grid is None:
         size = 1 << width
@@ -55,40 +65,48 @@ def lut_index(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
     )
 
 
+def _tabulate(fn, width: int) -> np.ndarray:
+    """``fn`` over all operand pairs, as a flat writeable int64 table."""
+    size = 1 << width
+    v = np.arange(size, dtype=np.int64)
+    out = np.asarray(fn(v[:, None], v[None, :]), dtype=np.int64)
+    if out.shape != (size, size):  # the model ignored an operand
+        out = np.broadcast_to(out, (size, size)).copy()
+    return out.reshape(-1)
+
+
 def build_lut(circuit: ArithmeticCircuit) -> np.ndarray:
     """Exhaustive output table of ``circuit`` (int64, length ``4**width``).
 
     Netlist-backed circuits (anything exposing a ``packed_lut`` hook,
     e.g. :class:`~repro.circuits.netlist_backed.NetlistCircuit`) are
-    simulated over the grid with bit-packed planes — 64 operand pairs
-    per machine word per gate — instead of ``4**width`` word-mode
+    simulated over the flat grid with bit-packed planes — 64 operand
+    pairs per machine word per gate — instead of ``4**width`` word-mode
     gate evaluations; the table is bit-identical either way.
     """
-    n = circuit.width
-    if n > MAX_LUT_WIDTH:
-        raise CircuitError(
-            f"LUT for {n}-bit operands would need {4**n} entries; "
-            f"widths above {MAX_LUT_WIDTH} must use evaluate()"
-        )
-    a, b = operand_grid(n)
+    _check_width(circuit.width)
     packed = getattr(circuit, "packed_lut", None)
     if callable(packed):
-        return np.asarray(packed(a, b), dtype=np.int64)
-    return np.asarray(circuit.evaluate(a, b), dtype=np.int64)
+        return np.asarray(packed(*operand_grid(circuit.width)), dtype=np.int64)
+    return _tabulate(circuit.evaluate, circuit.width)
 
 
 def build_exact_lut(circuit: ArithmeticCircuit) -> np.ndarray:
     """Exhaustive table of the *exact* operation at the circuit's width.
 
-    Netlist-backed circuits route through their ``packed_exact_lut``
-    hook (bit-packed simulation of the exact netlist); the result is
-    bit-identical to the arithmetic reference.
+    The arithmetic table is memoised per ``(operation, width)`` and
+    returned read-only.  Netlist-backed circuits route through their
+    ``packed_exact_lut`` hook (bit-packed simulation of the exact
+    netlist); the result is bit-identical to the arithmetic reference.
     """
-    n = circuit.width
-    if n > MAX_LUT_WIDTH:
-        raise CircuitError(f"width {n} exceeds LUT limit {MAX_LUT_WIDTH}")
-    a, b = operand_grid(n)
+    _check_width(circuit.width)
     packed = getattr(circuit, "packed_exact_lut", None)
     if callable(packed):
-        return np.asarray(packed(a, b), dtype=np.int64)
-    return np.asarray(circuit.exact(a, b), dtype=np.int64)
+        return np.asarray(packed(*operand_grid(circuit.width)), dtype=np.int64)
+    key = (circuit.op, circuit.width)
+    lut = _EXACT_LUTS.get(key)
+    if lut is None:
+        lut = _tabulate(circuit.exact, circuit.width)
+        lut.flags.writeable = False
+        _EXACT_LUTS[key] = lut
+    return lut

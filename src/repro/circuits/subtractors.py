@@ -12,7 +12,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from repro.circuits.adders import _check_blocks
+from repro.circuits.adders import _block_layout
 from repro.circuits.base import ArithmeticCircuit, Operation
 from repro.errors import CircuitError
 from repro.utils.bitops import bit_mask
@@ -68,28 +68,14 @@ class BlockSubtractor(ArithmeticCircuit):
         blocks: Sequence[int],
         predictions: Sequence[int] = (),
     ):
-        blocks = _check_blocks(width, blocks)
-        if not predictions:
-            predictions = tuple(0 for _ in blocks)
-        predictions = tuple(int(p) for p in predictions)
-        if len(predictions) != len(blocks):
-            raise CircuitError("predictions must match blocks in length")
-        offsets = []
-        total = 0
-        for length in blocks:
-            offsets.append(total)
-            total += length
-        for k, pred in enumerate(predictions):
-            if pred < 0 or pred > offsets[k]:
-                raise CircuitError(
-                    f"prediction {pred} of block {k} exceeds available "
-                    f"lower bits ({offsets[k]})"
-                )
+        blocks, predictions, offsets = _block_layout(
+            width, blocks, predictions
+        )
         tag = "-".join(f"{l}p{p}" for l, p in zip(blocks, predictions))
         super().__init__(width, name=f"sub{width}_blk_{tag}")
         self.blocks = blocks
         self.predictions = predictions
-        self._offsets = tuple(offsets)
+        self._offsets = offsets
 
     def is_exact(self) -> bool:
         return len(self.blocks) == 1

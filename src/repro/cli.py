@@ -556,7 +556,7 @@ def _run_search(
 
     setup = workload_setup(
         workload, scale=scale, n_images=n_images, seed=seed,
-        workers=workers,
+        workers=workers, store=store,
     )
     profiles = profile_accelerator(
         setup.accelerator, setup.images, rng=seed

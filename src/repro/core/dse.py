@@ -12,7 +12,7 @@ reference front of Table 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,16 +40,6 @@ class DSEResult:
 
     def __len__(self) -> int:
         return len(self.configs)
-
-
-def _estimate(
-    qor_model: EstimationModel,
-    hw_model: EstimationModel,
-    configs: Sequence[Configuration],
-) -> np.ndarray:
-    qor = qor_model.predict(configs)
-    cost = hw_model.predict(configs)
-    return np.stack([qor, cost], axis=1)
 
 
 def heuristic_pareto_construction(

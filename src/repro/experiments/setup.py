@@ -206,6 +206,7 @@ def workload_setup(
     use_cache: bool = True,
     registry: Optional[WorkloadRegistry] = None,
     workers: Optional[int] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> WorkloadSetup:
     """Build (or load from cache) everything a workload DSE run needs.
 
@@ -213,6 +214,8 @@ def workload_setup(
     operation signatures (e.g. ``gaussian5`` and ``box5``) share one
     characterised library on disk; misses build through the parallel
     pipeline with ``workers`` processes (``None``: ``REPRO_WORKERS``).
+    The cache is ``store`` when given, else the shared
+    :func:`experiment_store`.
     """
     if scale is None:
         scale = default_scale()
@@ -223,7 +226,10 @@ def workload_setup(
         registry=registry,
     )
     plan = workload_plan(bundle.accelerator, scale, seed=seed)
-    store = experiment_store() if use_cache else None
+    if not use_cache:
+        store = None
+    elif store is None:
+        store = experiment_store()
     library = _cached_library(
         store,
         _plan_key("workload-library", plan, scale),
@@ -259,7 +265,7 @@ def run_workload_pipeline(
 
     setup = workload_setup(
         name, scale=scale, n_images=n_images, seed=seed,
-        workers=workers,
+        workers=workers, store=store,
     )
     config = AutoAxConfig(
         n_train=train,

@@ -202,12 +202,10 @@ def records_from_circuits(
 ) -> "list[ComponentRecord]":
     """Characterise a batch of circuits into records.
 
-    The batched error characterisation shares exact reference outputs
-    and operand samples across the batch (see
-    :func:`~repro.circuits.characterization.characterize_many`), so a
-    chunked library build pays the reference cost once per chunk rather
-    than once per component.  Synthesis still runs per circuit — each
-    netlist is independent.
+    The batched error characterisation shares operand samples and
+    reference outputs across the batch (see
+    :func:`~repro.circuits.characterization.characterize_many`).
+    Synthesis still runs per circuit — each netlist is independent.
     """
     all_errors = characterize_many(circuits, sample_size=sample_size)
     records = []

@@ -1,13 +1,33 @@
 import numpy as np
 import pytest
 
+from repro.accelerators.profiler import OperandProfile, profile_accelerator
+from repro.circuits.luts import build_exact_lut, build_lut
 from repro.core.preprocessing import pareto_filter_indices, reduce_library
 from repro.core.wmed import wmed, wmed_table
 from repro.errors import LibraryError
-from repro.library.component import record_from_circuit
+from repro.library.component import ComponentRecord, record_from_circuit
 from repro.library.library import ComponentLibrary
 from repro.circuits.adders import TruncatedAdder
 from repro.circuits.base import ExactAdder
+from repro.workloads import build_bundle
+
+
+def _oracle(records, profile):
+    """The paper's dense WMED: ``pmf @ |M - M~|`` over full tables."""
+    return np.asarray(
+        [
+            profile.pmf
+            @ np.abs(build_lut(r.circuit) - build_exact_lut(r.circuit))
+            for r in records
+        ],
+        dtype=np.float64,
+    )
+
+
+def _synthetic_profile(signature, pmf):
+    empty = np.zeros(0, dtype=np.int64)
+    return OperandProfile("synthetic", signature, 1, pmf, empty, empty)
 
 
 class TestWMED:
@@ -54,6 +74,78 @@ class TestWMED:
         )
         value = wmed(rec, profiles["sum1"])
         assert value > 0.0
+
+
+class TestWMEDOracle:
+    """``wmed_table`` equals the dense oracle byte for byte."""
+
+    def test_every_sobel_slot(self, sobel, tiny_library, sobel_profiles):
+        for slot in sobel.op_slots():
+            records = tiny_library.components(slot.signature)
+            profile = sobel_profiles[slot.name]
+            assert (
+                wmed_table(records, profile).tobytes()
+                == _oracle(records, profile).tobytes()
+            ), slot.name
+
+    def test_generic_gf_mul8_slot(self, tiny_library):
+        bundle = build_bundle("generic_gf", n_images=1, image_shape=(32, 48))
+        profiles = profile_accelerator(
+            bundle.accelerator, bundle.images,
+            scenarios=bundle.scenarios[:3], rng=0,
+        )
+        profile = profiles["mul4"]
+        assert profile.pmf is not None
+        records = tiny_library.components(("mul", 8))
+        assert (
+            wmed_table(records, profile).tobytes()
+            == _oracle(records, profile).tobytes()
+        )
+
+    def test_full_support_pmf(self, tiny_library):
+        records = tiny_library.components(("add", 8))
+        weights = np.random.default_rng(7).random(1 << 16) + 0.5
+        profile = _synthetic_profile(("add", 8), weights / weights.sum())
+        assert np.all(profile.pmf > 0)
+        assert (
+            wmed_table(records, profile).tobytes()
+            == _oracle(records, profile).tobytes()
+        )
+
+    def test_single_entry_pmf(self, tiny_library):
+        records = tiny_library.components(("sub", 10))
+        pmf = np.zeros(1 << 20)
+        pmf[(3 << 10) | 1000] = 1.0
+        profile = _synthetic_profile(("sub", 10), pmf)
+        table = wmed_table(records, profile)
+        assert table.tobytes() == _oracle(records, profile).tobytes()
+        for record, value in zip(records, table):
+            assert value == abs(record.circuit.evaluate(3, 1000) - (3 - 1000))
+
+    def test_table_signature_mismatch(self, sobel_profiles):
+        records = [
+            record_from_circuit(TruncatedAdder(8, 2)),
+            record_from_circuit(TruncatedAdder(9, 2)),
+        ]
+        with pytest.raises(ValueError):
+            wmed_table(records, sobel_profiles["add1"])
+
+    def test_reduction_caches_no_discarded_table(
+        self, sobel, tiny_library, sobel_profiles
+    ):
+        """Scoring never builds a candidate's truth table, so records
+        dropped by the reduction hold none."""
+        fresh = ComponentLibrary(
+            ComponentRecord.from_dict(r.to_dict())
+            for sig in tiny_library.signatures()
+            for r in tiny_library.components(sig)
+        )
+        space = reduce_library(sobel, fresh, sobel_profiles)
+        kept = {id(r) for group in space.choices for r in group}
+        for sig in fresh.signatures():
+            for record in fresh.components(sig):
+                if id(record) not in kept:
+                    assert record._lut is None, record.name
 
 
 class TestParetoFilter:

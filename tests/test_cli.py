@@ -404,6 +404,21 @@ class TestStoreCommands:
         doc = json.loads(capsys.readouterr().out)
         assert [m["run_id"] for m in doc["runs"]] == [run_id]
 
+    def test_store_flag_reaches_workload_library(self, store_env,
+                                                 tmp_path, capsys):
+        """``--store B`` caches the workload library and its components
+        in B, not in the ``REPRO_STORE_DIR`` store."""
+        from repro.store import open_store
+
+        flagged = tmp_path / "flagged"
+        self._run_json(capsys, extra=["--store", str(flagged)])
+        env_store = open_store(str(store_env))
+        assert env_store.keys("library") == []
+        assert env_store.keys("component") == []
+        flag_store = open_store(str(flagged))
+        assert len(flag_store.keys("library")) == 1
+        assert flag_store.keys("component")
+
     def test_runs_show_unknown_id(self, store_env, capsys):
         from repro.errors import StoreError
 
