@@ -29,12 +29,13 @@ from pathlib import Path
 
 from benchmarks._common import sized, write_result
 from repro.circuits.characterization import characterization_count
-from repro.core.runtime import get_runtime, reset_runtime
+from repro.core.runtime import reset_runtime
 from repro.library.generation import scaled_plan
 from repro.library.io import library_payload
 from repro.library.pipeline import build_library
 from repro.store import ArtifactStore, RunLedger
 from repro.synthesis.synthesizer import synthesis_run_count
+from repro.telemetry import get_metrics
 
 #: Bench trajectory file (machine-readable, one doc per run).
 BENCH_JSON = Path("BENCH_library.json")
@@ -67,19 +68,18 @@ def test_library_build():
     reference = _payload_text(serial.library)
 
     reset_runtime()
+    batches = get_metrics().counter("runtime.parallel_batches")
     start = time.perf_counter()
     parallel = build_library(plan, workers=PARALLEL_WORKERS)
     parallel_s = time.perf_counter() - start
     assert _payload_text(parallel.library) == reference
-    decisions = list(get_runtime().decisions)
-    parallel_ran = any(d.mode == "parallel" for d in decisions)
+    parallel_ran = get_metrics().counter("runtime.parallel_batches") > batches
     raw_speedup = serial_s / parallel_s if parallel_s > 0 else (
         float("inf")
     )
-    # When the shared runtime kept the build serial (single-core
-    # machine, sub-threshold work), the executed path is the workers=1
-    # path — the floor is exact by construction; the raw ratio stays in
-    # the doc for honesty.
+    # When the shared runtime kept the build serial (one usable core),
+    # the executed path is the workers=1 path — the floor is exact by
+    # construction; the raw ratio stays in the doc for honesty.
     speedup = raw_speedup if parallel_ran else max(raw_speedup, 1.0)
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-lib-") as tmp:
@@ -119,7 +119,7 @@ def test_library_build():
             f"serial  ({1} worker):  {serial_s:8.3f}s\n"
             f"parallel ({PARALLEL_WORKERS} workers): "
             f"{parallel_s:8.3f}s  ({speedup:.1f}x"
-            f"{'' if parallel_ran else ', auto-serial'})\n"
+            f"{'' if parallel_ran else ', serial'})\n"
             f"warm store rebuild:   {warm_s:8.3f}s  "
             f"({warm_speedup:.1f}x, 0 characterisations, "
             f"0 synthesis)\n"
@@ -138,9 +138,6 @@ def test_library_build():
         "parallel_speedup": round(speedup, 2),
         "raw_parallel_speedup": round(raw_speedup, 2),
         "parallel_ran": parallel_ran,
-        "runtime_decisions": sorted(
-            {f"{d.mode}:{d.reason}" for d in decisions}
-        ),
         "warm_seconds": round(warm_s, 4),
         "warm_speedup": round(warm_speedup, 2),
         "warm_stats": warm.stats.as_dict(),
@@ -157,9 +154,9 @@ def test_library_build():
     BENCH_JSON.write_text(
         json.dumps(trajectory, sort_keys=True, indent=2) + "\n"
     )
-    # The auto-serial floor holds everywhere: a 4-worker build is never
-    # slower than serial (on sub-4-core machines it *is* the serial
-    # path, so only noise separates the two timings).
+    # A 4-worker build is never slower than serial (on a one-core
+    # machine it *is* the serial path, so only noise separates the two
+    # timings).
     assert speedup >= 1.0, (
         f"4-worker build lost to serial: {speedup:.2f}x"
     )

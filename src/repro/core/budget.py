@@ -21,11 +21,6 @@ construction:
 One budget can be shared by several strategies (the portfolio runner
 hands each island a slice); each strategy's own spend is the estimator's
 ``count``.
-
-``MeteredEstimator`` can also fan prediction batches out to worker
-processes (``workers``): chunks are predicted in parallel and
-concatenated in submission order, so results are bit-identical to the
-serial path for any row-independent regressor.
 """
 
 from __future__ import annotations
@@ -143,19 +138,6 @@ class EvaluationBudget:
         return f"<EvaluationBudget {self._spent}/{cap}>"
 
 
-#: Minimum rows per parallel prediction chunk — below this the IPC
-#: overhead dwarfs the prediction work.
-_MIN_CHUNK = 64
-
-
-def _predict_chunk(context, genomes: np.ndarray) -> np.ndarray:
-    """Runtime task: fused QoR + hardware predict of one genome chunk."""
-    qor_model, hw_model = context
-    return np.stack(
-        [qor_model.predict(genomes), hw_model.predict(genomes)], axis=1
-    )
-
-
 class MeteredEstimator:
     """Budget-charging gateway to the QoR and hardware estimation models.
 
@@ -165,14 +147,7 @@ class MeteredEstimator:
     budget raises before any model call is issued.
 
     Each batch runs both models through one fused pass over a genome
-    matrix built once.  With ``workers > 1`` large batches are chunked
-    through the shared :class:`~repro.core.runtime.ParallelRuntime`
-    (models published to the persistent pool via shared memory; chunk
-    results concatenate in submission order, so the output is
-    bit-identical to the serial path for any row-independent
-    regressor — and the runtime's cost model keeps small batches
-    serial).  :meth:`close` remains for API compatibility; the pool is
-    process-wide and outlives the estimator.
+    matrix built once.
     """
 
     def __init__(
@@ -180,14 +155,12 @@ class MeteredEstimator:
         qor_model,
         hw_model,
         budget: Optional[EvaluationBudget] = None,
-        workers: Optional[int] = None,
     ):
         self.qor_model = qor_model
         self.hw_model = hw_model
         self.budget = budget if budget is not None else EvaluationBudget()
         self.count = 0  # configurations this estimator charged
         self.calls = 0  # estimate() invocations
-        self._workers = workers if workers and workers > 1 else None
         # Guards the charge-then-count sequence: concurrent estimate()
         # callers must observe spend == count at every instant, and two
         # threads must never interleave their budget checks.
@@ -205,17 +178,6 @@ class MeteredEstimator:
         self.__dict__.update(state)
         self._meter_lock = threading.Lock()
 
-    # -- lifecycle (the pool is owned by the shared runtime) -----------------
-
-    def close(self) -> None:
-        """Kept for API compatibility; the shared pool persists."""
-
-    def __enter__(self) -> "MeteredEstimator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # -- estimation ----------------------------------------------------------
 
     def estimate(self, configs) -> np.ndarray:
@@ -231,21 +193,10 @@ class MeteredEstimator:
         metrics.inc("search.evaluations", n)
         metrics.inc("search.estimate_calls")
         metrics.observe("search.estimate_batch", n)
-        # One genome matrix for the whole generation; both models (and
-        # any parallel chunks) predict from the same compiled array.
+        # One genome matrix for the whole generation; both models
+        # predict from the same compiled array.
         genomes = np.asarray(configs)
-        if self._workers and n >= 2 * _MIN_CHUNK:
-            from repro.core.runtime import get_runtime
-
-            n_chunks = min(self._workers * 2, n // _MIN_CHUNK)
-            chunks = np.array_split(genomes, max(1, n_chunks))
-            return np.vstack(
-                get_runtime().map(
-                    _predict_chunk,
-                    chunks,
-                    context=(self.qor_model, self.hw_model),
-                    workers=self._workers,
-                    label="model-predict",
-                )
-            )
-        return _predict_chunk((self.qor_model, self.hw_model), genomes)
+        return np.stack(
+            [self.qor_model.predict(genomes), self.hw_model.predict(genomes)],
+            axis=1,
+        )

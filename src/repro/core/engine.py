@@ -299,9 +299,8 @@ class EvaluationEngine:
           tiled on the config axis to bound peak memory; synthesis stays
           per-configuration behind the memo and ``workers`` is ignored;
         * **classic** — otherwise, with ``workers > 1`` configuration
-          chunks go through the shared runtime (whose first-task probe
-          still picks pool or serial), else a plain per-configuration
-          loop.
+          chunks go through the shared runtime's pool, else a plain
+          per-configuration loop.
 
         Every route produces results bit-identical to
         ``[evaluate(space, c) for c in configs]``.

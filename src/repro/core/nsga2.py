@@ -148,7 +148,6 @@ def nsga2_search(
     mutation_prob: float = 0.2,
     rng: RngLike = 0,
     budget: Optional[EvaluationBudget] = None,
-    workers: Optional[int] = None,
     seeds: Optional[Sequence[Configuration]] = None,
 ) -> DSEResult:
     """NSGA-II exploration returning the final population's Pareto front.
@@ -160,10 +159,7 @@ def nsga2_search(
 
     ``seeds`` pre-loads the initial population (truncated to the
     population size, padded with random configurations) — the portfolio
-    runner's migration channel.  ``workers > 1`` predicts objective
-    batches in parallel worker processes; chunk outputs are
-    concatenated in submission order, so results are bit-identical to
-    the serial path for a fixed RNG seed.
+    runner's migration channel.
     """
     if population_size < 4 or population_size % 2:
         raise DSEError("population_size must be an even number >= 4")
@@ -186,21 +182,18 @@ def nsga2_search(
         raise DSEError(
             "evaluation budget cannot fund one NSGA-II population"
         )
-    estimator = MeteredEstimator(
-        qor_model, hw_model, budget, workers=workers
-    )
+    estimator = MeteredEstimator(qor_model, hw_model, budget)
 
     def estimate(genomes: np.ndarray) -> np.ndarray:
         est = estimator.estimate(genomes)
         return np.stack([-est[:, 0], est[:, 1]], axis=1)  # minimised
 
-    with estimator:
-        objectives = estimate(population)
-        population, objectives = _evolve(
-            space, population, objectives, estimate, gen,
-            population_size, generations, crossover_prob,
-            mutation_prob, budget,
-        )
+    objectives = estimate(population)
+    population, objectives = _evolve(
+        space, population, objectives, estimate, gen,
+        population_size, generations, crossover_prob,
+        mutation_prob, budget,
+    )
 
     front_idx = pareto_front_indices(objectives)
     unique: dict = {}

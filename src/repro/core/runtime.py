@@ -1,16 +1,9 @@
-"""Shared parallel runtime: persistent workers, shared memory, auto-serial.
+"""Shared parallel runtime: persistent workers, shared memory, one rule.
 
-Before this module existed, every parallel stage (``evaluate_many``
-chunks, library-build chunks, portfolio islands, chunked model predicts)
-carried its own copy of the same fork-pool boilerplate: create a fresh
-``multiprocessing`` pool per call, smuggle bulk state to the children
-through fork copy-on-write globals (or re-pickle it per worker on
-non-fork platforms), and hope the work outweighed the fork tax.  On
-small machines it often did not — ``BENCH_library.json`` recorded a
-4-worker build *losing* to serial (0.87x).
-
-:class:`ParallelRuntime` replaces all of those call sites with one
-process-wide runtime that makes ``workers=N`` safe by construction:
+Every parallel stage (``evaluate_many`` chunks, library-build chunks,
+portfolio islands) fans out through :class:`ParallelRuntime`, one
+process-wide service instead of a fresh ``multiprocessing`` pool per
+call:
 
 * **one persistent worker pool** reused across pipeline stages — the
   pool-startup cost is paid once per process, not once per call;
@@ -21,12 +14,11 @@ process-wide runtime that makes ``workers=N`` safe by construction:
   attach zero-copy read-only views; nothing bulk ever crosses the task
   pipe.  Segments are tracked and unlinked on :meth:`close` and at
   interpreter exit (crash or ``KeyboardInterrupt`` included);
-* **a cost model with a serial floor** — the first task of every batch
-  is probed in-process; the measured per-task cost is extrapolated and
-  compared against the pool-startup + publish + IPC overhead.  When the
-  estimated win is not there (tiny batches, single-core machines), the
-  batch runs serially on the exact same code path — so a larger
-  ``workers`` setting can never be *slower* than ``workers=1``;
+* **one pool rule** — a batch fans out over
+  ``min(workers, usable_cores(), len(tasks))`` processes.  It runs
+  in-process when that count is below 2, when it is issued from inside
+  a worker, or under ``REPRO_PARALLEL=never``; otherwise every task
+  goes to the pool;
 * **one start-method story** — context travels the same shared-memory
   route under ``fork``, ``forkserver`` and ``spawn``
   (``REPRO_START_METHOD``), so non-fork platforms produce bit-identical
@@ -35,15 +27,16 @@ process-wide runtime that makes ``workers=N`` safe by construction:
 Task functions must be module-level callables of the form
 ``fn(context, task) -> result`` with deterministic, task-independent
 behaviour; under that contract results are **bit-identical for any
-worker count** (serial, probed, and pooled execution run the same
-function on the same values).
+worker count** (in-process and pooled execution run the same function
+on the same values).
 
 Environment knobs
 -----------------
 ``REPRO_WORKERS``            default worker count (shared convention)
 ``REPRO_START_METHOD``       fork | forkserver | spawn (default: fork
                              where available)
-``REPRO_PARALLEL``           auto | always | never (cost-model override)
+``REPRO_PARALLEL``           auto | never (``never`` keeps every batch
+                             in-process)
 ``REPRO_NO_SHM``             set to disable shared-memory publishing
                              (contexts then travel inline per task)
 """
@@ -55,9 +48,7 @@ import io
 import os
 import pickle
 import threading
-import time
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -75,8 +66,8 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: Environment knob: multiprocessing start method for the worker pool.
 START_METHOD_ENV = "REPRO_START_METHOD"
 
-#: Environment knob: force ("always"), forbid ("never") or let the cost
-#: model decide ("auto", default) parallel execution.
+#: Environment knob: "never" keeps every batch in-process; "auto"
+#: (default) applies the pool rule.
 PARALLEL_MODE_ENV = "REPRO_PARALLEL"
 
 #: Environment knob: disable shared-memory publishing when set.
@@ -85,21 +76,6 @@ NO_SHM_ENV = "REPRO_NO_SHM"
 #: Arrays at least this large are hoisted into shared memory when a
 #: context is published; smaller ones ride along in the pickle.
 MIN_SHARED_ARRAY_BYTES = 1 << 14
-
-#: Cost-model floor: batches whose estimated *remaining* serial time is
-#: below this many seconds always stay serial.
-DEFAULT_PARALLEL_THRESHOLD = 0.05
-
-#: Cost-model constants (rough, deliberately conservative: the penalty
-#: for wrongly staying serial is bounded; wrongly going parallel on a
-#: tiny batch is exactly the fork tax this module exists to kill).
-_FORK_STARTUP_PER_WORKER = 0.02
-_SPAWN_STARTUP_PER_WORKER = 0.35
-_PUBLISH_SECONDS = 0.05
-_IPC_PER_TASK = 0.002
-
-#: Required predicted advantage before parallel is chosen.
-_PARALLEL_MARGIN = 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -289,38 +265,6 @@ def _call_task(payload):
 
 
 # ---------------------------------------------------------------------------
-# Run decisions (telemetry consumed by benchmarks and tests).
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RunDecision:
-    """How one batch was executed and why."""
-
-    label: str
-    n_tasks: int
-    requested_workers: Optional[int]
-    effective_workers: int
-    mode: str  # "serial" | "parallel"
-    reason: str
-    probe_seconds: float = 0.0
-    est_serial_seconds: float = 0.0
-    est_parallel_seconds: float = 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "label": self.label,
-            "n_tasks": self.n_tasks,
-            "requested_workers": self.requested_workers,
-            "effective_workers": self.effective_workers,
-            "mode": self.mode,
-            "reason": self.reason,
-            "probe_seconds": round(self.probe_seconds, 6),
-            "est_serial_seconds": round(self.est_serial_seconds, 6),
-            "est_parallel_seconds": round(self.est_parallel_seconds, 6),
-        }
-
-
-# ---------------------------------------------------------------------------
 # The runtime.
 # ---------------------------------------------------------------------------
 
@@ -344,7 +288,6 @@ class ParallelRuntime:
         self._ctx_token = 0
         self._max_contexts = max_contexts
         self._shm_ok = not os.environ.get(NO_SHM_ENV, "").strip()
-        self.decisions: List[RunDecision] = []
         self.stats: Dict[str, int] = {
             "serial_batches": 0,
             "parallel_batches": 0,
@@ -378,10 +321,6 @@ class ParallelRuntime:
     def start_method(self) -> str:
         return self._start_method
 
-    @property
-    def last_decision(self) -> Optional[RunDecision]:
-        return self.decisions[-1] if self.decisions else None
-
     def tracked_segments(self) -> List[str]:
         """Names of live shared-memory segments this runtime owns."""
         return sorted(self._segments)
@@ -391,10 +330,9 @@ class ParallelRuntime:
         from repro.errors import ValidationError
 
         mode = os.environ.get(PARALLEL_MODE_ENV, "auto").strip() or "auto"
-        if mode not in ("auto", "always", "never"):
+        if mode not in ("auto", "never"):
             raise ValidationError(
-                f"{PARALLEL_MODE_ENV} must be auto, always or never, "
-                f"got {mode!r}"
+                f"{PARALLEL_MODE_ENV} must be auto or never, got {mode!r}"
             )
         return mode
 
@@ -549,88 +487,13 @@ class ParallelRuntime:
             self._ctx_cache.clear()
             self._ctx_segments.clear()
 
-    # -- cost model ----------------------------------------------------------
-
-    def _record(self, d: RunDecision) -> RunDecision:
-        self.decisions.append(d)
-        if len(self.decisions) > 256:
-            del self.decisions[:128]
-        self.stats[f"{d.mode}_batches"] += 1
-        metrics = get_metrics()
-        metrics.inc(f"runtime.{d.mode}_batches")
-        metrics.inc(f"runtime.decision.{d.reason}")
-        return d
-
-    def _decide(
-        self,
-        label: str,
-        n_tasks: int,
-        requested: Optional[int],
-        context_cached: bool,
-        probe_seconds: float,
-    ) -> RunDecision:
-        mode = self._parallel_mode()
-        cores = usable_cores()
-        workers = requested or 0
-        effective = max(1, min(workers, cores, n_tasks))
-
-        def decision(run_mode: str, reason: str, est_s=0.0, est_p=0.0):
-            return self._record(
-                RunDecision(
-                    label=label,
-                    n_tasks=n_tasks,
-                    requested_workers=requested,
-                    effective_workers=effective if run_mode == "parallel"
-                    else 1,
-                    mode=run_mode,
-                    reason=reason,
-                    probe_seconds=probe_seconds,
-                    est_serial_seconds=est_s,
-                    est_parallel_seconds=est_p,
-                )
-            )
-
-        if _IN_WORKER:
-            return decision("serial", "nested-in-worker")
-        if not workers or workers <= 1:
-            return decision("serial", "workers<=1")
-        if n_tasks < 2:
-            return decision("serial", "single-task")
-        if mode == "never":
-            return decision("serial", "REPRO_PARALLEL=never")
-        if mode == "always":
-            return decision("parallel", "REPRO_PARALLEL=always")
-        if min(workers, n_tasks) > 1 and cores < 2:
-            # One usable core: extra processes only add overhead, so the
-            # serial floor is exact — workers=N runs the workers=1 path.
-            return decision("serial", "single-core")
-
-        est_serial = probe_seconds * (n_tasks - 1)
-        overhead = _IPC_PER_TASK * (n_tasks - 1)
-        if self._executor is None or self._executor_size != effective:
-            per_worker = (
-                _SPAWN_STARTUP_PER_WORKER
-                if self._start_method == "spawn"
-                else _FORK_STARTUP_PER_WORKER
-            )
-            overhead += per_worker * effective
-        if not context_cached:
-            overhead += _PUBLISH_SECONDS
-        est_parallel = overhead + est_serial / effective
-
-        if est_serial < DEFAULT_PARALLEL_THRESHOLD:
-            return decision(
-                "serial", "below-threshold", est_serial, est_parallel
-            )
-        if est_parallel >= est_serial * _PARALLEL_MARGIN:
-            return decision(
-                "serial", "overhead-dominates", est_serial, est_parallel
-            )
-        return decision(
-            "parallel", "cost-model", est_serial, est_parallel
-        )
-
     # -- execution -----------------------------------------------------------
+
+    def _pool_size(self, workers: Optional[int], n_tasks: int) -> int:
+        """Processes a batch fans out to; below 2 means in-process."""
+        if self._parallel_mode() == "never" or _IN_WORKER:
+            return 1
+        return min(workers or 1, usable_cores(), n_tasks)
 
     def imap(
         self,
@@ -643,9 +506,9 @@ class ParallelRuntime:
         """Apply ``fn(context, task)`` to every task, yielding in order.
 
         ``fn`` must be a module-level function; results stream back in
-        task order.  The first task is probed in-process to feed the
-        cost model, then the batch either stays serial or fans out over
-        the persistent pool — the results are identical either way.
+        task order.  The batch runs in-process or on the persistent
+        pool by the pool rule (module docstring) — the results are
+        identical either way.
         """
         tasks = list(tasks)
         if workers is None:
@@ -653,15 +516,16 @@ class ParallelRuntime:
         else:
             workers = validate_workers(workers)
         label = label or getattr(fn, "__name__", "batch")
+        size = self._pool_size(workers, len(tasks))
+        mode = "parallel" if size > 1 else "serial"
+        self.stats[f"{mode}_batches"] += 1
+        get_metrics().inc(f"runtime.{mode}_batches")
 
         if not tasks:
-            self._decide(label, 0, workers, True, 0.0)
             return
         tracer = current_tracer()
         if tracer is None:
-            yield from self._run_batch(
-                fn, tasks, context, workers, label, None
-            )
+            yield from self._run_batch(fn, tasks, context, size, None)
             return
         with tracer.span(
             f"runtime.{label}", cat="runtime",
@@ -671,36 +535,17 @@ class ParallelRuntime:
                 tracer.trace_id, batch_span.id, f"task:{label}"
             )
             yield from self._run_batch(
-                fn, tasks, context, workers, label, trace_ctx
+                fn, tasks, context, size, trace_ctx
             )
 
-    def _run_batch(
-        self, fn, tasks, context, workers, label, trace_ctx
-    ) -> Iterator:
-        # Probe: run the first task in-process on the live context.
-        start = time.perf_counter()
-        first = fn(context, tasks[0])
-        probe_seconds = time.perf_counter() - start
-        get_metrics().observe("runtime.probe_seconds", probe_seconds)
-
-        key = self._context_key(context) if context is not None else None
-        context_cached = (
-            key is not None and key in self._ctx_cache
-        ) or context is None
-        decision = self._decide(
-            label, len(tasks), workers, context_cached, probe_seconds
-        )
-        yield first
-        rest = tasks[1:]
-        if not rest:
-            return
-        if decision.mode == "serial":
-            for task in rest:
+    def _run_batch(self, fn, tasks, context, size, trace_ctx) -> Iterator:
+        if size > 1:
+            yield from self._run_parallel(
+                fn, tasks, context, size, trace_ctx
+            )
+        else:
+            for task in tasks:
                 yield fn(context, task)
-            return
-        yield from self._run_parallel(
-            fn, rest, context, decision, trace_ctx
-        )
 
     def map(
         self,
@@ -717,12 +562,12 @@ class ParallelRuntime:
         )
 
     def _run_parallel(
-        self, fn, tasks, context, decision, trace_ctx=None
+        self, fn, tasks, context, workers, trace_ctx=None
     ) -> Iterator:
         from concurrent.futures.process import BrokenProcessPool
 
         ref = self.publish(context)
-        executor = self._get_executor(decision.effective_workers)
+        executor = self._get_executor(workers)
         payloads = [(fn, ref, task, trace_ctx) for task in tasks]
         try:
             for result, delta in executor.map(_call_task, payloads):

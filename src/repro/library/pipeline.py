@@ -171,10 +171,8 @@ def _run_chunk(context, task):
 def _execute_chunks(tasks, context, workers: Optional[int]):
     """Yield chunk results in order through the shared runtime.
 
-    The runtime streams results back in task order, probes the first
-    chunk in-process, and stays serial whenever its cost model says the
-    fan-out would not pay for itself — so any ``workers`` setting is at
-    least as fast as serial and produces the identical library.
+    The runtime streams results back in task order, so any ``workers``
+    setting produces the identical library.
     """
     from repro.core.runtime import get_runtime
 

@@ -120,28 +120,27 @@ class TestEvaluateMany:
 
     def test_parallel_merges_worker_memo(self, fixed_gf, small_images,
                                          gf_space, monkeypatch):
-        from repro.core.runtime import reset_runtime
+        from repro.core import runtime as rt
 
-        # Force a real fan-out: the shared runtime's cost model would
-        # otherwise keep a 3-configuration batch serial.  The space is
-        # not LUT-capable, so evaluate_many takes the pool route.
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
-        reset_runtime()
+        # A real fan-out on any host.  The space is not LUT-capable, so
+        # evaluate_many takes the pool route.
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
+        rt.reset_runtime()
         try:
             engine = EvaluationEngine(fixed_gf, small_images)
             configs = gf_space.random_configurations(3, rng=10)
             engine.evaluate_many(gf_space, configs, workers=2)
-            # Every unique configuration reached the parent memo: the
-            # probe chunk ran in-process (one miss), the pool chunks'
+            # Every unique configuration reached the parent memo: all
+            # chunks ran in workers (no in-process miss), and their
             # synthesis reports were adopted on merge.
             assert len(engine._synth_memo) == 3
-            assert engine.synth_misses == 1
+            assert engine.synth_misses == 0
             # ... so a follow-up in-process evaluation hits the memo.
             engine.evaluate(gf_space, configs[0])
             assert engine.synth_hits == 1
-            assert engine.synth_misses == 1
+            assert engine.synth_misses == 0
         finally:
-            reset_runtime()
+            rt.reset_runtime()
 
     def test_matches_single_evaluate(self, sobel_space,
                                      sobel_evaluator):

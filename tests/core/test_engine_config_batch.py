@@ -74,7 +74,7 @@ class TestEvaluateManyModes:
 
         monkeypatch.setattr(EvaluationEngine, "_evaluate_parallel", spy)
         # Whatever reaches the runtime really fans out, even on one core.
-        monkeypatch.setenv(rt.PARALLEL_MODE_ENV, "always")
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
 
         configs = some_configs(sobel_space)
         reference = direct(
@@ -98,7 +98,7 @@ class TestEvaluateManyModes:
             gf_space, configs, workers=2
         )
         assert routed == [gf_space]
-        assert fresh_runtime.last_decision.mode == "parallel"
+        assert fresh_runtime.stats["parallel_batches"] == 1
         assert metrics.counter("engine.config_batches") == before
         assert as_bytes(pooled) == reference
 

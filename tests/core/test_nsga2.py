@@ -150,26 +150,6 @@ class TestNsga2Search:
                          generations=4, rng=5)
         assert a.configs == b.configs
 
-    def test_bit_reproducible_across_workers(self, sobel_space, models):
-        """Parallel objective prediction must not change any bit.
-
-        The population is large enough (>= 2x the parallel chunk
-        minimum) that ``workers=2`` actually exercises the prediction
-        pool; chunk outputs concatenate in submission order.
-        """
-        qor, hw = models
-        serial = nsga2_search(
-            sobel_space, qor, hw, population_size=256, generations=2,
-            rng=3, workers=None,
-        )
-        parallel = nsga2_search(
-            sobel_space, qor, hw, population_size=256, generations=2,
-            rng=3, workers=2,
-        )
-        assert serial.configs == parallel.configs
-        assert np.array_equal(serial.points, parallel.points)
-        assert serial.evaluations == parallel.evaluations == 256 * 3
-
     def test_seeded_population_contains_seeds(self, sobel_space, models):
         qor, hw = models
         seeds = [sobel_space.random_configuration(

@@ -1,9 +1,11 @@
-"""Shared parallel runtime: cost model, shm lifecycle, spawn identity.
+"""Shared parallel runtime: pool rule, shm lifecycle, spawn identity.
 
 The runtime's three load-bearing promises are pinned here:
 
-* the **auto-serial cost model** never fans out work that cannot win
-  (so a larger ``workers`` setting is at worst the serial path);
+* the **pool rule**: a batch fans out over
+  ``min(workers, usable_cores(), len(tasks))`` processes, and runs
+  in-process when that is below 2, inside a worker or under
+  ``REPRO_PARALLEL=never``;
 * every published **shared-memory segment** is tracked and unlinked —
   after normal use, worker crashes, ``KeyboardInterrupt`` and plain
   interpreter exit (asserted against ``/dev/shm`` directly);
@@ -38,6 +40,12 @@ from repro.library.pipeline import build_library
 
 
 @pytest.fixture()
+def two_cores(monkeypatch):
+    """Let the pool rule fan out to two workers on any host."""
+    monkeypatch.setattr(rt, "usable_cores", lambda: 2)
+
+
+@pytest.fixture()
 def fresh_runtime():
     """Isolate each test's singleton (and its pool/segments)."""
     reset_runtime()
@@ -62,8 +70,7 @@ def _flags_task(context, n):
 
 
 def _crash_task(context, n):
-    # The runtime probes the first task in-process; only die when this
-    # actually runs inside a pool worker.
+    # Only die when this actually runs inside a pool worker.
     if rt._IN_WORKER:
         os._exit(13)
     return n
@@ -97,78 +104,79 @@ class TestWorkersConventions:
             assert 'get_context("fork")' not in src
 
 
-class TestCostModel:
+def _batches(runtime):
+    return (
+        runtime.stats["serial_batches"], runtime.stats["parallel_batches"]
+    )
+
+
+@pytest.mark.usefixtures("two_cores")
+class TestPoolRule:
     def test_no_workers_stays_serial(self, fresh_runtime):
         out = fresh_runtime.map(_sum_task, [5, 10], context=(BIG,))
         assert out == [10, 45]
-        assert fresh_runtime.last_decision.mode == "serial"
-        assert fresh_runtime.last_decision.reason == "workers<=1"
+        assert _batches(fresh_runtime) == (1, 0)
 
     def test_single_task_stays_serial(self, fresh_runtime):
         out = fresh_runtime.map(
             _sum_task, [3], context=(BIG,), workers=4
         )
         assert out == [3]
-        assert fresh_runtime.last_decision.reason == "single-task"
+        assert _batches(fresh_runtime) == (1, 0)
 
     def test_parallel_never_env(self, fresh_runtime, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "never")
         fresh_runtime.map(_sum_task, [2, 3, 4], context=(BIG,), workers=4)
-        assert fresh_runtime.last_decision.reason == "REPRO_PARALLEL=never"
+        assert _batches(fresh_runtime) == (1, 0)
 
     def test_single_core_floor_is_exact(self, fresh_runtime, monkeypatch):
         """On one usable core, workers=4 runs the literal serial path."""
         monkeypatch.setattr(rt, "usable_cores", lambda: 1)
         fresh_runtime.map(_sum_task, [2, 3, 4], context=(BIG,), workers=4)
-        decision = fresh_runtime.last_decision
-        assert decision.mode == "serial"
-        assert decision.reason == "single-core"
-        assert decision.effective_workers == 1
+        assert _batches(fresh_runtime) == (1, 0)
+        assert fresh_runtime.stats["contexts_published"] == 0
 
-    def test_tiny_batches_fall_below_threshold(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setattr(rt, "usable_cores", lambda: 8)
-        fresh_runtime.map(
+    def test_small_batch_with_workers_fans_out(self, fresh_runtime):
+        out = fresh_runtime.map(
             _sum_task, [1, 2, 3, 4], context=(BIG,), workers=4
         )
-        decision = fresh_runtime.last_decision
-        assert decision.mode == "serial"
-        assert decision.reason == "below-threshold"
+        assert out == [0, 1, 3, 6]
+        assert _batches(fresh_runtime) == (0, 1)
 
     def test_nested_calls_inside_workers_stay_serial(
         self, fresh_runtime, monkeypatch
     ):
         monkeypatch.setattr(rt, "_IN_WORKER", True)
         fresh_runtime.map(_sum_task, [2, 3], context=(BIG,), workers=4)
-        assert fresh_runtime.last_decision.reason == "nested-in-worker"
+        assert _batches(fresh_runtime) == (1, 0)
 
     def test_empty_batch(self, fresh_runtime):
-        assert fresh_runtime.map(_sum_task, [], context=(BIG,)) == []
+        assert fresh_runtime.map(
+            _sum_task, [], context=(BIG,), workers=2
+        ) == []
+        assert _batches(fresh_runtime) == (1, 0)
 
     def test_bad_parallel_env_rejected(self, fresh_runtime, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "sometimes")
-        with pytest.raises(ValueError, match="REPRO_PARALLEL"):
-            fresh_runtime.map(
-                _sum_task, [1, 2], context=(BIG,), workers=2
-            )
+        for mode in ("sometimes", "always"):
+            monkeypatch.setenv("REPRO_PARALLEL", mode)
+            with pytest.raises(ValueError, match="REPRO_PARALLEL"):
+                fresh_runtime.map(
+                    _sum_task, [1, 2], context=(BIG,), workers=2
+                )
 
 
+@pytest.mark.usefixtures("two_cores")
 class TestParallelExecution:
-    def test_forced_parallel_matches_serial(
-        self, fresh_runtime, monkeypatch
-    ):
+    def test_forced_parallel_matches_serial(self, fresh_runtime):
         tasks = list(range(2, 40))
         serial = fresh_runtime.map(_sum_task, tasks, context=(BIG,))
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
         parallel = fresh_runtime.map(
             _sum_task, tasks, context=(BIG,), workers=2
         )
         assert parallel == serial
-        assert fresh_runtime.last_decision.mode == "parallel"
+        assert _batches(fresh_runtime) == (1, 1)
 
-    def test_imap_streams_in_task_order(self, fresh_runtime, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+    def test_imap_streams_in_task_order(self, fresh_runtime):
         tasks = list(range(1, 20))
         out = list(
             fresh_runtime.imap(
@@ -177,22 +185,16 @@ class TestParallelExecution:
         )
         assert out == [int(BIG[:n].sum()) for n in tasks]
 
-    def test_workers_see_zero_copy_readonly_views(
-        self, fresh_runtime, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+    def test_workers_see_zero_copy_readonly_views(self, fresh_runtime):
         flags = fresh_runtime.map(
             _flags_task, [1, 2, 3, 4], context=(BIG,), workers=2
         )
-        # The probe runs on the live (writeable) parent array; the pool
-        # tasks attach the published read-only shm view.
-        assert flags[0] is True
-        assert not any(flags[1:])
+        # Every task attaches the published read-only shm view.
+        assert flags == [False] * 4
 
     def test_pool_and_context_are_reused_across_batches(
-        self, fresh_runtime, monkeypatch
+        self, fresh_runtime
     ):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
         context = (BIG,)
         fresh_runtime.map(
             _sum_task, [1, 2, 3], context=context, workers=2
@@ -211,7 +213,7 @@ class TestShmLifecycle:
     def test_normal_close_unlinks_everything(
         self, fresh_runtime, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
         fresh_runtime.map(
             _sum_task, [1, 2, 3], context=(BIG,), workers=2
         )
@@ -226,7 +228,7 @@ class TestShmLifecycle:
     ):
         from concurrent.futures.process import BrokenProcessPool
 
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
         with pytest.raises(BrokenProcessPool):
             fresh_runtime.map(
                 _crash_task, [1, 2, 3, 4], context=(BIG,), workers=2
@@ -243,7 +245,7 @@ class TestShmLifecycle:
     def test_keyboard_interrupt_cleans_up(
         self, fresh_runtime, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
         with pytest.raises(KeyboardInterrupt):
             fresh_runtime.map(
                 _interrupt_task, [1, 2, 3], context=(BIG,), workers=2
@@ -257,10 +259,10 @@ class TestShmLifecycle:
             """
             import os
             import numpy as np
-            from repro.core.runtime import get_runtime
+            from repro.core import runtime as rt
 
-            os.environ["REPRO_PARALLEL"] = "always"
-            runtime = get_runtime()
+            rt.usable_cores = lambda: 2
+            runtime = rt.get_runtime()
             arr = np.arange(100_000, dtype=np.int64)
 
             def task(context, n):
@@ -308,7 +310,7 @@ class TestShmLifecycle:
         self, fresh_runtime, monkeypatch
     ):
         """close() in an inheriting process must be a no-op."""
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
         fresh_runtime.map(
             _sum_task, [1, 2, 3], context=(BIG,), workers=2
         )
@@ -340,7 +342,7 @@ class TestSharedArrayPublication:
 
     def test_no_shm_mode_falls_back_to_inline_blobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_SHM", "1")
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
         runtime = ParallelRuntime()
         try:
             out = runtime.map(
@@ -361,7 +363,7 @@ class TestForcedSpawn:
         # A non-LUT space: evaluate_many takes the pool route on it.
         reset_runtime()
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
         try:
             assert get_runtime().start_method == "spawn"
             configs = gf_space.random_configurations(6, rng=7)
@@ -382,7 +384,7 @@ class TestForcedSpawn:
         reset_runtime()
         serial = build_library(plan, workers=1, chunk_size=4)
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        monkeypatch.setenv("REPRO_PARALLEL", "always")
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
         try:
             spawned = build_library(plan, workers=2, chunk_size=4)
             assert library_payload(spawned.library) == library_payload(

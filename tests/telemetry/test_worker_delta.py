@@ -11,6 +11,7 @@ import pickle
 
 import pytest
 
+from repro.core import runtime as rt
 from repro.core.runtime import get_runtime, reset_runtime
 from repro.telemetry import get_metrics
 from repro.telemetry.tracing import (
@@ -43,7 +44,7 @@ def _metric_task(context, n):
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_worker_metrics_aggregate(start_method, fresh_runtime,
                                   monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "always")
+    monkeypatch.setattr(rt, "usable_cores", lambda: 2)
     monkeypatch.setenv("REPRO_START_METHOD", start_method)
     tasks = list(range(8))
     metrics = get_metrics()
@@ -55,7 +56,7 @@ def test_worker_metrics_aggregate(start_method, fresh_runtime,
     out = fresh_runtime.map(_metric_task, tasks, workers=2)
 
     assert out == [n * n for n in tasks]
-    assert fresh_runtime.last_decision.mode == "parallel"
+    assert fresh_runtime.stats["parallel_batches"] == 1
     snap = metrics.snapshot(since=mark)
     # every task counted exactly once, wherever it ran
     assert snap["counters"]["wd.tasks"] == len(tasks)
@@ -66,7 +67,7 @@ def test_worker_metrics_aggregate(start_method, fresh_runtime,
 
 def test_worker_spans_stitch_under_batch(fresh_runtime, tracer,
                                          monkeypatch):
-    monkeypatch.setenv("REPRO_PARALLEL", "always")
+    monkeypatch.setattr(rt, "usable_cores", lambda: 2)
     tasks = list(range(6))
     out = fresh_runtime.map(_metric_task, tasks, workers=2)
     assert out == [n * n for n in tasks]
@@ -75,8 +76,7 @@ def test_worker_spans_stitch_under_batch(fresh_runtime, tracer,
     (batch,) = [e for e in events if e["cat"] == "runtime"]
     assert batch["name"] == "runtime._metric_task"
     worker_spans = [e for e in events if e["cat"] == "worker"]
-    # the probe task runs in-process; the rest get worker spans
-    assert len(worker_spans) == len(tasks) - 1
+    assert len(worker_spans) == len(tasks)
     for event in worker_spans:
         assert event["name"] == "task:_metric_task"
         assert event["args"]["parent"] == batch["args"]["span_id"]
@@ -86,7 +86,7 @@ def test_worker_spans_stitch_under_batch(fresh_runtime, tracer,
 def test_results_identical_with_and_without_telemetry(
     fresh_runtime, monkeypatch
 ):
-    monkeypatch.setenv("REPRO_PARALLEL", "always")
+    monkeypatch.setattr(rt, "usable_cores", lambda: 2)
     tasks = list(range(10))
     plain = fresh_runtime.map(_metric_task, tasks, workers=2)
 

@@ -71,6 +71,35 @@ class TestParser:
                   "--store", str(tmp_path / "store")])
         assert seen["workers"] == 2
 
+    def test_workers_fan_out_library_build(self, tmp_path, monkeypatch,
+                                           capsys):
+        """The trace shows ``--workers 2`` reaching the worker pool."""
+        from repro.core import runtime as rt
+
+        trace_path = tmp_path / "trace.json"
+        monkeypatch.setenv("REPRO_TRACE", str(trace_path))
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
+        rt.reset_runtime()
+        try:
+            assert main(["generate-library", "--scale", "0.001",
+                         "--workers", "2", "--no-store",
+                         "--out", str(tmp_path / "lib.json")]) == 0
+        finally:
+            rt.reset_runtime()
+        capsys.readouterr()
+
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        by_id = {e["args"]["span_id"]: e for e in events}
+        (batch,) = [e for e in events if e["cat"] == "runtime"]
+        tasks = [e for e in events if e["cat"] == "worker"]
+        # every chunk of the batch ran in a worker, none in-process
+        assert len(tasks) == batch["args"]["n_tasks"] > 1
+        assert batch["name"] == "runtime.library-build"
+        assert by_id[batch["args"]["parent"]]["name"] == "library.build"
+        for task in tasks:
+            assert task["name"] == "task:library-build"
+            assert task["args"]["parent"] == batch["args"]["span_id"]
+
     @pytest.mark.parametrize("bad", ["-2", "2.5", "many"])
     def test_workers_rejects_bad_values(self, bad, capsys):
         for command in (
