@@ -1,6 +1,8 @@
-"""Shared infrastructure of the benchmark harness.
+"""Shared infrastructure of the paper benchmarks.
 
-Every benchmark regenerates one table or figure of the paper.  The
+Every benchmark regenerates one table or figure of the paper (plus the
+NSGA-II extension, the ablations and the portfolio-search contest).
+Timing of the pipeline as a whole lives in ``e2ebench/``.  The
 experiment setup (characterised library + benchmark images) is built once
 per session and cached on disk; results are printed and archived under
 ``results/``.
@@ -24,15 +26,13 @@ from __future__ import annotations
 import os
 import time
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Dict, Optional
 
 from repro.experiments.setup import (
     DEFAULT_SHAPE,
     PAPER_SHAPE,
     ExperimentSetup,
-    build_engine,
     default_setup,
-    experiment_store,
 )
 from repro.telemetry import get_metrics
 
@@ -42,9 +42,6 @@ __all__ = [
     "shared_setup",
     "sized",
     "write_result",
-    "build_engine",
-    "experiment_store",
-    "throughput",
     "timed",
     "metrics_mark",
     "bench_metrics",
@@ -92,7 +89,7 @@ class timed:
     ``with timed("cold") as t: ...`` leaves the elapsed wall seconds in
     ``t.seconds`` and records the same value as a
     ``bench.<name>_seconds`` histogram observation, so the telemetry
-    snapshot attached to every ``BENCH_*.json`` doc carries each
+    snapshot attached to the ``BENCH_search.json`` doc carries each
     measured phase alongside the subsystem counters it triggered.
     """
 
@@ -119,18 +116,10 @@ def metrics_mark() -> Dict:
 
 
 def bench_metrics(mark: Optional[Dict] = None) -> Dict:
-    """The telemetry ``metrics`` sub-object of a ``BENCH_*.json`` doc.
+    """The telemetry ``metrics`` sub-object of a ``BENCH_search.json`` doc.
 
     Counters are diffed against ``mark`` (when given) so the doc only
     reports what the benchmark itself did; histograms are absolute.
     """
     return get_metrics().snapshot(since=mark)
 
-
-def throughput(fn: Callable[[object], object], items) -> float:
-    """Apply ``fn`` to every item and return items/second."""
-    items = list(items)
-    with timed("throughput") as t:
-        for item in items:
-            fn(item)
-    return len(items) / t.seconds if t.seconds > 0 else float("inf")

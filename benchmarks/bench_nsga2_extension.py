@@ -11,7 +11,7 @@ import numpy as np
 from benchmarks._common import shared_setup, sized, write_result
 from repro.accelerators import SobelEdgeDetector, profile_accelerator
 from repro.core import (
-    AcceleratorEvaluator,
+    EvaluationEngine,
     exhaustive_search,
     heuristic_pareto_construction,
     reduce_library,
@@ -33,7 +33,7 @@ def _run():
         accelerator, setup.images, rng=setup.seed
     )
     space = reduce_library(accelerator, setup.library, profiles)
-    evaluator = AcceleratorEvaluator(accelerator, setup.images)
+    evaluator = EvaluationEngine(accelerator, setup.images)
     train = build_training_set(
         space, evaluator, sized(250, 1500), rng=setup.seed
     )

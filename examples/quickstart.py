@@ -56,9 +56,9 @@ def main() -> None:
         print(f"  {ssim_value:7.4f}  {area:12.1f}")
 
     # Compare against the accurate accelerator (exact circuit everywhere).
-    from repro.core import AcceleratorEvaluator
+    from repro.core import EvaluationEngine
 
-    evaluator = AcceleratorEvaluator(accelerator, images)
+    evaluator = EvaluationEngine(accelerator, images)
     exact_cfg = result.space.exact_configuration()
     exact_area = evaluator.hardware(result.space.records(exact_cfg)).area
     good = result.final_points[result.final_points[:, 0] >= 0.95]

@@ -31,7 +31,6 @@ from repro.accelerators import (
     quantize_kernel,
 )
 from repro.core import (
-    AcceleratorEvaluator,
     AutoAx,
     AutoAxConfig,
     AutoAxResult,
@@ -90,7 +89,6 @@ __all__ = [
     "AutoAx",
     "AutoAxConfig",
     "AutoAxResult",
-    "AcceleratorEvaluator",
     "EvaluationEngine",
     "ConfigurationSpace",
     "DSEResult",

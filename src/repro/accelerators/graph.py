@@ -22,8 +22,7 @@ Two evaluation paths exist:
   in particular a stacked batch of all (image x scenario) runs — since
   every operation is elementwise.
 * :meth:`DataflowGraph.evaluate_interpreted` — the original dict-walking
-  interpreter, kept as the reference for differential tests and the
-  throughput benchmarks.
+  interpreter, kept as the reference for differential tests.
 """
 
 from __future__ import annotations
@@ -451,8 +450,7 @@ class DataflowGraph:
     ) -> np.ndarray:
         """The original per-node dict interpreter.
 
-        Kept as the differential-testing reference and the baseline of
-        ``benchmarks/bench_engine_throughput.py``; prefer
+        Kept as the differential-testing reference; prefer
         :meth:`evaluate`, which compiles once and runs much faster.
         """
         assignment = assignment or {}

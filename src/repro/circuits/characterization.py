@@ -38,7 +38,7 @@ from repro.utils.bitops import bit_mask
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Process-local count of circuits characterised since import.  The
-#: warm-rebuild benchmarks assert this stays flat across a fully cached
+#: warm-rebuild tests assert this stays flat across a fully cached
 #: library build (mirroring ``repro.core.modeling.fit_count``).
 _RUNS = 0
 

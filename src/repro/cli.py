@@ -139,7 +139,7 @@ def _workers_arg(text: str) -> int:
     evaluation) rather than collapsing to the ``REPRO_WORKERS``
     fallback.
     """
-    from repro.core.engine import validate_workers
+    from repro.core.runtime import validate_workers
 
     try:
         validate_workers(text, source="--workers")

@@ -21,8 +21,7 @@ from repro.core.pareto import (
     hypervolume_2d,
     pareto_front_indices,
 )
-from repro.core.engine import EvaluationEngine
-from repro.core.evaluation import AcceleratorEvaluator, EvaluationResult
+from repro.core.engine import EvaluationEngine, EvaluationResult
 from repro.core.modeling import (
     EstimationModel,
     TrainingSet,
@@ -53,7 +52,6 @@ __all__ = [
     "front_distances",
     "hypervolume_2d",
     "pareto_front_indices",
-    "AcceleratorEvaluator",
     "EvaluationEngine",
     "EvaluationResult",
     "EstimationModel",

@@ -40,8 +40,7 @@ import numpy as np
 
 from repro.accelerators.base import ImageAccelerator
 from repro.core.configuration import Configuration, ConfigurationSpace
-from repro.core.runtime import (  # noqa: F401 - re-exported conventions
-    WORKERS_ENV,
+from repro.core.runtime import (
     default_workers,
     get_runtime,
     validate_workers,

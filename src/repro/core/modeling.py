@@ -19,7 +19,7 @@ from repro.core.configuration import (
     Configuration,
     ConfigurationSpace,
 )
-from repro.core.evaluation import AcceleratorEvaluator
+from repro.core.engine import EvaluationEngine
 from repro.errors import ModelError
 from repro.ml.base import Regressor
 from repro.ml.fidelity import fidelity
@@ -76,7 +76,7 @@ class TrainingSet:
 
 def build_training_set(
     space: ConfigurationSpace,
-    evaluator: AcceleratorEvaluator,
+    evaluator: EvaluationEngine,
     count: int,
     rng: RngLike = 0,
     workers: Optional[int] = None,

@@ -79,8 +79,8 @@ MIN_SHARED_ARRAY_BYTES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
-# Worker-count validation (the one shared copy; re-exported by
-# repro.core.engine for backward compatibility).
+# Worker-count validation (the one shared copy, imported by the engine,
+# the library pipeline, the portfolio search and the CLI).
 # ---------------------------------------------------------------------------
 
 def validate_workers(value, source: str = "workers") -> Optional[int]:

@@ -29,7 +29,7 @@ size]).  Interrupted, re-scaled or re-planned builds therefore only pay
 for components they have never seen: growing a plan from 500 to 5000
 components characterises 4500, and a warm rebuild characterises
 **zero** and runs **zero** synthesis (asserted by
-``benchmarks/bench_library_build.py``).  Each store-backed build also
+``tests/library/test_library_pipeline.py``).  Each store-backed build also
 records a ``library-build`` manifest in the run ledger with its cache
 statistics.
 """

@@ -21,7 +21,7 @@ from repro.synthesis.passes import (
 from repro.synthesis.timing import critical_path_delay
 
 #: Process-local count of synthesis reports produced since import.  The
-#: warm-rebuild benchmarks assert this stays flat across fully cached
+#: warm-rebuild tests assert this stays flat across fully cached
 #: builds (mirroring ``repro.core.modeling.fit_count``).
 _RUNS = 0
 

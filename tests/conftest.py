@@ -13,7 +13,7 @@ from repro.accelerators import (
     SobelEdgeDetector,
     profile_accelerator,
 )
-from repro.core import AcceleratorEvaluator, reduce_library
+from repro.core import EvaluationEngine, reduce_library
 from repro.imaging import benchmark_images
 from repro.library import generate_library
 from repro.library.generation import GenerationPlan
@@ -69,7 +69,7 @@ def sobel_space(sobel, tiny_library, sobel_profiles):
 
 @pytest.fixture(scope="session")
 def sobel_evaluator(sobel, small_images):
-    return AcceleratorEvaluator(sobel, small_images)
+    return EvaluationEngine(sobel, small_images)
 
 
 @pytest.fixture(scope="session")

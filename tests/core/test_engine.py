@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import EvaluationEngine, default_workers
-from repro.core.evaluation import AcceleratorEvaluator
+from repro.core.engine import EvaluationEngine
+from repro.core.runtime import default_workers
 from repro.imaging.metrics import ssim
 
 
@@ -153,9 +153,6 @@ class TestEvaluateMany:
 
 
 class TestCompatibility:
-    def test_accelerator_evaluator_is_engine(self):
-        assert issubclass(AcceleratorEvaluator, EvaluationEngine)
-
     def test_core_exports_engine(self):
         from repro.core import EvaluationEngine as exported
 

@@ -10,12 +10,9 @@ import numpy as np
 import pytest
 
 from repro.accelerators.profiler import profile_accelerator
-from repro.core.engine import (
-    EvaluationEngine,
-    default_workers,
-    validate_workers,
-)
+from repro.core.engine import EvaluationEngine
 from repro.core.preprocessing import reduce_library
+from repro.core.runtime import default_workers, validate_workers
 from repro.workloads import build_bundle
 
 

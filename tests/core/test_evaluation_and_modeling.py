@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.core.evaluation import AcceleratorEvaluator
+from repro.core.engine import EvaluationEngine
 from repro.core.modeling import (
     EstimationModel,
     build_training_set,
@@ -41,10 +41,10 @@ class TestEvaluator:
 
     def test_empty_images_rejected(self, sobel):
         with pytest.raises(ValueError):
-            AcceleratorEvaluator(sobel, [])
+            EvaluationEngine(sobel, [])
 
     def test_run_count(self, sobel, small_images):
-        ev = AcceleratorEvaluator(sobel, small_images)
+        ev = EvaluationEngine(sobel, small_images)
         assert ev.run_count == len(small_images)
 
     def test_scenarios_multiply_runs(self, small_images):
@@ -53,7 +53,7 @@ class TestEvaluator:
         acc = GenericGaussianFilter()
         scen = [acc.kernel_extra(gaussian_kernel_weights(s))
                 for s in (0.4, 0.6)]
-        ev = AcceleratorEvaluator(acc, small_images, scen)
+        ev = EvaluationEngine(acc, small_images, scen)
         assert ev.run_count == 2 * len(small_images)
 
 

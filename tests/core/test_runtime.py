@@ -86,13 +86,6 @@ BIG = np.arange(100_000, dtype=np.int64)  # well above the shm threshold
 
 
 class TestWorkersConventions:
-    def test_engine_reexports_the_runtime_helpers(self):
-        from repro.core import engine
-
-        assert engine.validate_workers is rt.validate_workers
-        assert engine.default_workers is rt.default_workers
-        assert engine.WORKERS_ENV == rt.WORKERS_ENV
-
     def test_search_and_pipeline_share_the_convention(self):
         import repro.library.pipeline as pipeline_mod
         import repro.search.portfolio as portfolio_mod

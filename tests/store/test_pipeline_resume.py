@@ -1,9 +1,9 @@
 """Resumable pipelines: warm-store runs skip every heavy stage.
 
-The PR's acceptance bar lives here: with a warm store, a repeated
-``AutoAx.run()`` (same seed/params) performs **zero new synthesis
-calls** and **zero model refits**, asserted via both the run ledger and
-the engine/fit counters.
+With a warm store, a repeated ``AutoAx.run()`` (same seed/params)
+performs **zero new synthesis calls** and **zero model refits**,
+asserted via both the run ledger and the engine/fit counters — on the
+local store and on an HTTP store served by ``repro serve`` alike.
 """
 
 import numpy as np
@@ -11,7 +11,8 @@ import pytest
 
 from repro.core.modeling import fit_count
 from repro.core.pipeline import AutoAx, AutoAxConfig, PIPELINE_STAGES
-from repro.store import ArtifactStore, RunLedger
+from repro.store import ArtifactStore, RunLedger, open_store
+from repro.store.artifacts import CODECS
 
 
 @pytest.fixture()
@@ -51,7 +52,7 @@ class TestWarmRun:
         ).run()
 
         # ledger: every heavy stage of the second run was a cache hit
-        ledger = RunLedger(store.root)
+        ledger = RunLedger(store)
         manifest = ledger.get(warm.run_id)
         assert [s["name"] for s in manifest["stages"]] == list(
             PIPELINE_STAGES
@@ -84,7 +85,7 @@ class TestWarmRun:
         r2 = _pipeline(
             sobel, tiny_library, small_images, fast_config, store
         ).run()
-        ledger = RunLedger(store.root)
+        ledger = RunLedger(store)
         m1, m2 = ledger.get(r1.run_id), ledger.get(r2.run_id)
         assert m1["config_hash"] == m2["config_hash"]
         assert m1["params"] == {"command": "test"}
@@ -126,17 +127,18 @@ class TestWarmRun:
         cold = _pipeline(
             sobel, tiny_library, small_images, fast_config, store
         ).run()
-        ledger = RunLedger(store.root)
+        ledger = RunLedger(store)
         manifest = ledger.get(cold.run_id)
         final_stage = manifest["stages"][-1]
         assert final_stage["name"] == "final_analysis"
         [artifact] = final_stage["artifacts"]
-        # corrupt the final-analysis blob on disk
-        ref_entries = [
-            e for e in store.entries(artifact["kind"])
-            if e.key == artifact["key"]
-        ]
-        ref_entries[0].path.write_bytes(b"\x00 truncated")
+        # corrupt the final-analysis blob through the backend, so the
+        # same step reaches a served store
+        kind, key = artifact["kind"], artifact["key"]
+        assert key in store.keys(kind)
+        store.backend.put_bytes(
+            kind, key, b"\x00 truncated", ext=CODECS[kind].ext
+        )
         resumed = _pipeline(
             sobel, tiny_library, small_images, fast_config, store
         ).run()
@@ -154,3 +156,30 @@ class TestWarmRun:
         ).run()
         assert set(result.stage_cache.values()) == {"off"}
         assert result.run_id is None
+
+
+class TestWarmRunOverHttp(TestWarmRun):
+    """The same contract against an HTTP store served by ``repro serve``.
+
+    Switching the backend changes where bytes live, never what a warm
+    run computes or recomputes.
+    """
+
+    @pytest.fixture()
+    def store(self, tmp_path):
+        from repro.serve import (
+            ApiKeyRegistry,
+            Coordinator,
+            ServeApp,
+            ServerThread,
+        )
+
+        app = ServeApp(
+            Coordinator(store=ArtifactStore(tmp_path / "served")),
+            ApiKeyRegistry(None),
+        )
+        server = ServerThread(app).start()
+        try:
+            yield open_store(server.base_url)
+        finally:
+            server.stop()

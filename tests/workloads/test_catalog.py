@@ -10,6 +10,9 @@ import pytest
 from scipy import ndimage
 
 from repro.accelerators.window import WindowAccelerator
+from repro.core.configuration import ConfigurationSpace
+from repro.core.engine import EvaluationEngine
+from repro.library.generation import GenerationPlan, generate_library
 from repro.workloads import WORKLOADS, build_bundle
 
 #: Catalog names that must stay stable (consumers key on them).
@@ -50,6 +53,31 @@ def scenario_kernel(accelerator, extra):
     return np.outer(v, h)
 
 
+def random_qors(name, count=3):
+    """Real QoR of ``count`` random configurations of a workload.
+
+    The space draws from a small generated pool per signature.
+    """
+    bundle = build_bundle(name, n_images=1, image_shape=(16, 20))
+    accelerator = bundle.accelerator
+    plan = GenerationPlan(
+        {sig: 3 for sig in sorted(accelerator.op_inventory())},
+        seed=0,
+        sample_size=1 << 8,
+    )
+    library = generate_library(plan)
+    slots = accelerator.op_slots()
+    choices = [library.components(slot.signature) for slot in slots]
+    space = ConfigurationSpace(
+        slots, choices, [[0.0] * len(group) for group in choices]
+    )
+    engine = EvaluationEngine(accelerator, bundle.images, bundle.scenarios)
+    return [
+        engine.qor(space.assignment_callables(config))
+        for config in space.random_configurations(count, rng=1)
+    ]
+
+
 class TestCatalogShape:
     def test_registered_names(self):
         assert WORKLOADS.names() == EXPECTED_NAMES
@@ -66,6 +94,7 @@ class TestCatalogShape:
             image = np.zeros((8, 8), dtype=np.uint8)
             for extra in scenarios:
                 accelerator.golden(image, extra=extra)
+        assert all(0.0 <= q <= 1.0 for q in random_qors(name))
 
     def test_family_opens_new_windows(self):
         windows = {
