@@ -310,6 +310,22 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _models_doc(selected, reports) -> Dict:
+    """The selected model and every engine fitted for its target."""
+    return {
+        "name": selected.name,
+        "fidelity_test": selected.fidelity_test,
+        "candidates": [
+            {
+                "name": r.name,
+                "fidelity_test": r.fidelity_test,
+                "fit_seconds": r.fit_seconds,
+            }
+            for r in reports
+        ],
+    }
+
+
 def _result_doc(result, label_key: str, label: str) -> Dict:
     """The ``--json`` document of one pipeline run."""
     order = result.final_points[:, 1].argsort()
@@ -318,14 +334,8 @@ def _result_doc(result, label_key: str, label: str) -> Dict:
         "run_id": result.run_id,
         "space": result.summary_row(),
         "models": {
-            "qor": {
-                "name": result.qor_model.name,
-                "fidelity_test": result.qor_model.fidelity_test,
-            },
-            "hw": {
-                "name": result.hw_model.name,
-                "fidelity_test": result.hw_model.fidelity_test,
-            },
+            "qor": _models_doc(result.qor_model, result.qor_reports),
+            "hw": _models_doc(result.hw_model, result.hw_reports),
         },
         "stage_cache": result.stage_cache,
         "timings": result.timings,
@@ -685,10 +695,19 @@ def _reap_search_workers(procs) -> None:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro.ml.registry import default_engines
+
     strategies = [
         s.strip() for s in args.strategies.split(",") if s.strip()
     ]
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
+    known = default_engines()
+    unknown = [e for e in engines if e not in known]
+    if unknown:
+        get_logger("search").error(
+            f"unknown --engines {unknown}; known: {known}"
+        )
+        return 2
     store = _resolve_store(args.store)
     executor = None
     workers = []

@@ -42,39 +42,52 @@ class _TreeArrays:
 
 
 def _best_split(X, y, features, min_samples_leaf):
-    """Best (feature, threshold, sse_gain) over the candidate features."""
+    """Best (feature, threshold, sse_gain) over the candidate features.
+
+    One search for the whole node: the ``X[:, features]`` block is
+    sorted column-wise and every cut point of every candidate is scored
+    at once.  Ties resolve to the first minimum within a column and to
+    the first column, in ``features`` order, with the largest gain.
+    Returns ``(None, 0.0, 0.0)`` when no candidate has a valid cut.
+    """
     n = y.size
     total_sum = y.sum()
     total_sq = float(y @ y)
     base_sse = total_sq - total_sum**2 / n
-    best = (None, 0.0, 0.0)
-    for j in features:
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        csum = np.cumsum(ys)[:-1]
-        csq = np.cumsum(ys * ys)[:-1]
-        left_n = np.arange(1, n)
-        right_n = n - left_n
-        sse = (
-            (csq - csum**2 / left_n)
-            + (total_sq - csq)
-            - (total_sum - csum) ** 2 / right_n
+    block = X[:, features]
+    order = np.argsort(block, axis=0, kind="stable")
+    xs = np.take_along_axis(block, order, axis=0)
+    ys = y[order]
+    csum = np.cumsum(ys, axis=0)[:-1]
+    csq = np.cumsum(ys * ys, axis=0)[:-1]
+    left_n = np.arange(1, n)[:, None]
+    right_n = n - left_n
+    sse = (
+        (csq - csum**2 / left_n)
+        + (total_sq - csq)
+        - (total_sum - csum) ** 2 / right_n
+    )
+    valid = xs[1:] != xs[:-1]
+    if min_samples_leaf > 1:
+        valid &= (left_n >= min_samples_leaf) & (
+            right_n >= min_samples_leaf
         )
-        valid = xs[1:] != xs[:-1]
-        if min_samples_leaf > 1:
-            valid &= (left_n >= min_samples_leaf) & (
-                right_n >= min_samples_leaf
-            )
-        if not np.any(valid):
-            continue
-        sse = np.where(valid, sse, np.inf)
-        k = int(np.argmin(sse))
-        gain = base_sse - float(sse[k])
-        if best[0] is None or gain > best[2]:
-            threshold = 0.5 * (xs[k] + xs[k + 1])
-            best = (j, threshold, gain)
-    return best
+    usable = valid.any(axis=0)
+    if not usable.any():
+        return (None, 0.0, 0.0)
+    sse = np.where(valid, sse, np.inf)
+    cut = sse.argmin(axis=0)
+    cols = np.arange(len(features))
+    gain = np.where(usable, base_sse - sse[cut, cols], -np.inf)
+    c = int(gain.argmax())
+    k = cut[c]
+    lo, hi = xs[k, c], xs[k + 1, c]
+    threshold = 0.5 * (lo + hi)
+    if threshold == hi:
+        # Adjacent doubles: the midpoint rounds up onto the right
+        # value, which would send every sample left.
+        threshold = lo
+    return (features[c], threshold, float(gain[c]))
 
 
 class DecisionTreeRegressor(Regressor):

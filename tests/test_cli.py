@@ -304,6 +304,38 @@ class TestStoreCommands:
         assert warm["engine_stats"]["synth_misses"] == 0
         assert warm["engine_stats"]["model_fits"] == 0
 
+    def test_json_lists_every_fitted_model_candidate(self, store_env,
+                                                     capsys):
+        cold = self._run_json(capsys)["models"]
+        for target in ("qor", "hw"):
+            block = cold[target]
+            names = [c["name"] for c in block["candidates"]]
+            assert names == ["Random Forest", "Naive model"]
+            for c in block["candidates"]:
+                assert set(c) == {"name", "fidelity_test", "fit_seconds"}
+                assert c["fit_seconds"] >= 0
+            selected = next(
+                c for c in block["candidates"] if c["name"] == block["name"]
+            )
+            best = max(c["fidelity_test"] for c in block["candidates"])
+            assert block["fidelity_test"] == selected["fidelity_test"] == best
+        warm = self._run_json(capsys)["models"]
+        assert warm == cold  # replayed from the stored reports
+
+    def test_search_rejects_unknown_engine_before_any_work(
+        self, store_env, capsys
+    ):
+        assert main([
+            "search", "--workload", "sobel", "--scale", "0.0005",
+            "--engines", "K-Neighbors,Random Forrest", "--json",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Random Forrest" in captured.err
+        assert "'Random Forest'" in captured.err  # the known names
+        assert "Traceback" not in captured.err
+        assert not store_env.exists()
+
     def test_no_store_flag_disables(self, store_env, capsys):
         doc = self._run_json(capsys, extra=["--no-store"])
         assert set(doc["stage_cache"].values()) == {"off"}
