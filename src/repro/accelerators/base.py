@@ -302,10 +302,11 @@ class ImageAccelerator:
                         f"{record.signature} does not match op "
                         f"{node.name!r} ({node.kind.value}, {node.width})"
                     )
-                component = record.build_netlist()
                 a = self._adjust(nl, bits[node.operands[0]], node.width)
                 b = self._adjust(nl, bits[node.operands[1]], node.width)
-                outs = nl.instantiate(component, {"a": a, "b": b})
+                outs = nl.instantiate(
+                    record.netlist_template(), {"a": a, "b": b}
+                )
                 bits[node.name] = outs["y"]
             elif node.kind is NodeKind.SHL:
                 amount = node.attrs["amount"]

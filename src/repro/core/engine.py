@@ -239,9 +239,9 @@ class EvaluationEngine:
         Pareto re-analysis) skip synthesis entirely.  A miss then falls
         through to ``synth_cache`` (when plugged), whose hits are
         adopted into the memo and counted in ``synth_store_hits`` —
-        ``synth_misses`` counts *actual* synthesis runs only.  The
-        counters track this process only; parallel ``evaluate_many``
-        merges the workers' memo entries back but not their counters.
+        ``synth_misses`` counts *actual* synthesis runs only.  Parallel
+        ``evaluate_many`` merges the workers' memo entries and counter
+        deltas back, so the counters cover pool-evaluated batches too.
         """
         key = self._memo_key(records)
         cached = self._synth_memo.get(key)
@@ -441,6 +441,10 @@ class EvaluationEngine:
             for part in np.array_split(np.arange(len(configs)), n_chunks)
             if len(part)
         ]
+        # Chunks that run in-process count on this engine directly, so
+        # the totals are rebuilt from the counters before the batch plus
+        # every chunk's delta, wherever it ran.
+        totals = self.synth_stats()
         chunk_results = get_runtime().map(
             _evaluate_chunk,
             chunks,
@@ -449,23 +453,36 @@ class EvaluationEngine:
             label="evaluate_many",
         )
         flat: List[EvaluationResult] = []
-        for part, memo_updates in chunk_results:
+        for part, memo_updates, counts in chunk_results:
             flat.extend(part)
             # Adopt the workers' synthesis reports so later in-process
             # evaluations of the same configurations skip synthesis.
             for key, report in memo_updates.items():
                 self._synth_memo.setdefault(key, report)
+            for name, delta in counts.items():
+                totals[name] += delta
+        for name, total in totals.items():
+            setattr(self, name, total)
         return flat
 
 
 def _evaluate_chunk(context, chunk: List[Configuration]):
-    """Runtime task: analyse one chunk on the (shared) engine context."""
+    """Runtime task: analyse one chunk on the (shared) engine context.
+
+    Returns the results, the synthesis-memo entries the chunk added and
+    the chunk's deltas of the engine's synthesis counters.
+    """
     engine, space = context
     known = set(engine._synth_memo)
+    before = engine.synth_stats()
     results = [engine.evaluate(space, config) for config in chunk]
     memo_updates = {
         key: report
         for key, report in engine._synth_memo.items()
         if key not in known
     }
-    return results, memo_updates
+    counts = {
+        name: value - before[name]
+        for name, value in engine.synth_stats().items()
+    }
+    return results, memo_updates, counts

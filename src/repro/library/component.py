@@ -103,6 +103,18 @@ class ComponentRecord:
         self.errors = errors
         self.hardware = hardware
         self._lut: Optional[np.ndarray] = None
+        self._template: Optional[Netlist] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The netlist template is rebuilt on demand: pickles (pool
+        # contexts, stored search contexts) carry no gate lists.
+        state = dict(self.__dict__)
+        del state["_template"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._template = None
 
     # -- identity -----------------------------------------------------------
 
@@ -146,9 +158,20 @@ class ComponentRecord:
             self._lut = build_lut(self._circuit)
         return self._lut
 
+    def netlist_template(self) -> Netlist:
+        """This component's validated, unoptimised netlist, built once.
+
+        The template is shared: callers must only read it, e.g. through
+        :meth:`~repro.netlist.netlist.Netlist.instantiate`, which copies
+        its gates.  Use :meth:`build_netlist` for a netlist to modify.
+        """
+        if self._template is None:
+            self._template = build_netlist(self._circuit)
+        return self._template
+
     def build_netlist(self) -> Netlist:
         """Fresh (unoptimised) netlist instance of this component."""
-        return build_netlist(self._circuit)
+        return self.netlist_template().copy()
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serialisable description (circuit rebuilt via registry)."""

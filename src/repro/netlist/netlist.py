@@ -138,11 +138,16 @@ class Netlist:
     def topological_order(self) -> List[int]:
         """Indices of live gates in topological order.
 
+        A gate whose drivers are all placed is placed at once, so a gate
+        list that is already topological (as every builder emits it)
+        comes back in index order in one linear pass; the depth-first
+        search only runs from gates that read a later gate's output.
         Raises :class:`NetlistError` when the netlist has a combinational
         cycle.
         """
+        gates = self.gates
         driver: Dict[int, int] = {}
-        for idx, gate in enumerate(self.gates):
+        for idx, gate in enumerate(gates):
             if gate is None:
                 continue
             for net in gate.outputs:
@@ -153,8 +158,16 @@ class Netlist:
         order: List[int] = []
         state: Dict[int, int] = {}  # 0 = visiting, 1 = done
 
-        for start, gate in enumerate(self.gates):
+        for start, gate in enumerate(gates):
             if gate is None or start in state:
+                continue
+            for net in gate.inputs:
+                dep = driver.get(net)
+                if dep is not None and state.get(dep) != 1:
+                    break
+            else:
+                state[start] = 1
+                order.append(start)
                 continue
             stack = [(start, 0)]
             while stack:
@@ -166,7 +179,7 @@ class Netlist:
                         raise NetlistError("combinational cycle detected")
                     state[idx] = 0
                     stack.append((idx, 1))
-                    for net in self.gates[idx].inputs:
+                    for net in gates[idx].inputs:
                         dep = driver.get(net)
                         if dep is not None and state.get(dep) != 1:
                             if state.get(dep) == 0:
@@ -227,12 +240,19 @@ class Netlist:
                 remap[net] = self.new_net()
             return remap[net]
 
-        for gate in other.live_gates():
-            self.add_gate(
-                gate.cell,
-                [mapped(n) for n in gate.inputs],
-                [mapped(n) for n in gate.outputs],
-            )
+        # No add_gate arity checks: ``other``'s gates passed them when it
+        # was built.  ``other`` is only read, so a shared template can be
+        # instantiated any number of times.
+        gates = self.gates
+        for gate in other.gates:
+            if gate is not None:
+                gates.append(
+                    Gate(
+                        gate.cell,
+                        tuple([mapped(n) for n in gate.inputs]),
+                        tuple([mapped(n) for n in gate.outputs]),
+                    )
+                )
         return {
             name: [mapped(n) for n in nets]
             for name, nets in other.outputs.items()

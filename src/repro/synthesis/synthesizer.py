@@ -1,23 +1,29 @@
 """Top-level synthesis driver: optimise and report.
 
 ``synthesize`` plays the role the paper assigns to Synopsys Design Compiler
-(45 nm target): it optimises the netlist (constant propagation + dead-gate
-sweeps to fixpoint) and reports total cell area, critical-path delay and
-nominal power.  Energy is reported as ``power * delay`` — the usual
-energy-per-operation proxy for a combinational datapath.
+(45 nm target): it optimises the netlist and reports total cell area,
+critical-path delay and nominal power.  Energy is reported as
+``power * delay`` — the usual energy-per-operation proxy for a
+combinational datapath.
+
+Optimisation runs in rounds over one topological order.  A round is
+constant propagation to its fixpoint (see
+:func:`~repro.synthesis.passes.propagate`) followed by one backward
+liveness pass that removes dead gates and downsizes half-dead FA/HA
+cells.  Only those downsized cells (and whatever their folding reaches)
+can simplify again, so the next round re-simplifies just them, and the
+netlist is at its fixpoint once a round changes nothing.  The final order
+is reused by the timing report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Optional
 
+from repro.errors import NetlistError
 from repro.netlist.netlist import Netlist
-from repro.synthesis.passes import (
-    constant_propagation,
-    dead_gate_elimination,
-    dead_pin_rewrite,
-)
+from repro.synthesis.passes import liveness, propagate
 from repro.synthesis.timing import critical_path_delay
 
 #: Process-local count of synthesis reports produced since import.  The
@@ -47,24 +53,49 @@ class SynthesisReport:
         return self.power * self.delay
 
 
-def optimize(netlist: Netlist, max_rounds: int = 20) -> Netlist:
-    """Run constant propagation and dead-gate elimination to fixpoint."""
-    for _ in range(max_rounds):
-        changes = constant_propagation(netlist)
-        changes += dead_gate_elimination(netlist)
-        changes += dead_pin_rewrite(netlist)
-        if changes == 0:
-            break
+#: Rounds after which optimisation gives up with a :class:`NetlistError`
+#: rather than return a netlist short of its fixpoint.  Library and
+#: accelerator netlists settle in two or three.
+_MAX_ROUNDS = 20
+
+
+def _optimize(netlist: Netlist) -> List[int]:
+    """Optimise in place; return the topological order of the result."""
+    order = netlist.topological_order()
+    pending = None  # the first round simplifies every gate
+    for _ in range(_MAX_ROUNDS):
+        changes, order = propagate(netlist, order, pending)
+        if pending is not None and not changes:
+            return order
+        _, downsized, order = liveness(netlist, order)
+        if not downsized:
+            return order
+        pending = set(downsized)
+    raise NetlistError(
+        f"{netlist.name}: no fixpoint after {_MAX_ROUNDS} optimisation "
+        f"rounds"
+    )
+
+
+def optimize(netlist: Netlist) -> Netlist:
+    """Optimise ``netlist`` in place to its fixpoint and return it."""
+    _optimize(netlist)
     return netlist
 
 
-def report(netlist: Netlist) -> SynthesisReport:
-    """Measure an (already optimised) netlist."""
+def report(
+    netlist: Netlist, order: Optional[List[int]] = None
+) -> SynthesisReport:
+    """Measure an (already optimised) netlist.
+
+    ``order`` is a topological order of its live gates, computed when
+    omitted.
+    """
     global _RUNS
     _RUNS += 1
     return SynthesisReport(
         area=netlist.area(),
-        delay=critical_path_delay(netlist),
+        delay=critical_path_delay(netlist, order),
         power=netlist.power(),
         gate_count=netlist.gate_count(),
         cells=netlist.cell_histogram(),
@@ -82,5 +113,4 @@ def synthesize(netlist: Netlist, in_place: bool = False) -> SynthesisReport:
     immediately discarded.
     """
     target = netlist if in_place else netlist.copy()
-    optimize(target)
-    return report(target)
+    return report(target, _optimize(target))

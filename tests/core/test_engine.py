@@ -124,21 +124,26 @@ class TestEvaluateMany:
 
         # A real fan-out on any host.  The space is not LUT-capable, so
         # evaluate_many takes the pool route.
+        from repro.synthesis.synthesizer import synthesis_run_count
+
         monkeypatch.setattr(rt, "usable_cores", lambda: 2)
         rt.reset_runtime()
         try:
             engine = EvaluationEngine(fixed_gf, small_images)
             configs = gf_space.random_configurations(3, rng=10)
+            runs_before = synthesis_run_count()
             engine.evaluate_many(gf_space, configs, workers=2)
             # Every unique configuration reached the parent memo: all
-            # chunks ran in workers (no in-process miss), and their
-            # synthesis reports were adopted on merge.
+            # chunks ran in workers (no synthesis in this process), and
+            # their synthesis reports were adopted on merge, along with
+            # the workers' miss counts.
+            assert synthesis_run_count() == runs_before
             assert len(engine._synth_memo) == 3
-            assert engine.synth_misses == 0
+            assert engine.synth_misses == 3
             # ... so a follow-up in-process evaluation hits the memo.
             engine.evaluate(gf_space, configs[0])
             assert engine.synth_hits == 1
-            assert engine.synth_misses == 0
+            assert engine.synth_misses == 3
         finally:
             rt.reset_runtime()
 

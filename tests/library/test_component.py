@@ -1,6 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.accelerators import SobelEdgeDetector
 from repro.circuits.adders import QuAdAdder, TruncatedAdder
 from repro.circuits.base import ExactAdder, ExactMultiplier
 from repro.circuits.multipliers import RecursiveApproxMultiplier
@@ -11,6 +14,8 @@ from repro.library.component import (
     HardwareCost,
     record_from_circuit,
 )
+from repro.core.engine import EvaluationEngine
+from repro.synthesis.synthesizer import optimize, synthesize
 
 
 class TestRecordFromCircuit:
@@ -43,6 +48,81 @@ class TestRecordFromCircuit:
     def test_netlist_fresh_instances(self):
         rec = record_from_circuit(ExactAdder(8))
         assert rec.build_netlist() is not rec.build_netlist()
+
+
+class TestNetlistTemplate:
+    """One validated netlist per record, shared by every composition."""
+
+    @staticmethod
+    def _gates(netlist):
+        return [
+            (g.cell.name, g.inputs, g.outputs) for g in netlist.gates
+        ]
+
+    @staticmethod
+    def _sobel_records(tiny_library, pick):
+        records = {}
+        for slot in SobelEdgeDetector().op_slots():
+            components = tiny_library.components(slot.signature)
+            records[slot.name] = components[pick % len(components)]
+        return records
+
+    def test_synthesis_leaves_template_untouched(self, tiny_library):
+        sobel = SobelEdgeDetector()
+        # add1/add3 and add2/add4 share a record: two slots, one template
+        records = self._sobel_records(tiny_library, pick=3)
+        assert records["add1"] is records["add3"]
+        templates = {
+            name: (rec.netlist_template(),
+                   self._gates(rec.netlist_template()))
+            for name, rec in records.items()
+        }
+        first = synthesize(sobel.to_netlist(records), in_place=True)
+        second = synthesize(sobel.to_netlist(records), in_place=True)
+        assert first == second
+        for name, rec in records.items():
+            template, gates = templates[name]
+            assert rec.netlist_template() is template
+            assert self._gates(template) == gates
+        # records rebuilt from scratch (no shared template) agree
+        fresh = {
+            name: pickle.loads(pickle.dumps(rec))
+            for name, rec in records.items()
+        }
+        assert synthesize(sobel.to_netlist(fresh), in_place=True) == first
+
+    def test_engine_resynthesis_matches(self, tiny_library, small_images):
+        engine = EvaluationEngine(SobelEdgeDetector(), small_images[:1])
+        records = self._sobel_records(tiny_library, pick=5)
+        first = engine.hardware(records)
+        engine._synth_memo.clear()
+        assert engine.hardware(records) == first
+        assert engine.synth_misses == 2
+
+    def test_build_netlist_is_independent(self):
+        rec = record_from_circuit(TruncatedAdder(8, 4))
+        template = rec.netlist_template()
+        gates = self._gates(template)
+        netlist = rec.build_netlist()
+        assert netlist is not template
+        assert self._gates(netlist) == gates
+        assert netlist.outputs == template.outputs
+        optimize(netlist)
+        netlist.outputs["y"][0] = 0
+        assert self._gates(netlist) != gates
+        assert self._gates(template) == gates
+        assert self._gates(rec.build_netlist()) == gates
+        assert rec.build_netlist().outputs == template.outputs
+
+    def test_template_not_pickled(self):
+        rec = record_from_circuit(ExactAdder(8))
+        before = pickle.dumps(rec)
+        rec.netlist_template()
+        assert pickle.dumps(rec) == before
+        clone = pickle.loads(before)
+        assert self._gates(clone.netlist_template()) == self._gates(
+            rec.netlist_template()
+        )
 
 
 class TestSerialisation:

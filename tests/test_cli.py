@@ -497,6 +497,53 @@ class TestStoreCommands:
             main(["runs", "list"])
 
 
+class TestPoolSynthCounters:
+    """Synthesis run in pool workers counts like in-process synthesis."""
+
+    GF_RUN = [
+        "workloads", "run", "generic_gf", "--scale", "0.001", "--images",
+        "1", "--train", "12", "--evals", "300", "--json",
+    ]
+
+    def test_workers_two_reports_workers_one_synth_misses(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.core import runtime as rt
+
+        # A real fan-out on any host.  ``never`` runs the chunks
+        # in-process: their counts must not be added twice.
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
+        runs = {"w1": ("1", "auto"), "w2": ("2", "auto"),
+                "w2-inline": ("2", "never")}
+        stats = {}
+        pool_batches = {}
+        rt.reset_runtime()
+        try:
+            for label, (workers, parallel) in runs.items():
+                monkeypatch.setenv("REPRO_PARALLEL", parallel)
+                monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / label))
+                before = rt.get_runtime().stats["parallel_batches"]
+                assert main(self.GF_RUN + ["--workers", workers]) == 0
+                pool_batches[label] = (
+                    rt.get_runtime().stats["parallel_batches"] - before
+                )
+                doc = json.loads(capsys.readouterr().out)
+                assert set(doc["stage_cache"].values()) == {"miss"}
+                stats[label] = doc["engine_stats"]
+                # the ledger manifest records the same counters
+                assert main(["runs", "show", doc["run_id"], "--json"]) == 0
+                manifest = json.loads(capsys.readouterr().out)
+                assert manifest["run"]["extra"]["engine_stats"] == doc[
+                    "engine_stats"
+                ]
+        finally:
+            rt.reset_runtime()
+        assert pool_batches["w2"] > 0
+        assert pool_batches["w1"] == pool_batches["w2-inline"] == 0
+        assert stats["w1"]["synth_misses"] > 0
+        assert stats["w2"] == stats["w2-inline"] == stats["w1"]
+
+
 class TestJsonStdoutPurity:
     """With ``--json``, stdout carries one JSON document and nothing
     else; progress and diagnostics go to stderr."""
