@@ -23,6 +23,15 @@ construction: it computes the same statistics for a whole chunk of
 circuits while sharing the operand sample per width and the exact
 reference per (operation, width); exhaustive exact tables are memoised
 process-wide by :func:`~repro.circuits.luts.build_exact_lut`.
+
+All statistics go through one routine, :func:`_stats_from_outputs`,
+which reduces ten-bit tables (``2**20`` outputs) in tiles of
+:data:`~repro.circuits.luts.TILE` entries through two reused tile
+buffers instead of a dozen whole-array temporaries.  It stays bit
+identical to the whole-array numpy reductions: numpy sums float64
+arrays pairwise, and for a power-of-two length the pairwise halving
+falls on tile boundaries, so tile sums combined in a binary tree are
+exactly numpy's sum.  Other lengths (most samples) are one tile.
 """
 
 from __future__ import annotations
@@ -33,7 +42,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.base import ArithmeticCircuit
-from repro.circuits.luts import MAX_LUT_WIDTH, build_exact_lut, build_lut
+from repro.circuits.luts import (
+    MAX_LUT_WIDTH,
+    TILE,
+    build_exact_lut,
+    build_lut,
+)
 from repro.utils.bitops import bit_mask
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -71,25 +85,87 @@ class ErrorStats:
         return self.wce == 0
 
 
+def _tile_length(n: int) -> int:
+    """Tile length of the statistics over ``n`` outputs.
+
+    numpy sums a contiguous float64 array pairwise: it halves the array
+    down to blocks of at most 128 entries.  For ``n`` a power of two
+    above :data:`~repro.circuits.luts.TILE`, the halving lands exactly
+    on tile boundaries, so per-tile sums combined in a binary tree
+    (:func:`_tree_sum`) reproduce numpy's whole-array sum bit for bit.
+    Any other ``n`` is one tile: the whole array, as numpy sums it.
+    """
+    if n > TILE and n & (n - 1) == 0:
+        return TILE
+    return n
+
+
+def _tree_sum(parts: List[float]) -> float:
+    """Pairwise (binary-tree) sum of a power-of-two count of tile sums."""
+    while len(parts) > 1:
+        parts = [parts[i] + parts[i + 1] for i in range(0, len(parts), 2)]
+    return parts[0]
+
+
 def _stats_from_outputs(
     approx: np.ndarray,
     exact: np.ndarray,
     exhaustive: bool,
     denom: Optional[np.ndarray] = None,
 ) -> ErrorStats:
+    """Error metrics of ``approx`` against ``exact`` (flat int64 arrays).
+
+    Reduces tile by tile (see :func:`_tile_length`) through two
+    preallocated float64 tile buffers instead of a dozen whole-array
+    temporaries.
+    Every sum is bit-identical to the whole-array numpy reduction:
+    ``med``, ``mre`` and ``mse`` are sums divided by ``n``, and
+    ``error_var`` is ``var()``'s two-pass mean of ``(err - mean)**2``.
+    ``wce`` is a max and ``error_prob`` a nonzero count, both exact.
+    ``denom`` (the MRE denominator ``max(|exact|, 1)``) is derived per
+    tile when not supplied.
+    """
     global _RUNS
     _RUNS += 1
-    signed_err = (approx - exact).astype(np.float64)
-    abs_err = np.abs(signed_err)
-    if denom is None:
-        denom = np.maximum(np.abs(exact).astype(np.float64), 1.0)
+    n = approx.size
+    tile = _tile_length(n)
+    err = np.empty(tile, dtype=np.float64)
+    work = np.empty(tile, dtype=np.float64)
+    sum_err, sum_abs, sum_rel, sum_sq = [], [], [], []
+    wce = 0.0
+    nonzero = 0
+    for lo in range(0, n, tile):
+        hi = lo + tile
+        np.subtract(approx[lo:hi], exact[lo:hi], out=err)
+        sum_err.append(err.sum())
+        np.multiply(err, err, out=work)
+        sum_sq.append(work.sum())
+        np.abs(err, out=work)
+        sum_abs.append(work.sum())
+        wce = max(wce, work.max())
+        nonzero += np.count_nonzero(work)
+        if denom is None:
+            np.abs(exact[lo:hi], out=err)
+            np.maximum(err, 1.0, out=err)
+            np.divide(work, err, out=work)
+        else:
+            np.divide(work, denom[lo:hi], out=work)
+        sum_rel.append(work.sum())
+    mean = _tree_sum(sum_err) / n
+    sum_dev = []
+    for lo in range(0, n, tile):
+        hi = lo + tile
+        np.subtract(approx[lo:hi], exact[lo:hi], out=err)
+        np.subtract(err, mean, out=err)
+        np.multiply(err, err, out=err)
+        sum_dev.append(err.sum())
     return ErrorStats(
-        med=float(abs_err.mean()),
-        wce=int(abs_err.max()),
-        mre=float((abs_err / denom).mean()),
-        error_prob=float((abs_err > 0).mean()),
-        error_var=float(signed_err.var()),
-        mse=float((signed_err**2).mean()),
+        med=float(_tree_sum(sum_abs) / n),
+        wce=int(wce),
+        mre=float(_tree_sum(sum_rel) / n),
+        error_prob=float(nonzero / n),
+        error_var=float(_tree_sum(sum_dev) / n),
+        mse=float(_tree_sum(sum_sq) / n),
         exhaustive=exhaustive,
     )
 

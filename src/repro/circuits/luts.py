@@ -5,9 +5,15 @@ image.  For operand widths up to :data:`MAX_LUT_WIDTH` bits we pre-compute
 the full truth table once per circuit; the hot path then reduces to a numpy
 gather.  The flat index of operand pair ``(a, b)`` is ``(a << n) | b``.
 
-Behavioural models run on broadcast operands ``v[:, None], v[None, :]``
-(``v = 0 .. 2**n - 1``): per-operand work stays on ``2**n`` entries.
-Exact tables are built once per process and shared read-only.
+Behavioural models run on broadcast operands ``v[r:r + rows, None],
+v[None, :]`` (``v = 0 .. 2**n - 1``), one row tile of :data:`TILE`
+entries at a time, into a preallocated table: every pass a model makes
+over its operands touches a cache-sized tile instead of allocating a
+fresh 8 MB temporary for a ten-bit table.  The result does not depend on
+the tiling — each entry is a pure function of its operand pair.
+Netlist-backed circuits (``packed_lut`` hooks) simulate bit-planes
+instead and are not tiled.  Exact tables are built once per process and
+shared read-only.
 """
 
 from __future__ import annotations
@@ -20,6 +26,12 @@ from repro.utils.bitops import bit_mask
 
 #: Widest operands for which an exhaustive LUT is reasonable (2**20 entries).
 MAX_LUT_WIDTH = 10
+
+#: Entries per tile of the table builds and of the error statistics
+#: (:mod:`repro.circuits.characterization`): 2**15 int64 entries are
+#: 256 KiB, so a tile and the model's temporaries stay in cache instead
+#: of streaming (and page-faulting) whole 8 MB tables per pass.
+TILE = 1 << 15
 
 #: Per-width flat operand grids for the packed netlist hooks, which
 #: simulate bit-planes over explicit ``4**width``-length operand
@@ -66,12 +78,19 @@ def lut_index(a: np.ndarray, b: np.ndarray, width: int) -> np.ndarray:
 
 
 def _tabulate(fn, width: int) -> np.ndarray:
-    """``fn`` over all operand pairs, as a flat writeable int64 table."""
+    """``fn`` over all operand pairs, as a flat writeable int64 table.
+
+    Fills a preallocated ``(2**width, 2**width)`` table one row tile of
+    :data:`TILE` entries at a time, so each model's temporaries stay
+    cache-sized.  Broadcast assignment covers models that ignore an
+    operand (a ``(rows, 1)``, ``(1, size)`` or scalar result).
+    """
     size = 1 << width
     v = np.arange(size, dtype=np.int64)
-    out = np.asarray(fn(v[:, None], v[None, :]), dtype=np.int64)
-    if out.shape != (size, size):  # the model ignored an operand
-        out = np.broadcast_to(out, (size, size)).copy()
+    out = np.empty((size, size), dtype=np.int64)
+    rows = max(1, TILE // size)
+    for r in range(0, size, rows):
+        out[r:r + rows] = fn(v[r:r + rows, None], v[None, :])
     return out.reshape(-1)
 
 

@@ -130,7 +130,8 @@ def _run_chunk(context, task):
     ``context`` is ``(store, sample_size)``.  Components already present
     in the store are decoded from their memo entry; the rest are
     characterised through the batched ``characterize_many`` and written
-    back.  Returns serialisable payload dicts — records cross process
+    back with one ``put_many`` (one index transaction per chunk).
+    Returns serialisable payload dicts — records cross process
     boundaries (and the store) in their ``to_dict`` form, which
     round-trips exactly.
     """
@@ -157,14 +158,18 @@ def _run_chunk(context, task):
         records = records_from_circuits(
             miss_circuits, sample_size=sample_size
         )
-        for slot, key, record in zip(miss_slots, miss_keys, records):
-            payload = record.to_dict()
-            if store is not None:
-                store.put(
-                    COMPONENT_KIND, key, payload,
-                    meta={"name": record.name},
-                )
-            payloads[slot] = payload
+        for slot, record in zip(miss_slots, records):
+            payloads[slot] = record.to_dict()
+        if store is not None:
+            store.put_many(
+                COMPONENT_KIND,
+                [
+                    (key, payloads[slot], {"name": record.name})
+                    for slot, key, record in zip(
+                        miss_slots, miss_keys, records
+                    )
+                ],
+            )
     return index, payloads, hits, len(miss_circuits)
 
 

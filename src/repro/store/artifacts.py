@@ -17,7 +17,8 @@ serves every topology:
 Writes are crash- and concurrency-safe without locks: blobs land via
 write-to-temp + :func:`os.replace` (atomic on POSIX within one
 filesystem), and the sqlite index is only ever told about a blob after
-the rename.  Readers verify the blob's SHA-256 against the index row and
+the rename (:meth:`ArtifactStore.put_many` indexes a whole batch of
+renamed blobs in one transaction).  Readers verify the blob's SHA-256 against the index row and
 treat any mismatch, truncation or decode failure as a cache miss — the
 offending entry is evicted and the caller recomputes.  A blob without an
 index row (a writer died between rename and insert, or two processes
@@ -248,14 +249,29 @@ class ArtifactStore:
         self, kind: str, key: str, obj, meta: Optional[Dict] = None
     ) -> ArtifactRef:
         """Encode and store ``obj`` under ``(kind, key)`` atomically."""
-        data = self._codec(kind).encode(obj)
-        ref = self.backend.put_bytes(
-            kind, key, data, ext=self._codec(kind).ext, meta=meta
-        )
+        return self.put_many(kind, [(key, obj, meta)])[0]
+
+    def put_many(
+        self,
+        kind: str,
+        items: Iterable[Tuple[str, object, Optional[Dict]]],
+    ) -> List[ArtifactRef]:
+        """Encode and store each ``(key, obj, meta)`` under ``kind``.
+
+        Every blob lands atomically as with :meth:`put`; the backend may
+        batch the index updates (the sqlite backend commits them in one
+        transaction).  Counts ``store.puts`` and ``store.bytes_written``
+        per blob.
+        """
+        codec = self._codec(kind)
+        blobs = [(key, codec.encode(obj), meta) for key, obj, meta in items]
+        refs = self.backend.put_many(kind, blobs, ext=codec.ext)
         metrics = get_metrics()
-        metrics.inc("store.puts")
-        metrics.inc("store.bytes_written", len(data))
-        return ref
+        metrics.inc("store.puts", len(blobs))
+        metrics.inc(
+            "store.bytes_written", sum(len(data) for _, data, _ in blobs)
+        )
+        return refs
 
     def get(self, kind: str, key: str):
         """Decode the artifact at ``(kind, key)``; ``None`` on any miss.

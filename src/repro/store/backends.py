@@ -1,9 +1,9 @@
 """Pluggable storage backends — the byte layer under the artifact store.
 
 :class:`StoreBackend` is the protocol every store topology implements:
-content-addressed blob operations (``put_bytes`` / ``get_bytes`` /
-``delete`` / ``iter_refs`` / ``gc``) plus the run-ledger manifest
-primitives.  :class:`~repro.store.artifacts.ArtifactStore` layers the
+content-addressed blob operations (``put_bytes`` / ``put_many`` /
+``get_bytes`` / ``delete`` / ``iter_refs`` / ``gc``) plus the run-ledger
+manifest primitives.  :class:`~repro.store.artifacts.ArtifactStore` layers the
 typed codecs on top and every consumer (stage caches,
 :class:`~repro.store.synth_cache.StoreSynthCache`,
 :class:`~repro.store.ledger.RunLedger`, the distributed-search work
@@ -37,7 +37,7 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.telemetry import get_metrics
 
@@ -218,6 +218,23 @@ class StoreBackend(ABC):
     ) -> ArtifactRef:
         """Store ``data`` under ``(kind, key)``; idempotent."""
 
+    def put_many(
+        self,
+        kind: str,
+        items: Sequence[Tuple[str, bytes, Optional[Dict]]],
+        ext: str = "json",
+    ) -> List[ArtifactRef]:
+        """Store each ``(key, data, meta)`` of ``items`` under ``kind``.
+
+        The same result as :meth:`put_bytes` per item, which is what
+        this default does; backends override it to batch the work
+        (:class:`SqliteBackend` indexes a batch in one transaction).
+        """
+        return [
+            self.put_bytes(kind, key, data, ext=ext, meta=meta)
+            for key, data, meta in items
+        ]
+
     @abstractmethod
     def get_bytes(
         self, kind: str, key: str, ext: str = "json"
@@ -347,20 +364,30 @@ class SqliteBackend(StoreBackend):
         self, kind: str, key: str, path: Path, digest: str,
         size: int, meta: Optional[Dict],
     ) -> None:
+        self._index_many([(kind, key, path, digest, size, meta)])
+
+    def _index_many(self, entries: List[Tuple]) -> None:
+        """Index ``(kind, key, path, sha256, size, meta)`` entries in one
+        transaction."""
+        now = time.time()
+        rows = [
+            (
+                kind,
+                key,
+                str(path.relative_to(self._root)),
+                digest,
+                size,
+                now,
+                json.dumps(meta or {}, sort_keys=True),
+            )
+            for kind, key, path, digest, size, meta in entries
+        ]
         with self._lock, self._connect() as conn:
-            conn.execute(
+            conn.executemany(
                 "INSERT OR REPLACE INTO artifacts "
                 "(kind, key, filename, sha256, size, created_at, meta) "
                 "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (
-                    kind,
-                    key,
-                    str(path.relative_to(self._root)),
-                    digest,
-                    size,
-                    time.time(),
-                    json.dumps(meta or {}, sort_keys=True),
-                ),
+                rows,
             )
 
     def _row(self, kind: str, key: str):
@@ -395,11 +422,31 @@ class SqliteBackend(StoreBackend):
         ext: str = "json",
         meta: Optional[Dict] = None,
     ) -> ArtifactRef:
-        digest = hashlib.sha256(data).hexdigest()
-        path = self._blob_path(kind, key, ext)
-        atomic_write_bytes(path, data)
-        self._index(kind, key, path, digest, len(data), meta)
-        return ArtifactRef(kind, key, path, digest, len(data))
+        return self.put_many(kind, [(key, data, meta)], ext=ext)[0]
+
+    def put_many(
+        self,
+        kind: str,
+        items: Sequence[Tuple[str, bytes, Optional[Dict]]],
+        ext: str = "json",
+    ) -> List[ArtifactRef]:
+        """Write every blob (temp file, fsync, atomic rename), then
+        index them all in one transaction.
+
+        A crash between the renames and the commit leaves orphan blobs,
+        which :meth:`get_bytes` adopts on first read.
+        """
+        entries = []
+        for key, data, meta in items:
+            digest = hashlib.sha256(data).hexdigest()
+            path = self._blob_path(kind, key, ext)
+            atomic_write_bytes(path, data)
+            entries.append((kind, key, path, digest, len(data), meta))
+        self._index_many(entries)
+        return [
+            ArtifactRef(kind, key, path, digest, size)
+            for kind, key, path, digest, size, _ in entries
+        ]
 
     def get_bytes(
         self, kind: str, key: str, ext: str = "json"
