@@ -1,4 +1,9 @@
-"""Ablation benches for the design choices called out in DESIGN.md §6."""
+"""Ablation benches for the methodology's design choices.
+
+Model selection by fidelity vs R^2, WMED-guided library reduction vs a
+random subset, Algorithm 1 restarts, and the QoR / hardware estimator
+feature sets (see :mod:`repro.experiments.ablations`).
+"""
 
 from benchmarks._common import shared_setup, sized, write_result
 from repro.experiments.ablations import (

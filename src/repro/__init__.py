@@ -3,8 +3,9 @@
 autoAx automatically builds approximate accelerators by selecting and
 combining approximate arithmetic circuits from characterised component
 libraries, using machine-learned QoR / hardware-cost estimators and a
-Pareto-archive hill climber.  See README.md for a tour and DESIGN.md for
-the system inventory and per-experiment index.
+Pareto-archive hill climber.  See README.md for a tour and its Layout
+table for the system inventory; :mod:`repro.experiments` holds one driver
+per paper table and figure.
 
 Quick start::
 
@@ -17,59 +18,72 @@ Quick start::
                     config=AutoAxConfig(n_train=100, n_test=50,
                                         max_evaluations=2000)).run()
     print(result.summary_row())
+
+The public names below resolve on first access (PEP 562), so importing
+``repro`` — or a submodule such as ``repro.cli`` — loads only what the
+caller uses; a warm ``repro run`` never imports the search portfolio or
+scipy.
 """
 
-from repro.accelerators import (
-    FixedGaussianFilter,
-    GenericGaussianFilter,
-    ImageAccelerator,
-    SobelEdgeDetector,
-    WindowAccelerator,
-    WindowSpec,
-    gaussian_kernel_weights,
-    profile_accelerator,
-    quantize_kernel,
-)
-from repro.core import (
-    AutoAx,
-    AutoAxConfig,
-    AutoAxResult,
-    ConfigurationSpace,
-    DSEResult,
-    EvaluationEngine,
-    ParetoArchive,
-    build_training_set,
-    exhaustive_search,
-    fit_engines,
-    front_distances,
-    heuristic_pareto_construction,
-    hypervolume_2d,
-    pareto_front_indices,
-    random_sampling,
-    reduce_library,
-    select_best_model,
-    uniform_selection,
-    wmed,
-)
-from repro.imaging import benchmark_images, psnr, ssim, ssim_batch
-from repro.search import (
-    EvaluationBudget,
-    PortfolioResult,
-    PortfolioRunner,
-    SearchStrategy,
-    make_strategy,
-)
-from repro.library import (
-    ComponentLibrary,
-    ComponentRecord,
-    generate_library,
-    load_library,
-    paper_scale_plan,
-    record_from_circuit,
-    save_library,
-    scaled_plan,
-)
-from repro.workloads import WORKLOADS, Workload, build_bundle
+import importlib
+
+# Package -> the public names it defines, imported on first access.
+_EXPORTS = {
+    "repro.accelerators": (
+        "FixedGaussianFilter",
+        "GenericGaussianFilter",
+        "ImageAccelerator",
+        "SobelEdgeDetector",
+        "WindowAccelerator",
+        "WindowSpec",
+        "gaussian_kernel_weights",
+        "profile_accelerator",
+        "quantize_kernel",
+    ),
+    "repro.core": (
+        "AutoAx",
+        "AutoAxConfig",
+        "AutoAxResult",
+        "ConfigurationSpace",
+        "DSEResult",
+        "EvaluationEngine",
+        "ParetoArchive",
+        "build_training_set",
+        "exhaustive_search",
+        "fit_engines",
+        "front_distances",
+        "heuristic_pareto_construction",
+        "hypervolume_2d",
+        "pareto_front_indices",
+        "random_sampling",
+        "reduce_library",
+        "select_best_model",
+        "uniform_selection",
+        "wmed",
+    ),
+    "repro.imaging": ("benchmark_images", "psnr", "ssim", "ssim_batch"),
+    "repro.search": (
+        "EvaluationBudget",
+        "PortfolioResult",
+        "PortfolioRunner",
+        "SearchStrategy",
+        "make_strategy",
+    ),
+    "repro.library": (
+        "ComponentLibrary",
+        "ComponentRecord",
+        "generate_library",
+        "load_library",
+        "paper_scale_plan",
+        "record_from_circuit",
+        "save_library",
+        "scaled_plan",
+    ),
+    "repro.workloads": ("WORKLOADS", "Workload", "build_bundle"),
+}
+_ORIGIN = {
+    name: module for module, names in _EXPORTS.items() for name in names
+}
 
 __version__ = "1.0.0"
 
@@ -124,3 +138,16 @@ __all__ = [
     "load_library",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

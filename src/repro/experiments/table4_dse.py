@@ -7,7 +7,7 @@ configurations) so the exhaustive reference front remains laptop-scale,
 and compare the proposed Algorithm 1 against random sampling at several
 evaluation budgets.  The comparison — proposed needs orders of magnitude
 fewer evaluations to approach the optimum, RS misses front regions — is
-scale-invariant (see DESIGN.md substitutions).
+scale-invariant, so the capped space substitutes for the paper's full one.
 """
 
 from __future__ import annotations

@@ -11,12 +11,25 @@ against a fixed reference stack in one vectorised pass.  The reference-side
 window statistics are precomputed once (two of the five Gaussian filters an
 SSIM evaluation needs), which matters when thousands of configurations are
 scored against the same golden outputs.
+
+The Gaussian windows run on scipy's C kernel (``scipy.ndimage``), which
+is imported on the first SSIM call rather than with this module: runs
+that score no image — a warm replay served from the store — never load
+scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
+
+
+def _gaussian_filter(image: np.ndarray, sigma, truncate: float) -> np.ndarray:
+    """scipy's ``gaussian_filter`` in ``"reflect"`` mode, imported late."""
+    from scipy import ndimage
+
+    return ndimage.gaussian_filter(
+        image, sigma=sigma, truncate=truncate, mode="reflect"
+    )
 
 
 def _as_float_pair(a: np.ndarray, b: np.ndarray):
@@ -65,9 +78,7 @@ def ssim(
         raise ValueError("data_range must be positive")
 
     def win_mean(img: np.ndarray) -> np.ndarray:
-        return ndimage.gaussian_filter(
-            img, sigma=sigma, truncate=truncate, mode="reflect"
-        )
+        return _gaussian_filter(img, sigma, truncate)
 
     mu_a = win_mean(a)
     mu_b = win_mean(b)
@@ -125,12 +136,7 @@ class BatchedSsim:
         )
 
     def _blur(self, stack: np.ndarray) -> np.ndarray:
-        return ndimage.gaussian_filter(
-            stack,
-            sigma=self._sigma,
-            truncate=self._truncate,
-            mode="reflect",
-        )
+        return _gaussian_filter(stack, self._sigma, self._truncate)
 
     @property
     def shape(self):
@@ -186,10 +192,7 @@ class BatchedSsim:
         sigma4 = (0.0,) + self._sigma
 
         def blur4(stack):
-            return ndimage.gaussian_filter(
-                stack, sigma=sigma4, truncate=self._truncate,
-                mode="reflect",
-            )
+            return _gaussian_filter(stack, sigma4, self._truncate)
 
         return self._score(b, blur4, (2, 3))
 

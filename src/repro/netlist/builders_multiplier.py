@@ -6,7 +6,9 @@ netlists.  The logarithmic families (Mitchell, DRUM) are emitted as
 parametric macro cells: their datapaths (leading-one detectors and barrel
 shifters) are modelled by calibrated area/delay/power formulas instead of
 individual gates, which keeps them opaque to intra-component constant
-propagation (documented substitution; see DESIGN.md).
+propagation.  This substitutes a model for gate-level synthesis of those
+designs: their area/delay/power still track the datapath width, but
+constant inputs do not shrink them.
 """
 
 from __future__ import annotations

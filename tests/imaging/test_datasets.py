@@ -1,7 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from repro.imaging.datasets import DEFAULT_SHAPE, benchmark_images, synthetic_image
+from repro.imaging.datasets import (
+    DEFAULT_SHAPE,
+    _gaussian_filter,
+    benchmark_images,
+    synthetic_image,
+)
 
 
 class TestSyntheticImage:
@@ -53,3 +61,47 @@ class TestBenchmarkImages:
         b = benchmark_images(3, shape=(16, 16))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
+
+
+class TestGaussianOracle:
+    """The numpy blur is bit-identical to scipy's ``gaussian_filter``."""
+
+    @pytest.mark.parametrize("sigma", [24, 6, 1.2])
+    @pytest.mark.parametrize(
+        "shape",
+        # (16, 16) and (2, 2) are shorter than the sigma=24 radius of 96,
+        # so the padding reflects repeatedly.
+        [(256, 384), (128, 192), (32, 48), (16, 16), (2, 2)],
+    )
+    def test_matches_scipy_reflect(self, shape, sigma):
+        field = np.random.default_rng(7).standard_normal(shape)
+        expected = ndimage.gaussian_filter(field, sigma=sigma, mode="reflect")
+        assert np.array_equal(_gaussian_filter(field, sigma), expected)
+
+    def test_leaves_input_untouched(self):
+        field = np.random.default_rng(1).standard_normal((8, 12))
+        before = field.copy()
+        _gaussian_filter(field, 6)
+        assert np.array_equal(field, before)
+
+
+#: SHA-256 of ``benchmark_images(4, shape)`` concatenated, recorded while
+#: the images were still blurred by ``scipy.ndimage.gaussian_filter``.
+#: ``repro run`` builds DEFAULT_SHAPE images; ``repro workloads run`` and
+#: the experiment setup build (128, 192) ones.
+IMAGE_DIGESTS = {
+    DEFAULT_SHAPE: (
+        "b0398dd33aba5b65595c1ab901688bb5571927fef343fc865fbe8f6fd88d9e1d"
+    ),
+    (128, 192): (
+        "b789e32bc00b677a1641479e7ad3d777c965e91654e153c81ad3e2f39320cd7f"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", list(IMAGE_DIGESTS))
+def test_benchmark_image_digest(shape):
+    digest = hashlib.sha256()
+    for image in benchmark_images(4, shape):
+        digest.update(image.tobytes())
+    assert digest.hexdigest() == IMAGE_DIGESTS[shape]
