@@ -10,12 +10,6 @@ counts are exact by construction, and executed as parallel islands by
 :class:`~repro.search.portfolio.PortfolioRunner` with periodic archive
 merging, migration, and experiment-store checkpoints (``repro runs
 resume`` continues interrupted searches).
-
-:mod:`~repro.search.distributed` lifts the same rounds onto a
-store-backed work queue: ``repro search --distributed`` publishes each
-round's island tasks as leased ``work-item`` artifacts and detached
-``repro search-worker`` processes — local or remote, any mix —
-execute them, with bit-identical fronts for any topology.
 """
 
 from repro.core.budget import (
@@ -23,11 +17,6 @@ from repro.core.budget import (
     MeteredEstimator,
 )
 from repro.errors import BudgetExceededError
-from repro.search.distributed import (
-    DistributedExecutor,
-    run_worker,
-    service_once,
-)
 from repro.search.portfolio import (
     CHECKPOINT_KIND,
     CHECKPOINT_VERSION,
@@ -50,7 +39,6 @@ __all__ = [
     "BudgetExceededError",
     "CHECKPOINT_KIND",
     "CHECKPOINT_VERSION",
-    "DistributedExecutor",
     "EvaluationBudget",
     "ExhaustiveStrategy",
     "HillClimbStrategy",
@@ -64,6 +52,4 @@ __all__ = [
     "SearchStrategy",
     "analyze_front",
     "make_strategy",
-    "run_worker",
-    "service_once",
 ]

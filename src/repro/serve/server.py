@@ -19,11 +19,6 @@ GET    ``/v1/metrics``               telemetry scrape (JSON; add
                                      ``?format=prometheus`` for text
                                      exposition)
 GET    ``/v1/ledger``                ``serve-job`` run-ledger manifests
-*      ``/v1/store/*``               shared-artifact-store API (see
-                                     :mod:`repro.serve.store_api`):
-                                     streamed content-addressed blobs
-                                     with ETag-by-content-hash, key
-                                     listing, gc, run manifests
 ====== ============================= =====================================
 
 Authentication: when API keys are configured every endpoint except
@@ -50,8 +45,6 @@ from repro.errors import BudgetExceededError, ValidationError
 from repro.serve.auth import ApiKeyRegistry
 from repro.serve.coordinator import Coordinator
 from repro.serve.jobs import JobRequest
-from repro.serve.store_api import HttpError as _HttpError
-from repro.serve.store_api import StoreApi, _read_body
 from repro.telemetry import get_metrics, render_prometheus
 
 #: Environment knob: default TCP port of ``repro serve``.
@@ -68,6 +61,9 @@ MAX_REQUEST_LINE = 8 * 1024
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 1024 * 1024
 
+#: Chunk size for reading request bodies.
+_CHUNK = 64 * 1024
+
 _STATUS_TEXT = {
     200: "OK",
     202: "Accepted",
@@ -80,6 +76,46 @@ _STATUS_TEXT = {
     429: "Too Many Requests",
     500: "Internal Server Error",
 }
+
+
+class _HttpError(Exception):
+    """An error with a client-facing status code."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_body(reader, headers: Dict[str, str]) -> bytes:
+    """Read a Content-Length framed body, bounded by
+    :data:`MAX_BODY_BYTES`."""
+    length = headers.get("content-length")
+    if length is None:
+        return b""
+    try:
+        n = int(length)
+    except ValueError:
+        raise _HttpError(400, "bad Content-Length") from None
+    if n < 0:
+        raise _HttpError(400, "bad Content-Length")
+    if n > MAX_BODY_BYTES:
+        # Drain the oversize body (bounded by what the sender actually
+        # wrote) so the client reads a clean 413 instead of a
+        # connection reset mid-upload.
+        remaining = n
+        while remaining > 0:
+            chunk = await reader.read(min(_CHUNK, remaining))
+            if not chunk:
+                break
+            remaining -= len(chunk)
+        raise _HttpError(413, "request body too large")
+    body = bytearray()
+    while len(body) < n:
+        chunk = await reader.read(min(_CHUNK, n - len(body)))
+        if not chunk:
+            raise _HttpError(400, "truncated request body")
+        body.extend(chunk)
+    return bytes(body)
 
 
 def default_port() -> int:
@@ -110,7 +146,6 @@ class ServeApp:
             coordinator if coordinator is not None else Coordinator()
         )
         self.keys = keys if keys is not None else ApiKeyRegistry()
-        self.store_api = StoreApi(self)
 
     # -- request framing -----------------------------------------------------
 
@@ -118,13 +153,8 @@ class ServeApp:
     async def _read_request(
         reader: asyncio.StreamReader,
     ) -> Tuple[str, str, Dict[str, str]]:
-        """Parse the request line + headers; the body stays unread.
-
-        Each route reads its own body (see
-        :func:`repro.serve.store_api._read_body`) so the JSON endpoints
-        keep their small :data:`MAX_BODY_BYTES` cap while store blob
-        uploads stream under the much larger store cap.
-        """
+        """Parse the request line + headers; the body stays unread
+        (the one route with a body reads it with :func:`_read_body`)."""
         line = await reader.readline()
         if not line:
             raise ConnectionResetError("empty request")
@@ -270,16 +300,10 @@ class ServeApp:
 
         account = self._account_for(headers)
 
-        if path.startswith("/v1/store"):
-            doc = await self.store_api.handle(
-                method, path, query, headers, reader, writer
-            )
-            if doc is not None:
-                self._respond(writer, 200, doc)
-        elif path == "/v1/workloads" and method == "GET":
+        if path == "/v1/workloads" and method == "GET":
             self._respond(writer, 200, self._workloads_doc())
         elif path == "/v1/jobs" and method == "POST":
-            body = await _read_body(reader, headers, MAX_BODY_BYTES)
+            body = await _read_body(reader, headers)
             await self._submit(account, body, writer)
         elif path == "/v1/jobs" and method == "GET":
             jobs = self.coordinator.board.jobs_for(account.key_id)

@@ -26,12 +26,12 @@ persistent and shareable:
   :class:`~repro.store.synth_cache.StoreSynthCache` so reports are
   shared across processes and runs.
 
-The byte layer underneath is pluggable (see
-:mod:`~repro.store.backends`): the same facade runs over the local
-sqlite tree (``sqlite:PATH``) or a remote ``repro serve`` instance
-(``http://host:port``) — one store URI grammar, parsed by
-:func:`~repro.store.uri.parse_store_uri`, accepted everywhere a store
-location is (``--store``, ``REPRO_STORE_DIR``).
+The byte layer underneath is one local sqlite tree
+(:class:`~repro.store.backends.SqliteBackend`).  Every surface that
+takes a store location (``--store``, ``REPRO_STORE_DIR``) accepts a
+bare path or ``sqlite:PATH``, parsed by
+:func:`~repro.store.uri.parse_store_uri`; any other scheme is
+rejected.
 
 Local disk layout — everything under ``REPRO_STORE_DIR``, else
 ``.repro-store``::
@@ -52,7 +52,6 @@ from repro.store.artifacts import (
 )
 from repro.store.backends import (
     SqliteBackend,
-    StoreBackend,
     atomic_write_bytes,
 )
 from repro.store.uri import parse_store_uri
@@ -80,7 +79,6 @@ __all__ = [
     "RunLedger",
     "STORE_ENV",
     "SqliteBackend",
-    "StoreBackend",
     "StoreSynthCache",
     "accelerator_fingerprint",
     "atomic_write_bytes",

@@ -1,18 +1,13 @@
-"""Content-addressed artifact cache: typed codecs over a store backend.
+"""Content-addressed artifact cache: typed codecs over the sqlite store.
 
 :class:`ArtifactStore` is the facade every consumer uses; the actual
-blob/index plumbing lives behind the
-:class:`~repro.store.backends.StoreBackend` protocol, so one facade
-serves every topology:
+blob/index plumbing lives in :class:`~repro.store.backends.SqliteBackend`,
+one sqlite index + blob tree::
 
-* ``sqlite:PATH`` (default) — single sqlite index + blob tree::
-
-      <root>/
-        index.sqlite3             -- (kind, key) -> blob metadata
-        objects/<kind>/<k0k1>/<key>.<ext>   -- the blobs themselves
-        runs/<run_id>.json        -- run-ledger manifests (ledger.py)
-
-* ``http://host:port``      — a ``repro serve`` instance's store API.
+    <root>/
+      index.sqlite3             -- (kind, key) -> blob metadata
+      objects/<kind>/<k0k1>/<key>.<ext>   -- the blobs themselves
+      runs/<run_id>.json        -- run-ledger manifests (ledger.py)
 
 Writes are crash- and concurrency-safe without locks: blobs land via
 write-to-temp + :func:`os.replace` (atomic on POSIX within one
@@ -35,13 +30,12 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import StoreError
-from repro.store.backends import ArtifactRef, SqliteBackend, StoreBackend
+from repro.store.backends import ArtifactRef, SqliteBackend
 from repro.store.uri import parse_store_uri
 from repro.telemetry import get_metrics
 from repro.utils.validation import check_env_dir
@@ -159,17 +153,6 @@ def _pickle_decode(data: bytes):
     return pickle.loads(data)
 
 
-def _zpickle_encode(obj) -> bytes:
-    # Configuration spaces are mostly repetitive PMF float arrays that
-    # deflate >100x — worth it for blobs that cross the network to
-    # every distributed-search worker.
-    return zlib.compress(_pickle_encode(obj), 6)
-
-
-def _zpickle_decode(data: bytes):
-    return _pickle_decode(zlib.decompress(data))
-
-
 #: kind -> codec.  Unlisted kinds fall back to canonical JSON.
 CODECS: Dict[str, Codec] = {
     "library": Codec(_library_encode, _library_decode, "json"),
@@ -183,40 +166,28 @@ CODECS: Dict[str, Codec] = {
     "dse": Codec(_json_encode, _json_decode, "json"),
     "profiles": Codec(_pickle_encode, _pickle_decode, "pkl"),
     "models": Codec(_pickle_encode, _pickle_decode, "pkl"),
-    # Pickled (space, models, strategies) bundle shared with detached
-    # distributed-search workers through the store itself.
-    "search-context": Codec(_zpickle_encode, _zpickle_decode, "pklz"),
 }
 
 _DEFAULT_CODEC = Codec(_json_encode, _json_decode, "json")
 
 
 class ArtifactStore:
-    """Typed content-addressed cache over one store backend.
+    """Typed content-addressed cache over one sqlite store.
 
-    ``ArtifactStore(root)`` with a bare path opens the local
-    :class:`~repro.store.backends.SqliteBackend`.  Pass ``backend=``
-    (usually from :func:`~repro.store.uri.parse_store_uri`) for a
-    remote store.
+    ``ArtifactStore(root)`` opens the
+    :class:`~repro.store.backends.SqliteBackend` at ``root`` (a path or
+    an existing backend).
 
     Stores are cheap to construct, safe to share across fork() and
     picklable into worker processes — live connections never cross
     either boundary (see :mod:`repro.store.backends`).
     """
 
-    def __init__(
-        self, root=None, backend: Optional[StoreBackend] = None
-    ) -> None:
-        if backend is None:
-            if root is None:
-                raise StoreError(
-                    "ArtifactStore needs a root path or a backend"
-                )
-            if isinstance(root, StoreBackend):
-                backend = root
-            else:
-                backend = SqliteBackend(Path(root))
-        self.backend = backend
+    def __init__(self, root) -> None:
+        self.backend = (
+            root if isinstance(root, SqliteBackend)
+            else SqliteBackend(Path(root))
+        )
 
     def __getstate__(self):
         return {"backend": self.backend}
@@ -225,8 +196,8 @@ class ArtifactStore:
         self.backend = state["backend"]
 
     @property
-    def root(self) -> Optional[Path]:
-        """Local root directory (``None`` for remote backends)."""
+    def root(self) -> Path:
+        """Root directory of the store."""
         return self.backend.root
 
     @property
@@ -258,9 +229,8 @@ class ArtifactStore:
     ) -> List[ArtifactRef]:
         """Encode and store each ``(key, obj, meta)`` under ``kind``.
 
-        Every blob lands atomically as with :meth:`put`; the backend may
-        batch the index updates (the sqlite backend commits them in one
-        transaction).  Counts ``store.puts`` and ``store.bytes_written``
+        Every blob lands atomically as with :meth:`put`; the index
+        updates commit in one transaction.  Counts ``store.puts`` and ``store.bytes_written``
         per blob.
         """
         codec = self._codec(kind)
@@ -279,9 +249,9 @@ class ArtifactStore:
         Corruption (truncated or undecodable blob) and staleness (index
         row without blob) are *transparent* misses: the entry is evicted
         and the caller recomputes.  The blob is the source of truth and
-        the index only a cache of it — the backends adopt orphan blobs
-        and re-index checksum drift on read (see
-        :meth:`repro.store.backends.StoreBackend.get_bytes`), while
+        the index only a cache of it — the backend adopts orphan blobs
+        and re-indexes checksum drift on read (see
+        :meth:`repro.store.backends.SqliteBackend.get_bytes`), while
         decode failures are evicted here, above the byte layer.
         """
         metrics = get_metrics()
@@ -373,15 +343,15 @@ class ArtifactStore:
 def open_store(root=None) -> ArtifactStore:
     """An :class:`ArtifactStore` at ``root`` (default: env-resolved).
 
-    ``root`` may be a path, a store URI (``sqlite:``/``http://``), a
-    backend, or an existing store (returned as-is);
+    ``root`` may be a path, a ``sqlite:PATH`` store URI, a backend,
+    or an existing store (returned as-is);
     ``REPRO_STORE_DIR`` accepts the same URIs.
     """
     if isinstance(root, ArtifactStore):
         return root
     if root is None:
         root = _env_store_root()
-    return ArtifactStore(backend=parse_store_uri(root))
+    return ArtifactStore(parse_store_uri(root))
 
 
 def require_store(root=None) -> ArtifactStore:

@@ -1,28 +1,17 @@
-"""Pluggable storage backends — the byte layer under the artifact store.
+"""The byte layer under the artifact store: one sqlite index + blob tree.
 
-:class:`StoreBackend` is the protocol every store topology implements:
-content-addressed blob operations (``put_bytes`` / ``put_many`` /
-``get_bytes`` / ``delete`` / ``iter_refs`` / ``gc``) plus the run-ledger
-manifest primitives.  :class:`~repro.store.artifacts.ArtifactStore` layers the
-typed codecs on top and every consumer (stage caches,
-:class:`~repro.store.synth_cache.StoreSynthCache`,
-:class:`~repro.store.ledger.RunLedger`, the distributed-search work
-queue) goes through that facade, so swapping the backend swaps the
-topology without touching a single caller.
+:class:`SqliteBackend` holds content-addressed blobs (``put_bytes`` /
+``put_many`` / ``get_bytes`` / ``delete`` / ``iter_refs`` / ``gc``)
+under one root.  :class:`~repro.store.artifacts.ArtifactStore` layers
+the typed codecs on top and every consumer (stage caches,
+:class:`~repro.store.synth_cache.StoreSynthCache`, the library
+pipeline) goes through that facade.
 
-Implementations:
-
-* :class:`SqliteBackend` (this module) — the one local layout: a single
-  ``index.sqlite3`` + blob tree under one root.
-* :class:`~repro.store.remote.RemoteBackend` (its own module: it is the
-  only backend with a network dependency) — speaks the versioned
-  ``/v1/store/*`` HTTP API served by ``repro serve``.
-
-All backends are cheap to construct, picklable (live sqlite
-connections and locks never cross pickling) and fork-aware: a cached
-connection is pid-guarded the same way the runtime pid-guards its
-shared-memory segments, so a forked child opens its own handle and
-never finalises the parent's.
+The backend is cheap to construct, picklable (live sqlite connections
+and locks never cross pickling) and fork-aware: a cached connection is
+pid-guarded the same way the runtime pid-guards its shared-memory
+segments, so a forked child opens its own handle and never finalises
+the parent's.
 """
 
 from __future__ import annotations
@@ -34,7 +23,6 @@ import sqlite3
 import tempfile
 import threading
 import time
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -93,27 +81,13 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
 
 @dataclass(frozen=True)
 class ArtifactRef:
-    """A stored artifact's address plus blob metadata.
-
-    ``path`` is the local blob file for filesystem-backed stores and
-    ``None`` for remote ones (the blob lives on the server).
-    """
+    """A stored artifact's address, blob file and metadata."""
 
     kind: str
     key: str
-    path: Optional[Path]
+    path: Path
     sha256: str
     size: int
-
-
-def _empty_gc_stats(dry_run: bool) -> Dict:
-    return {
-        "removed": 0,
-        "freed_bytes": 0,
-        "kept": 0,
-        "dry_run": dry_run,
-        "by_kind": {},
-    }
 
 
 def _gc_count(stats: Dict, kind: str, size: int) -> None:
@@ -124,172 +98,7 @@ def _gc_count(stats: Dict, kind: str, size: int) -> None:
     bucket["bytes"] += size
 
 
-class _LocalManifests:
-    """Run-ledger manifest files under ``<root>/runs/``.
-
-    One shared implementation for the path-mode
-    :class:`~repro.store.ledger.RunLedger` and the local backends, so
-    ``RunLedger(store.root)`` and ``RunLedger(store)`` observe the same
-    documents on a local store.
-    """
-
-    def __init__(self, root: Path) -> None:
-        self.runs_dir = Path(root) / "runs"
-
-    def put(self, run_id: str, manifest: Dict) -> None:
-        data = json.dumps(manifest, sort_keys=True, indent=2)
-        atomic_write_bytes(
-            self.runs_dir / f"{run_id}.json", data.encode("utf-8")
-        )
-
-    def get(self, run_id: str) -> Optional[Dict]:
-        try:
-            return json.loads(
-                (self.runs_dir / f"{run_id}.json").read_text()
-            )
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def list(self) -> List[Dict]:
-        if not self.runs_dir.is_dir():
-            return []
-        manifests = []
-        for path in sorted(self.runs_dir.glob("*.json")):
-            if path.name.startswith("."):
-                continue  # in-flight atomic write of another process
-            try:
-                manifests.append(json.loads(path.read_text()))
-            except (OSError, json.JSONDecodeError):
-                continue
-        return manifests
-
-    def delete(self, run_id: str) -> bool:
-        try:
-            (self.runs_dir / f"{run_id}.json").unlink()
-        except OSError:
-            return False
-        return True
-
-
-class StoreBackend(ABC):
-    """Byte-level store protocol; see the module docstring.
-
-    Keys are content hashes (hex), kinds are short identifiers; the
-    codec layer above decides what the bytes mean.  ``ext`` is the blob
-    filename suffix of the kind's codec — pure cosmetics for local
-    trees, carried so every topology lays blobs out identically.
-    """
-
-    #: URI scheme of this backend ("sqlite", "http").
-    scheme: str = ""
-
-    @property
-    @abstractmethod
-    def uri(self) -> str:
-        """Round-trippable store URI of this backend."""
-
-    @property
-    def root(self) -> Optional[Path]:
-        """Local root directory, or ``None`` for remote backends."""
-        return None
-
-    @abstractmethod
-    def exists(self) -> bool:
-        """Whether the store is present (dir exists / server answers)."""
-
-    def initialize(self) -> None:
-        """Create local state so :meth:`exists` answers True.
-
-        A no-op for backends without local state (remote stores exist
-        iff the server does).  Used by drivers that hand the store URI
-        to other processes before their own first write.
-        """
-
-    # -- blobs ---------------------------------------------------------------
-
-    @abstractmethod
-    def put_bytes(
-        self,
-        kind: str,
-        key: str,
-        data: bytes,
-        ext: str = "json",
-        meta: Optional[Dict] = None,
-    ) -> ArtifactRef:
-        """Store ``data`` under ``(kind, key)``; idempotent."""
-
-    def put_many(
-        self,
-        kind: str,
-        items: Sequence[Tuple[str, bytes, Optional[Dict]]],
-        ext: str = "json",
-    ) -> List[ArtifactRef]:
-        """Store each ``(key, data, meta)`` of ``items`` under ``kind``.
-
-        The same result as :meth:`put_bytes` per item, which is what
-        this default does; backends override it to batch the work
-        (:class:`SqliteBackend` indexes a batch in one transaction).
-        """
-        return [
-            self.put_bytes(kind, key, data, ext=ext, meta=meta)
-            for key, data, meta in items
-        ]
-
-    @abstractmethod
-    def get_bytes(
-        self, kind: str, key: str, ext: str = "json"
-    ) -> Optional[bytes]:
-        """The blob bytes at ``(kind, key)``, or ``None`` on a miss.
-
-        Local backends self-heal here: stale index rows are evicted,
-        orphan blobs adopted, checksum drift re-indexed.
-        """
-
-    @abstractmethod
-    def delete(self, kind: str, key: str, ext: str = "json") -> None:
-        """Drop ``(kind, key)``; missing entries are a no-op."""
-
-    @abstractmethod
-    def iter_refs(self, kind: Optional[str] = None) -> List[ArtifactRef]:
-        """Indexed artifacts sorted by ``(kind, key)``."""
-
-    @abstractmethod
-    def gc(
-        self,
-        referenced: Set[Tuple[str, str]],
-        keep_kinds: Set[str],
-        dry_run: bool = False,
-    ) -> Dict:
-        """Drop artifacts not referenced or of a kept kind.
-
-        With ``dry_run`` nothing is deleted; the returned statistics
-        (``removed``/``freed_bytes``/``kept``/``by_kind``) describe
-        what a real pass would remove.
-        """
-
-    # -- run-ledger manifests ------------------------------------------------
-
-    @abstractmethod
-    def put_manifest(self, run_id: str, manifest: Dict) -> None:
-        """Write (atomically) one run manifest."""
-
-    @abstractmethod
-    def get_manifest(self, run_id: str) -> Optional[Dict]:
-        """One run manifest, or ``None``."""
-
-    @abstractmethod
-    def list_manifests(self) -> List[Dict]:
-        """Every decodable run manifest (unsorted)."""
-
-    @abstractmethod
-    def delete_manifest(self, run_id: str) -> bool:
-        """Drop one manifest; ``False`` when absent."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.uri}>"
-
-
-class SqliteBackend(StoreBackend):
+class SqliteBackend:
     """The local store layout: one sqlite index + blob tree.
 
     Persistent state is only the root path, so the backend is cheap to
@@ -300,9 +109,11 @@ class SqliteBackend(StoreBackend):
     forbids across processes) and opened with
     ``check_same_thread=False`` behind an instance lock so the serve
     layer's executor threads can share one backend.
-    """
 
-    scheme = "sqlite"
+    Keys are content hashes (hex), kinds are short identifiers; the
+    codec layer above decides what the bytes mean.  ``ext`` is the blob
+    filename suffix of the kind's codec.
+    """
 
     def __init__(self, root) -> None:
         self._root = Path(root)
@@ -321,6 +132,7 @@ class SqliteBackend(StoreBackend):
 
     @property
     def uri(self) -> str:
+        """Round-trippable store URI of this backend."""
         return f"sqlite:{self._root}"
 
     @property
@@ -329,9 +141,6 @@ class SqliteBackend(StoreBackend):
 
     def exists(self) -> bool:
         return self._root.is_dir()
-
-    def initialize(self) -> None:
-        self._connect()
 
     # -- plumbing ------------------------------------------------------------
 
@@ -422,6 +231,7 @@ class SqliteBackend(StoreBackend):
         ext: str = "json",
         meta: Optional[Dict] = None,
     ) -> ArtifactRef:
+        """Store ``data`` under ``(kind, key)``; idempotent."""
         return self.put_many(kind, [(key, data, meta)], ext=ext)[0]
 
     def put_many(
@@ -451,6 +261,11 @@ class SqliteBackend(StoreBackend):
     def get_bytes(
         self, kind: str, key: str, ext: str = "json"
     ) -> Optional[bytes]:
+        """The blob bytes at ``(kind, key)``, or ``None`` on a miss.
+
+        Reads self-heal: stale index rows are evicted, orphan blobs
+        adopted, checksum drift re-indexed.
+        """
         row = self._row(kind, key)
         path = self._blob_path(kind, key, ext)
         if row is not None:
@@ -472,9 +287,11 @@ class SqliteBackend(StoreBackend):
         return data
 
     def delete(self, kind: str, key: str, ext: str = "json") -> None:
+        """Drop ``(kind, key)``; missing entries are a no-op."""
         self._evict(kind, key, ext)
 
     def iter_refs(self, kind: Optional[str] = None) -> List[ArtifactRef]:
+        """Indexed artifacts sorted by ``(kind, key)``."""
         if not (self._root / "index.sqlite3").exists():
             return []
         query = "SELECT kind, key, filename, sha256, size FROM artifacts"
@@ -496,7 +313,20 @@ class SqliteBackend(StoreBackend):
         keep_kinds: Set[str],
         dry_run: bool = False,
     ) -> Dict:
-        stats = _empty_gc_stats(dry_run)
+        """Drop artifacts neither referenced nor of a kept kind, plus
+        orphan blob files.
+
+        With ``dry_run`` nothing is deleted; the returned statistics
+        (``removed``/``freed_bytes``/``kept``/``by_kind``) describe
+        what a real pass would remove.
+        """
+        stats = {
+            "removed": 0,
+            "freed_bytes": 0,
+            "kept": 0,
+            "dry_run": dry_run,
+            "by_kind": {},
+        }
         gone_paths: Set[Path] = set()
         keep_paths: Set[Path] = set()
         for ref in self.iter_refs():
@@ -531,21 +361,3 @@ class SqliteBackend(StoreBackend):
                     kind = path.relative_to(objects).parts[0]
                     _gc_count(stats, kind, size)
         return stats
-
-    # -- manifests -----------------------------------------------------------
-
-    @property
-    def _manifests(self) -> _LocalManifests:
-        return _LocalManifests(self._root)
-
-    def put_manifest(self, run_id: str, manifest: Dict) -> None:
-        self._manifests.put(run_id, manifest)
-
-    def get_manifest(self, run_id: str) -> Optional[Dict]:
-        return self._manifests.get(run_id)
-
-    def list_manifests(self) -> List[Dict]:
-        return self._manifests.list()
-
-    def delete_manifest(self, run_id: str) -> bool:
-        return self._manifests.delete(run_id)

@@ -8,24 +8,23 @@ store artifacts it produced or reused.  Manifests make runs enumerable
 the warm store (``resume``) and the root set for garbage collection
 (``gc`` keeps exactly the artifacts some manifest references).
 
-The ledger is topology-agnostic: construct it from an
-:class:`~repro.store.artifacts.ArtifactStore` (or a raw
-:class:`~repro.store.backends.StoreBackend`) and manifests route
-through the backend's manifest primitives — local stores keep the
-historic ``<root>/runs/<run_id>.json`` files, remote stores round-trip
-through the ``/v1/store/runs`` API.  A bare path still works and means
-the local filesystem layout.
+Manifests are ``<root>/runs/<run_id>.json`` files next to the
+artifact index; construct the ledger from an
+:class:`~repro.store.artifacts.ArtifactStore`, its
+:class:`~repro.store.backends.SqliteBackend` or the bare root path —
+all three observe the same documents.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import StoreError
-from repro.store.backends import StoreBackend, _LocalManifests
+from repro.store.backends import atomic_write_bytes
 
 #: Manifest format version (bump on incompatible schema changes).
 MANIFEST_VERSION = 1
@@ -35,38 +34,59 @@ def _iso(ts: float) -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(ts))
 
 
+class _LocalManifests:
+    """Run-ledger manifest files under ``<root>/runs/``."""
+
+    def __init__(self, root: Path) -> None:
+        self.runs_dir = Path(root) / "runs"
+
+    def put(self, run_id: str, manifest: Dict) -> None:
+        data = json.dumps(manifest, sort_keys=True, indent=2)
+        atomic_write_bytes(
+            self.runs_dir / f"{run_id}.json", data.encode("utf-8")
+        )
+
+    def get(self, run_id: str) -> Optional[Dict]:
+        try:
+            return json.loads(
+                (self.runs_dir / f"{run_id}.json").read_text()
+            )
+        except (OSError, json.JSONDecodeError):
+            return None
+
+    def list(self) -> List[Dict]:
+        if not self.runs_dir.is_dir():
+            return []
+        manifests = []
+        for path in sorted(self.runs_dir.glob("*.json")):
+            if path.name.startswith("."):
+                continue  # in-flight atomic write of another process
+            try:
+                manifests.append(json.loads(path.read_text()))
+            except (OSError, json.JSONDecodeError):
+                continue
+        return manifests
+
+    def delete(self, run_id: str) -> bool:
+        try:
+            (self.runs_dir / f"{run_id}.json").unlink()
+        except OSError:
+            return False
+        return True
+
+
 class RunLedger:
     """Append-only collection of run manifests of one store."""
 
     def __init__(self, root) -> None:
-        backend = getattr(root, "backend", None)  # an ArtifactStore
-        if backend is None and isinstance(root, StoreBackend):
-            backend = root
-        if backend is not None:
-            self._backend: Optional[StoreBackend] = backend
-            self.root = backend.root
-            self._local = (
-                _LocalManifests(backend.root)
-                if backend.root is not None
-                else None
-            )
-        else:
-            self._backend = None
-            self.root = Path(root)
-            self._local = _LocalManifests(self.root)
+        if not isinstance(root, (str, os.PathLike)):
+            root = root.root  # an ArtifactStore or SqliteBackend
+        self.root = Path(root)
+        self._local = _LocalManifests(self.root)
 
     @property
     def runs_dir(self) -> Path:
-        if self._local is not None:
-            return self._local.runs_dir
-        raise StoreError(
-            f"ledger at {self._where()} has no local runs directory"
-        )
-
-    def _where(self) -> str:
-        if self._backend is not None:
-            return self._backend.uri
-        return str(self.runs_dir)
+        return self._local.runs_dir
 
     # -- creation -----------------------------------------------------------
 
@@ -108,10 +128,7 @@ class RunLedger:
         }
         if extra:
             manifest["extra"] = extra
-        if self._backend is not None:
-            self._backend.put_manifest(run_id, manifest)
-        else:
-            self._local.put(run_id, manifest)
+        self._local.put(run_id, manifest)
         return manifest
 
     # -- enumeration --------------------------------------------------------
@@ -122,10 +139,7 @@ class RunLedger:
         ``kind`` restricts the listing to one manifest kind (e.g.
         ``"serve-job"`` — the serving layer's audit log).
         """
-        if self._backend is not None:
-            manifests = self._backend.list_manifests()
-        else:
-            manifests = self._local.list()
+        manifests = self._local.list()
         if kind is not None:
             manifests = [
                 m for m in manifests if m.get("kind") == kind
@@ -137,13 +151,10 @@ class RunLedger:
         return manifests
 
     def get(self, run_id: str) -> Dict:
-        if self._backend is not None:
-            manifest = self._backend.get_manifest(run_id)
-        else:
-            manifest = self._local.get(run_id)
+        manifest = self._local.get(run_id)
         if manifest is None:
             raise StoreError(
-                f"no run {run_id!r} in ledger at {self._where()}"
+                f"no run {run_id!r} in ledger at {self.runs_dir}"
             )
         return manifest
 
@@ -152,13 +163,9 @@ class RunLedger:
         return manifests[-1] if manifests else None
 
     def delete(self, run_id: str) -> None:
-        if self._backend is not None:
-            removed = self._backend.delete_manifest(run_id)
-        else:
-            removed = self._local.delete(run_id)
-        if not removed:
+        if not self._local.delete(run_id):
             raise StoreError(
-                f"no run {run_id!r} in ledger at {self._where()}"
+                f"no run {run_id!r} in ledger at {self.runs_dir}"
             )
 
     # -- garbage-collection roots -------------------------------------------
@@ -173,4 +180,4 @@ class RunLedger:
         return refs
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<RunLedger {self._where()}>"
+        return f"<RunLedger {self.runs_dir}>"

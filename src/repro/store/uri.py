@@ -1,17 +1,15 @@
 """Store-URI parsing — one scheme, parsed in one place.
 
 Every surface that accepts a store location (``--store``,
-``REPRO_STORE_DIR``, ``repro serve``, the search workers) takes the
-same URI grammar:
+``REPRO_STORE_DIR``, ``repro serve``) takes the same URI grammar:
 
-* ``sqlite:PATH``            — single sqlite index + blob tree (default)
-* ``http://host:port``       — remote store served by ``repro serve``
+* ``sqlite:PATH``            — single sqlite index + blob tree
 * ``PATH``                   — bare paths mean ``sqlite:PATH``
 
-Any other ``scheme:`` prefix is rejected rather than read as a
-relative directory name.  :func:`parse_store_uri` returns the matching
-:class:`~repro.store.backends.StoreBackend`; callers wrap it in an
-:class:`~repro.store.artifacts.ArtifactStore` (or use
+Any other ``scheme:`` prefix (``http://`` included) is rejected rather
+than read as a relative directory name.  :func:`parse_store_uri`
+returns the :class:`~repro.store.backends.SqliteBackend`; callers wrap
+it in an :class:`~repro.store.artifacts.ArtifactStore` (or use
 :func:`~repro.store.artifacts.open_store`, which accepts URIs
 directly).
 """
@@ -22,7 +20,7 @@ import re
 from pathlib import Path
 
 from repro.errors import ValidationError
-from repro.store.backends import SqliteBackend, StoreBackend
+from repro.store.backends import SqliteBackend
 
 __all__ = ["parse_store_uri"]
 
@@ -31,8 +29,8 @@ __all__ = ["parse_store_uri"]
 _SCHEME = re.compile(r"[A-Za-z][A-Za-z0-9+.-]+:")
 
 
-def parse_store_uri(target) -> StoreBackend:
-    """The :class:`StoreBackend` described by ``target``.
+def parse_store_uri(target) -> SqliteBackend:
+    """The :class:`SqliteBackend` described by ``target``.
 
     ``target`` may already be a backend (returned as-is), a
     :class:`~pathlib.Path` (always a local sqlite store; never
@@ -40,7 +38,7 @@ def parse_store_uri(target) -> StoreBackend:
     module docstring.  Malformed URIs and unknown schemes raise
     :class:`~repro.errors.ValidationError`.
     """
-    if isinstance(target, StoreBackend):
+    if isinstance(target, SqliteBackend):
         return target
     if isinstance(target, Path):
         return SqliteBackend(target)
@@ -56,13 +54,9 @@ def parse_store_uri(target) -> StoreBackend:
                 f"store URI {text!r} is missing a path"
             )
         return SqliteBackend(Path(path))
-    if text.startswith(("http://", "https://")):
-        from repro.store.remote import RemoteBackend
-
-        return RemoteBackend(text)
     if _SCHEME.match(text):
         raise ValidationError(
             f"store URI {text!r} has an unknown scheme; accepted: "
-            f"sqlite:PATH, http://, https:// or a bare path"
+            f"sqlite:PATH or a bare path"
         )
     return SqliteBackend(Path(text))

@@ -118,6 +118,24 @@ class TestValidation:
     def test_unknown_route_404(self, server):
         assert api(server, "/v1/nope")[0] == 404
 
+    def test_oversize_body_413(self, server):
+        from repro.serve.server import MAX_BODY_BYTES
+
+        request = urllib.request.Request(
+            server.base_url + "/v1/jobs", method="POST",
+            data=b" " * (MAX_BODY_BYTES + 1),
+            headers={"Authorization": "Bearer sk-alice"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as info:
+            urllib.request.urlopen(request, timeout=30)
+        assert info.value.code == 413
+
+    def test_no_store_routes(self, server):
+        # the server runs jobs against its store; it does not serve it
+        for path in ("/v1/store/keys", "/v1/store/stat",
+                     "/v1/store/runs"):
+            assert api(server, path)[0] == 404
+
     def test_unknown_field_400(self, server):
         status, doc = api(server, "/v1/jobs", "POST",
                           {"workload": "sobel", "budgets": 1})

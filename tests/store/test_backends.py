@@ -1,11 +1,11 @@
-"""StoreBackend protocol: equivalence, fork safety, URIs.
+"""SqliteBackend: dict semantics, self-healing reads, gc, fork safety, URIs.
 
-The two backends (local sqlite, remote HTTP) must be observationally
-equivalent: any interleaving of put/get/delete/iter — including
-corrupting a blob on disk mid-sequence — yields the same visible
-results no matter which backend holds the bytes.
+Any interleaving of put/get/delete/iter — including corrupting a blob
+on disk mid-sequence — must leave the backend observationally a
+``(kind, key) -> bytes`` map.
 """
 
+import hashlib
 import multiprocessing
 import random
 
@@ -13,129 +13,88 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.store import ArtifactStore, SqliteBackend, parse_store_uri
-from repro.store.remote import RemoteBackend
 
 KEY = "a" * 64
 KINDS = ("training-set", "dse", "models")
 
 
-def make_remote(tmp_path):
-    """A RemoteBackend speaking to a ``repro serve`` thread.
-
-    Returns ``(backend, server, server_store_root)`` — the root lets
-    corruption tests damage blobs behind the server's back.
-    """
-    from repro.serve import (
-        ApiKeyRegistry,
-        Coordinator,
-        ServeApp,
-        ServerThread,
-    )
-
-    root = tmp_path / "served-store"
-    app = ServeApp(
-        Coordinator(store=ArtifactStore(root)), ApiKeyRegistry(None)
-    )
-    server = ServerThread(app).start()
-    return RemoteBackend(server.base_url), server, root
+# -- dict semantics ----------------------------------------------------------
 
 
-@pytest.fixture()
-def remote(tmp_path):
-    backend, server, root = make_remote(tmp_path)
-    yield backend, root
-    server.stop()
-
-
-# -- observational equivalence ----------------------------------------------
-
-
-def run_sequence(backend, seed, steps=120):
-    """One deterministic randomized op sequence; returns observations."""
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_backend_behaves_like_a_map(tmp_path, seed):
+    """A randomized op sequence matches an in-memory dict model."""
+    backend = SqliteBackend(tmp_path)
+    model = {}
     rng = random.Random(seed)
     keys = [format(i, "x") * 16 for i in range(8)]
-    trace = []
-    for _ in range(steps):
+    for _ in range(120):
         op = rng.choice(("put", "get", "get", "delete", "iter"))
         kind = rng.choice(KINDS)
         key = rng.choice(keys)
         if op == "put":
             data = f"{kind}/{key}#{rng.randrange(4)}".encode()
             ref = backend.put_bytes(kind, key, data, ext="json")
-            trace.append(("put", ref.kind, ref.key, ref.sha256,
-                          ref.size))
+            model[kind, key] = data
+            assert (ref.kind, ref.key, ref.size) == (kind, key, len(data))
+            assert ref.sha256 == hashlib.sha256(data).hexdigest()
         elif op == "get":
-            trace.append(("get", kind, key,
-                          backend.get_bytes(kind, key)))
+            assert backend.get_bytes(kind, key) == model.get((kind, key))
         elif op == "delete":
             backend.delete(kind, key)
-            trace.append(("delete", kind, key))
+            model.pop((kind, key), None)
         else:
-            trace.append(("iter", [
-                (r.kind, r.key, r.sha256, r.size)
-                for r in backend.iter_refs()
-            ]))
-    return trace
+            assert [
+                (r.kind, r.key, r.size) for r in backend.iter_refs()
+            ] == [
+                (k, key, len(model[k, key])) for k, key in sorted(model)
+            ]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_backends_observationally_equivalent(tmp_path, remote, seed):
-    remote_backend, _ = remote
-    backends = [SqliteBackend(tmp_path / "plain"), remote_backend]
-    traces = [run_sequence(b, seed) for b in backends]
-    assert traces[0] == traces[1]
-
-
-def _blob_paths(root, kind, key):
-    return list(root.rglob(f"{key}.json"))
-
-
-def test_corrupt_blob_heals_identically(tmp_path, remote):
-    """Disk corruption mid-sequence self-heals the same way everywhere.
+def test_corrupt_blob_heals_identically(tmp_path):
+    """Disk corruption: adopted at the byte layer, evicted by the codec.
 
     At the byte level changed bytes are indistinguishable from a raced
-    valid write, so every backend adopts and re-serves them; the codec
+    valid write, so the backend adopts and re-serves them; the codec
     layer above (:class:`ArtifactStore`) is where garbage turns into a
-    transparent miss.  Both halves must hold for both backends.
+    transparent miss.
     """
-    remote_backend, served_root = remote
-    cases = [
-        (SqliteBackend(tmp_path / "plain"), tmp_path / "plain"),
-        (remote_backend, served_root),
-    ]
-    for backend, root in cases:
-        backend.put_bytes("dse", KEY, b'{"x": 1}')
-        [path] = _blob_paths(root, "dse", KEY)
-        path.write_bytes(b'{"x": "raced"}')
-        # byte layer: adopted, re-indexed, served consistently
-        assert backend.get_bytes("dse", KEY) == b'{"x": "raced"}'
-        assert backend.get_bytes("dse", KEY) == b'{"x": "raced"}'
+    backend = SqliteBackend(tmp_path)
+    backend.put_bytes("dse", KEY, b'{"x": 1}')
+    [path] = list(tmp_path.rglob(f"{KEY}.json"))
+    path.write_bytes(b'{"x": "raced"}')
+    # byte layer: adopted, re-indexed, served consistently
+    assert backend.get_bytes("dse", KEY) == b'{"x": "raced"}'
+    assert backend.get_bytes("dse", KEY) == b'{"x": "raced"}'
+    [ref] = backend.iter_refs("dse")
+    assert ref.sha256 == hashlib.sha256(b'{"x": "raced"}').hexdigest()
 
-        store = ArtifactStore(backend=backend)
-        path.write_bytes(b"garbage")  # undecodable corruption
-        assert store.get("dse", KEY) is None  # evicted, not a crash
-        store.put("dse", KEY, {"x": 2})
-        assert store.get("dse", KEY) == {"x": 2}
+    store = ArtifactStore(backend)
+    path.write_bytes(b"garbage")  # undecodable corruption
+    assert store.get("dse", KEY) is None  # evicted, not a crash
+    assert backend.iter_refs("dse") == []
+    store.put("dse", KEY, {"x": 2})
+    assert store.get("dse", KEY) == {"x": 2}
 
 
-def test_gc_equivalent_across_backends(tmp_path, remote):
-    remote_backend, _ = remote
-    backends = [SqliteBackend(tmp_path / "plain"), remote_backend]
-    stats = []
-    for backend in backends:
-        for i in range(6):
-            backend.put_bytes("dse", format(i, "x") * 16,
-                              b"x" * (i + 1))
-        kept = {("dse", format(i, "x") * 16) for i in range(2)}
-        dry = backend.gc(kept, set(), dry_run=True)
-        assert dry["dry_run"] is True
-        assert len(backend.iter_refs()) == 6  # nothing deleted
-        real = backend.gc(kept, set())
-        assert len(backend.iter_refs()) == 2
-        dry.pop("dry_run"), real.pop("dry_run")
-        assert dry == real
-        stats.append(real)
-    assert stats[0] == stats[1]
+def test_gc_dry_run_matches_real_pass(tmp_path):
+    backend = SqliteBackend(tmp_path)
+    for i in range(6):
+        backend.put_bytes("dse", format(i, "x") * 16, b"x" * (i + 1))
+    kept = {("dse", format(i, "x") * 16) for i in range(2)}
+    dry = backend.gc(kept, set(), dry_run=True)
+    assert dry["dry_run"] is True
+    assert len(backend.iter_refs()) == 6  # nothing deleted
+    real = backend.gc(kept, set())
+    assert real["dry_run"] is False
+    assert [r.key for r in backend.iter_refs()] == sorted(
+        key for _, key in kept
+    )
+    dry.pop("dry_run"), real.pop("dry_run")
+    assert dry == real
+    assert real["removed"] == 4
+    assert real["freed_bytes"] == 3 + 4 + 5 + 6
+    assert real["by_kind"] == {"dse": {"count": 4, "bytes": 18}}
 
 
 # -- fork safety -------------------------------------------------------------
@@ -181,10 +140,13 @@ class TestStoreUri:
         assert isinstance(backend, SqliteBackend)
         assert backend.root == tmp_path
 
-    def test_http_scheme(self):
-        backend = parse_store_uri("http://127.0.0.1:9999")
-        assert isinstance(backend, RemoteBackend)
-        assert backend.uri == "http://127.0.0.1:9999"
+    def test_http_rejected_naming_accepted_forms(self):
+        for uri in ("http://127.0.0.1:9999", "https://store.example/x"):
+            with pytest.raises(ValidationError) as info:
+                parse_store_uri(uri)
+            message = str(info.value)
+            assert "unknown scheme" in message
+            assert "sqlite:PATH" in message and "bare path" in message
 
     @pytest.mark.parametrize("uri", ["sharded:/x", "s3://b/x",
                                      "sqlit:/x"])
@@ -197,9 +159,8 @@ class TestStoreUri:
             parse_store_uri("")
 
     def test_uri_round_trips(self, tmp_path):
-        for uri in (f"sqlite:{tmp_path / 'a'}",
-                    "http://localhost:8035"):
-            assert parse_store_uri(uri).uri == uri
+        uri = f"sqlite:{tmp_path / 'a'}"
+        assert parse_store_uri(uri).uri == uri
 
     def test_open_store_accepts_uri(self, tmp_path):
         from repro.store import open_store

@@ -2,8 +2,7 @@
 
 With a warm store, a repeated ``AutoAx.run()`` (same seed/params)
 performs **zero new synthesis calls** and **zero model refits**,
-asserted via both the run ledger and the engine/fit counters — on the
-local store and on an HTTP store served by ``repro serve`` alike.
+asserted via both the run ledger and the engine/fit counters.
 """
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 
 from repro.core.modeling import fit_count
 from repro.core.pipeline import AutoAx, AutoAxConfig, PIPELINE_STAGES
-from repro.store import ArtifactStore, RunLedger, open_store
+from repro.store import ArtifactStore, RunLedger
 from repro.store.artifacts import CODECS
 
 
@@ -156,30 +155,3 @@ class TestWarmRun:
         ).run()
         assert set(result.stage_cache.values()) == {"off"}
         assert result.run_id is None
-
-
-class TestWarmRunOverHttp(TestWarmRun):
-    """The same contract against an HTTP store served by ``repro serve``.
-
-    Switching the backend changes where bytes live, never what a warm
-    run computes or recomputes.
-    """
-
-    @pytest.fixture()
-    def store(self, tmp_path):
-        from repro.serve import (
-            ApiKeyRegistry,
-            Coordinator,
-            ServeApp,
-            ServerThread,
-        )
-
-        app = ServeApp(
-            Coordinator(store=ArtifactStore(tmp_path / "served")),
-            ApiKeyRegistry(None),
-        )
-        server = ServerThread(app).start()
-        try:
-            yield open_store(server.base_url)
-        finally:
-            server.stop()

@@ -1,4 +1,4 @@
-"""Batched blob writes: ``StoreBackend.put_many`` / ``ArtifactStore.put_many``.
+"""Batched blob writes: ``SqliteBackend.put_many`` / ``ArtifactStore.put_many``.
 
 The library build stores each chunk's component blobs with one
 ``put_many``: the sqlite backend still writes every blob through a temp
@@ -11,10 +11,7 @@ import pytest
 from repro.library.generation import GenerationPlan
 from repro.library.pipeline import COMPONENT_KIND, build_library
 from repro.store import ArtifactStore, SqliteBackend
-from repro.store.remote import RemoteBackend
 from repro.telemetry import get_metrics
-
-from .test_backends import make_remote
 
 
 def _items(n):
@@ -73,30 +70,6 @@ def test_crash_before_commit_leaves_adoptable_orphans(tmp_path,
     for key, obj, _ in items:
         assert store.get("dse", key) == obj  # orphan adopted on read
     assert len(store.entries("dse")) == len(items)
-
-
-def test_remote_backend_stores_each_blob_through_put_bytes(
-    tmp_path, monkeypatch
-):
-    backend, server, root = make_remote(tmp_path)
-    try:
-        calls = []
-        put_bytes = RemoteBackend.put_bytes
-
-        def spy(self, kind, key, data, ext="json", meta=None):
-            calls.append(key)
-            return put_bytes(self, kind, key, data, ext=ext, meta=meta)
-
-        monkeypatch.setattr(RemoteBackend, "put_bytes", spy)
-        items = _items(3)
-        refs = ArtifactStore(backend=backend).put_many("dse", items)
-        assert calls == [key for key, _, _ in items]
-        assert [ref.key for ref in refs] == calls
-        served = ArtifactStore(root)
-        for key, obj, _ in items:
-            assert served.get("dse", key) == obj
-    finally:
-        server.stop()
 
 
 def test_library_build_counts_each_component_put(tmp_path):

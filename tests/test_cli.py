@@ -16,6 +16,22 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_search_has_one_local_topology(self):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["search", "--distributed", "1"])
+        assert info.value.code == 2
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["search-worker"])
+
+    def test_search_rejects_http_store_before_any_work(self, tmp_path,
+                                                       monkeypatch):
+        from repro.errors import ValidationError
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValidationError, match="sqlite:PATH"):
+            main(["search", "--store", "http://x", "--budget", "10"])
+        assert list(tmp_path.iterdir()) == []
+
     def test_accelerator_choices(self):
         args = build_parser().parse_args(
             ["profile", "--accelerator", "fixed_gf"]
@@ -231,8 +247,8 @@ class TestCommands:
     def test_restore_sigint_unignores(self):
         """Background-job SIGINT=ignore must be reset to default.
 
-        Shells start ``cmd &`` jobs with SIGINT ignored; serve and
-        search-worker rely on KeyboardInterrupt for graceful shutdown.
+        Shells start ``cmd &`` jobs with SIGINT ignored; serve relies
+        on KeyboardInterrupt for graceful shutdown.
         """
         import signal
 
