@@ -142,8 +142,9 @@ def _workers_arg(text: str) -> int:
 def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=_workers_arg, default=None,
-        help="worker processes for real evaluation "
-             "(default: REPRO_WORKERS env or in-process)",
+        help="worker processes for every parallel stage "
+             "(default: REPRO_WORKERS env, else every usable core; "
+             "0 or 1 run in-process)",
     )
 
 
@@ -853,19 +854,13 @@ def _cmd_runs_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs_gc(args: argparse.Namespace) -> int:
-    from repro.errors import StoreError
-
-    try:
-        store, ledger = _runs_ledger(args)
-        keep_kinds = () if args.all else None
-        stats = store.gc(
-            ledger.referenced_artifacts(),
-            keep_kinds=keep_kinds,
-            dry_run=args.dry_run,
-        )
-    except StoreError as exc:
-        print(f"gc failed: {exc}", file=sys.stderr)
-        return 1
+    store, ledger = _runs_ledger(args)
+    keep_kinds = () if args.all else None
+    stats = store.gc(
+        ledger.referenced_artifacts(),
+        keep_kinds=keep_kinds,
+        dry_run=args.dry_run,
+    )
     if args.json:
         _emit_json({"gc": stats, "store": store.uri})
         return 0
@@ -1163,11 +1158,22 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A :class:`~repro.errors.ReproError` ends the command with one
+    ``error: ...`` line on stderr and no traceback: exit 2 for a
+    :class:`~repro.errors.ValidationError` (a bad setting), else 1.
+    """
+    from repro.errors import ReproError, ValidationError
+
     args = build_parser().parse_args(argv)
     setup_logging()
-    with _tracing(args.command, getattr(args, "trace", None)):
-        return _COMMANDS[args.command](args)
+    try:
+        with _tracing(args.command, getattr(args, "trace", None)):
+            return _COMMANDS[args.command](args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

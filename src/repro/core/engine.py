@@ -15,12 +15,14 @@ analysis fast and scalable in four layered steps:
    single vectorised pass instead of ``runs`` re-interpretations, and
    SSIM is scored by a :class:`~repro.imaging.metrics.BatchedSsim` whose
    golden-side window statistics are precomputed once;
-3. **route** — :meth:`evaluate_many` picks one fixed route per space:
-   when every slot of the space is LUT-capable, all unique
-   configurations are simulated in one in-process configuration-axis
-   batched pass (tiled to bound memory); otherwise configuration chunks
-   fan out to worker processes through the shared runtime (the analyses
-   are independent) or run in a plain loop;
+3. **route** — :meth:`evaluate_many` takes one route for every space:
+   with ``workers >= 2`` the unique configurations fan out in
+   contiguous chunks to worker processes through the shared runtime
+   (the analyses are independent), otherwise they run in a plain
+   per-configuration loop.  The configuration-axis batched pass
+   (:meth:`EvaluationEngine.qor_batch`) stays defined but is no longer
+   routed to: it was slower than the per-configuration loop at every
+   measured size;
 4. **memoise** — synthesis reports are cached by the configuration's
    component-record tuple, and duplicate configurations inside one batch
    are analysed once.
@@ -86,7 +88,7 @@ class EvaluationEngine:
 
     ``workers`` sets the default process count of :meth:`evaluate_many`
     (overridable per call); ``None`` falls back to ``REPRO_WORKERS`` and
-    then to in-process evaluation.
+    then to every usable core.
 
     ``synth_cache`` plugs a second-level synthesis cache behind the
     in-memory memo: any object with ``get(memo_key)`` /
@@ -287,22 +289,12 @@ class EvaluationEngine:
     ) -> List[EvaluationResult]:
         """Full analysis of a batch of configurations.
 
-        Duplicates are analysed once, then one fixed route serves the
-        unique configurations, chosen without any timing probe:
-
-        * **batched** — when the engine stacks uniform-shape runs, every
-          slot of ``space`` is LUT-capable and at least two
-          configurations are unique, they are simulated together in one
-          in-process configuration-axis pass (see
-          :meth:`~repro.accelerators.graph.GraphProgram.execute_batch`),
-          tiled on the config axis to bound peak memory; synthesis stays
-          per-configuration behind the memo and ``workers`` is ignored;
-        * **classic** — otherwise, with ``workers > 1`` configuration
-          chunks go through the shared runtime's pool, else a plain
-          per-configuration loop.
-
-        Every route produces results bit-identical to
-        ``[evaluate(space, c) for c in configs]``.
+        Duplicates are analysed once.  With ``workers >= 2`` and at
+        least two unique configurations, contiguous chunks of them go
+        through the shared runtime's pool; otherwise a plain
+        per-configuration loop runs them.  The route depends on neither
+        the space nor a timing probe, and both produce results
+        bit-identical to ``[evaluate(space, c) for c in configs]``.
         """
         configs = [tuple(c) for c in configs]
         unique: Dict[Configuration, int] = {}
@@ -322,19 +314,13 @@ class EvaluationEngine:
             "engine.evaluate_many", cat="engine",
             args={"configs": len(configs), "unique": len(ordered)},
         ):
-            tables = (
-                self._batch_tables(space, ordered)
-                if len(ordered) >= 2 else None
-            )
-            if tables is not None:
-                results = self._evaluate_vectorized(space, ordered, tables)
-            elif workers is not None and len(ordered) >= 2:
+            if workers is not None and len(ordered) >= 2:
                 results = self._evaluate_parallel(space, ordered, workers)
             else:
                 results = [self.evaluate(space, c) for c in ordered]
         return [results[unique[c]] for c in configs]
 
-    # -- configuration-axis batched path --------------------------------------
+    # -- configuration-axis batched pass (not routed to; see module doc) -----
 
     def _batch_tables(self, space: ConfigurationSpace, configs):
         """Per-op gather tables in program order, or ``None`` to fall back.

@@ -126,10 +126,14 @@ class EstimationModel:
             return self.space.qor_features(configs)
         return self.space.hw_features(configs, self.hw_features)
 
-    def fit(self, configs, y) -> "EstimationModel":
+    def fit(
+        self, configs, y, workers: Optional[int] = None
+    ) -> "EstimationModel":
         global _FIT_COUNT
         _FIT_COUNT += 1
-        self.regressor.fit(self.features(configs), np.asarray(y, float))
+        self.regressor.fit(
+            self.features(configs), np.asarray(y, float), workers=workers
+        )
         return self
 
     def predict(self, configs) -> np.ndarray:
@@ -183,8 +187,14 @@ def fit_engines(
     include_naive: bool = True,
     hw_features: Sequence[str] = HW_FEATURES,
     seed: int = 0,
+    workers: Optional[int] = None,
 ) -> List[EngineReport]:
-    """Fit every engine on ``train``, score fidelity on train and test."""
+    """Fit every engine on ``train``, score fidelity on train and test.
+
+    ``workers`` caps the processes an ensemble engine fits on (``None``:
+    ``REPRO_WORKERS``, else every usable core); the reports do not
+    depend on it.
+    """
     names = list(engines) if engines is not None else default_engines()
     y_train = train.target(target)
     y_test = test.target(target)
@@ -206,7 +216,7 @@ def fit_engines(
 
     for name, model in candidates:
         start = time.perf_counter()
-        model.fit(train.configs, y_train)
+        model.fit(train.configs, y_train, workers=workers)
         elapsed = time.perf_counter() - start
         pred_train = model.predict(train.configs)
         pred_test = model.predict(test.configs)

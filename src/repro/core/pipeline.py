@@ -85,7 +85,8 @@ class AutoAxConfig:
     per_op_cap: Optional[int] = None
     max_samples: int = 1 << 16
     seed: int = 0
-    #: worker processes for real evaluation (None: REPRO_WORKERS / serial)
+    #: worker processes for real evaluation and the forest fit
+    #: (None: REPRO_WORKERS, else every usable core)
     workers: Optional[int] = None
 
     def __post_init__(self):
@@ -484,11 +485,13 @@ class AutoAx:
                 space, train, test, target="qor",
                 engines=cfg.engines, include_naive=cfg.include_naive,
                 hw_features=cfg.hw_features, seed=cfg.seed,
+                workers=cfg.workers,
             )
             hw_reports = fit_engines(
                 space, train, test, target="area",
                 engines=cfg.engines, include_naive=cfg.include_naive,
                 hw_features=cfg.hw_features, seed=cfg.seed,
+                workers=cfg.workers,
             )
             if store is not None:
                 store.put(

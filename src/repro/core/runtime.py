@@ -1,9 +1,9 @@
 """Shared parallel runtime: persistent workers, shared memory, one rule.
 
 Every parallel stage (``evaluate_many`` chunks, library-build chunks,
-portfolio islands) fans out through :class:`ParallelRuntime`, one
-process-wide service instead of a fresh ``multiprocessing`` pool per
-call:
+random-forest tree chunks, portfolio islands) fans out through
+:class:`ParallelRuntime`, one process-wide service instead of a fresh
+``multiprocessing`` pool per call:
 
 * **one persistent worker pool** reused across pipeline stages — the
   pool-startup cost is paid once per process, not once per call;
@@ -32,7 +32,8 @@ on the same values).
 
 Environment knobs
 -----------------
-``REPRO_WORKERS``            default worker count (shared convention)
+``REPRO_WORKERS``            default worker count (shared convention;
+                             unset: every usable core)
 ``REPRO_START_METHOD``       fork | forkserver | spawn (default: fork
                              where available)
 ``REPRO_PARALLEL``           auto | never (``never`` keeps every batch
@@ -116,10 +117,13 @@ def validate_workers(value, source: str = "workers") -> Optional[int]:
 
 
 def default_workers() -> Optional[int]:
-    """Worker count from ``REPRO_WORKERS`` (values <= 1 mean in-process)."""
+    """Worker count from ``REPRO_WORKERS``, else every usable core.
+
+    Values <= 1 (and a one-core host) mean in-process (``None``).
+    """
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if not raw:
-        return None
+        return validate_workers(usable_cores())
     return validate_workers(raw, source=WORKERS_ENV)
 
 
@@ -508,7 +512,8 @@ class ParallelRuntime:
         ``fn`` must be a module-level function; results stream back in
         task order.  The batch runs in-process or on the persistent
         pool by the pool rule (module docstring) — the results are
-        identical either way.
+        identical either way.  ``workers=None`` takes
+        :func:`default_workers`; callers that mean in-process pass 1.
         """
         tasks = list(tasks)
         if workers is None:

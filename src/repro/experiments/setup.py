@@ -340,11 +340,11 @@ def fit_search_models(
     )
     qor_model = select_best_model(
         fit_engines(space, train, test, target="qor",
-                    engines=list(engines), seed=seed)
+                    engines=list(engines), seed=seed, workers=workers)
     ).model
     hw_model = select_best_model(
         fit_engines(space, train, test, target="area",
-                    engines=list(engines), seed=seed)
+                    engines=list(engines), seed=seed, workers=workers)
     ).model
     return qor_model, hw_model
 

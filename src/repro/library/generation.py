@@ -348,10 +348,10 @@ def generate_library(
 
     Delegates to the construction pipeline
     (:func:`repro.library.pipeline.build_library`): ``workers`` worker
-    processes (``None`` falls back to ``REPRO_WORKERS``, then serial)
-    and optional per-component memoisation in ``store``.  The result is
-    bit-identical for every ``workers`` setting and for warm vs. cold
-    stores.
+    processes (``None`` falls back to ``REPRO_WORKERS``, then every
+    usable core) and optional per-component memoisation in ``store``.
+    The result is bit-identical for every ``workers`` setting and for
+    warm vs. cold stores.
     """
     from repro.library.pipeline import build_library
 

@@ -181,13 +181,11 @@ def _execute_chunks(tasks, context, workers: Optional[int]):
     """
     from repro.core.runtime import get_runtime
 
-    if workers is not None:
-        workers = min(workers, len(tasks))
     yield from get_runtime().imap(
         _run_chunk,
         tasks,
         context=context,
-        workers=workers,
+        workers=min(workers or 1, len(tasks)),
         label="library-build",
     )
 
@@ -203,14 +201,14 @@ def build_library(
     """Build the characterised library of ``plan`` through the pipeline.
 
     ``workers`` bounds the characterisation/synthesis process count
-    (``None`` falls back to ``REPRO_WORKERS``, then serial); the result
-    does not depend on it.  ``store`` enables per-component memoisation
-    (and a ``library-build`` ledger manifest unless ``record_run`` is
-    off).  ``progress`` receives one human-readable line per completed
-    chunk; by default those lines go to the structured logger (stderr)
-    at DEBUG, keeping programmatic builds quiet and ``--json`` stdout
-    pure — the CLI passes the logger's INFO method for visible
-    progress.
+    (``None`` falls back to ``REPRO_WORKERS``, then every usable core);
+    the result does not depend on it.  ``store`` enables per-component
+    memoisation (and a ``library-build`` ledger manifest unless
+    ``record_run`` is off).  ``progress`` receives one human-readable
+    line per completed chunk; by default those lines go to the
+    structured logger (stderr) at DEBUG, keeping programmatic builds
+    quiet and ``--json`` stdout pure — the CLI passes the logger's INFO
+    method for visible progress.
     """
     from repro.core.runtime import default_workers, validate_workers
 

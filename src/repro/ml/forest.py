@@ -2,6 +2,8 @@
 
 The paper's winning engine: 100 trees (§4.1.2).  Bootstrap sampling plus
 per-split feature subsampling decorrelate the trees; predictions average.
+Trees are independent, so :meth:`RandomForestRegressor.fit` fits
+contiguous chunks of them on the shared runtime's worker pool.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.base import Regressor
+from repro.ml.base import Regressor, check_xy
 from repro.ml.trees import DecisionTreeRegressor
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
@@ -35,22 +37,51 @@ class RandomForestRegressor(Regressor):
         self.max_features = max_features
         self.rng = rng
 
-    def _fit(self, X, y):
-        n = X.shape[0]
-        master = ensure_rng(self.rng)
-        rngs = spawn_rngs(master, self.n_estimators)
-        self._trees = []
+    def fit(self, X, y, workers: Optional[int] = None):
+        """Fit the trees on up to ``workers`` processes.
+
+        ``None`` takes :func:`~repro.core.runtime.default_workers`.
+        Every tree draws from its own child generator, spawned here in
+        tree order, so the fitted forest is byte-identical for any
+        ``workers``; the count is not stored on the model.
+        """
+        X, y = check_xy(X, y)
+        self._n_features = X.shape[1]
+        self._fit(X, y, workers)
+        return self
+
+    def _fit(self, X, y, workers: Optional[int] = None):
+        from repro.core.runtime import (
+            default_workers,
+            get_runtime,
+            validate_workers,
+        )
+
+        if workers is None:
+            workers = default_workers()
+        else:
+            workers = validate_workers(workers)
+        rngs = spawn_rngs(ensure_rng(self.rng), self.n_estimators)
+        n_chunks = min(workers or 1, len(rngs))
+        step = -(-len(rngs) // n_chunks)
+        params = {
+            "max_depth": self.max_depth,
+            "min_samples_leaf": self.min_samples_leaf,
+            "max_features": self.max_features,
+        }
+        chunks = [
+            (params, rngs[lo:lo + step])
+            for lo in range(0, len(rngs), step)
+        ]
+        parts = get_runtime().map(
+            _fit_trees,
+            chunks,
+            context=(X, y),
+            workers=len(chunks),
+            label="forest-fit",
+        )
+        self._trees = [tree for part in parts for tree in part]
         self._compiled = None
-        for tree_rng in rngs:
-            idx = tree_rng.integers(0, n, size=n)
-            tree = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                rng=tree_rng,
-            )
-            tree.fit(X[idx], y[idx])
-            self._trees.append(tree)
 
     def _compile(self):
         """Concatenate all trees into flat arrays for joint traversal.
@@ -98,3 +129,17 @@ class RandomForestRegressor(Regressor):
             nodes[active] = np.where(go_left, left[cur], right[cur])
             active[active] = feat[nodes[active]] >= 0
         return value[nodes].mean(axis=1)
+
+
+def _fit_trees(context, task):
+    """Runtime task: fit one contiguous chunk of a forest's trees."""
+    X, y = context
+    params, rngs = task
+    n = X.shape[0]
+    trees = []
+    for tree_rng in rngs:
+        idx = tree_rng.integers(0, n, size=n)
+        tree = DecisionTreeRegressor(rng=tree_rng, **params)
+        tree.fit(X[idx], y[idx])
+        trees.append(tree)
+    return trees

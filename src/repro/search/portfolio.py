@@ -182,8 +182,8 @@ class PortfolioRunner:
     ``strategies`` accepts :class:`SearchStrategy` objects or spec
     strings (``"hill"``, ``"nsga2:population_size=24"``, ...); one
     island per entry.  ``workers`` bounds the process count per round
-    (``None`` falls back to ``REPRO_WORKERS``, then serial); results do
-    not depend on it.
+    (``None`` falls back to ``REPRO_WORKERS``, then every usable
+    core); results do not depend on it.
     """
 
     def __init__(
@@ -523,13 +523,10 @@ class PortfolioRunner:
         context = (
             self.space, self.qor_model, self.hw_model, self.strategies,
         )
-        workers = self.workers
-        if workers is not None:
-            workers = min(workers, len(tasks))
         return get_runtime().map(
             _run_island,
             tasks,
             context=context,
-            workers=workers,
+            workers=min(self.workers or 1, len(tasks)),
             label="portfolio-islands",
         )

@@ -164,11 +164,17 @@ class TestCompatibility:
         assert exported is EvaluationEngine
 
     def test_default_workers_env(self, monkeypatch):
+        from repro.core import runtime as rt
+
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
         monkeypatch.setenv("REPRO_WORKERS", "3")
         assert default_workers() == 3
         monkeypatch.setenv("REPRO_WORKERS", "1")
         assert default_workers() is None
+        # Unset: every usable core, and one core means in-process.
         monkeypatch.delenv("REPRO_WORKERS")
+        assert default_workers() == 2
+        monkeypatch.setattr(rt, "usable_cores", lambda: 1)
         assert default_workers() is None
 
     def test_default_workers_rejects_garbage(self, monkeypatch):

@@ -4,9 +4,9 @@ The property layer (``tests/accelerators/test_property_config_batch``)
 pins ``GraphProgram.execute_batch`` against random graphs; this module
 pins everything the engine stacks on top of it:
 
-* ``evaluate_many`` takes one fixed route per space — the batched pass
-  on a LUT-capable space whatever ``workers`` says, the classic loop or
-  pool otherwise — and every route is byte-identical to the direct
+* ``evaluate_many`` takes one route for every space — the pool with
+  ``workers >= 2``, the per-configuration loop otherwise, never the
+  batched pass — and every route is byte-identical to the direct
   per-configuration ``evaluate`` loop;
 * config-axis tiling never changes a byte of the output;
 * ``BatchedSsim.batch`` rows are bit-identical to per-slice calls;
@@ -61,9 +61,10 @@ class TestEvaluateManyModes:
         self, sobel, sobel_space, fixed_gf, gf_space, small_images,
         monkeypatch, fresh_runtime,
     ):
-        """The selection rule: a LUT-capable space takes the batched
-        pass under any ``workers``; a non-LUT space with ``workers=2``
-        takes the pool route; all match the direct reference."""
+        """The selection rule: any space takes the pool route with
+        ``workers=2`` and the loop with ``workers=1``; a LUT-capable
+        space no longer reaches the batched pass; all match the direct
+        reference."""
         metrics = get_metrics()
         routed = []
         parallel = EvaluationEngine._evaluate_parallel
@@ -80,14 +81,15 @@ class TestEvaluateManyModes:
         reference = direct(
             EvaluationEngine(sobel, small_images), sobel_space, configs
         )
-        for workers in (None, 2):
-            before = metrics.counter("engine.config_batches")
-            batched = EvaluationEngine(sobel, small_images).evaluate_many(
+        before = metrics.counter("engine.config_batches")
+        for workers in (1, 2):
+            results = EvaluationEngine(sobel, small_images).evaluate_many(
                 sobel_space, configs, workers=workers
             )
-            assert metrics.counter("engine.config_batches") == before + 1
-            assert as_bytes(batched) == reference
-        assert routed == []
+            assert as_bytes(results) == reference
+        assert metrics.counter("engine.config_batches") == before
+        assert routed == [sobel_space]
+        assert fresh_runtime.stats["parallel_batches"] == 1
 
         configs = some_configs(gf_space, n=4)
         reference = direct(
@@ -97,8 +99,8 @@ class TestEvaluateManyModes:
         pooled = EvaluationEngine(fixed_gf, small_images).evaluate_many(
             gf_space, configs, workers=2
         )
-        assert routed == [gf_space]
-        assert fresh_runtime.stats["parallel_batches"] == 1
+        assert routed == [sobel_space, gf_space]
+        assert fresh_runtime.stats["parallel_batches"] == 2
         assert metrics.counter("engine.config_batches") == before
         assert as_bytes(pooled) == reference
 
@@ -140,17 +142,18 @@ class TestConfigTiling:
     def test_any_tile_size_is_identity(
         self, sobel_space, sobel_evaluator, monkeypatch
     ):
+        # The pass is called directly: evaluate_many no longer routes
+        # to it.
         configs = some_configs(sobel_space, n=7, rng=41)
-        baseline = sobel_evaluator.evaluate_many(sobel_space, configs)
+        tables = sobel_evaluator._batch_tables(sobel_space, configs)
+        baseline = sobel_evaluator.qor_batch(tables, len(configs))
         for tile in (1, 3, 64):
             monkeypatch.setattr(
                 engine_mod, "_CONFIG_TILE_BUDGET_BYTES",
                 tile_budget(sobel_evaluator, tile),
             )
-            assert (
-                sobel_evaluator.evaluate_many(sobel_space, configs)
-                == baseline
-            )
+            scores = sobel_evaluator.qor_batch(tables, len(configs))
+            assert scores.tobytes() == baseline.tobytes()
 
     def test_tile_clamped_to_batch(self, sobel_evaluator, monkeypatch):
         for tile, expected in ((64, 4), (3, 3)):

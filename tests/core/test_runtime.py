@@ -105,10 +105,21 @@ def _batches(runtime):
 
 @pytest.mark.usefixtures("two_cores")
 class TestPoolRule:
-    def test_no_workers_stays_serial(self, fresh_runtime):
+    def test_no_workers_stays_serial(self, fresh_runtime, monkeypatch):
+        """``REPRO_WORKERS=1`` keeps a batch without ``workers``
+        in-process on a multi-core host."""
+        monkeypatch.setenv("REPRO_WORKERS", "1")
         out = fresh_runtime.map(_sum_task, [5, 10], context=(BIG,))
         assert out == [10, 45]
         assert _batches(fresh_runtime) == (1, 0)
+
+    def test_default_fans_out_over_usable_cores(
+        self, fresh_runtime, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        out = fresh_runtime.map(_sum_task, [5, 10], context=(BIG,))
+        assert out == [10, 45]
+        assert _batches(fresh_runtime) == (0, 1)
 
     def test_single_task_stays_serial(self, fresh_runtime):
         out = fresh_runtime.map(
@@ -162,7 +173,9 @@ class TestPoolRule:
 class TestParallelExecution:
     def test_forced_parallel_matches_serial(self, fresh_runtime):
         tasks = list(range(2, 40))
-        serial = fresh_runtime.map(_sum_task, tasks, context=(BIG,))
+        serial = fresh_runtime.map(
+            _sum_task, tasks, context=(BIG,), workers=1
+        )
         parallel = fresh_runtime.map(
             _sum_task, tasks, context=(BIG,), workers=2
         )

@@ -89,13 +89,15 @@ ENGINES = {
 def test_matches_per_feature_loop(engine, monkeypatch):
     make = ENGINES[engine]
     cases = [_random_case(seed) for seed in range(160)]
+    # workers=1: the patched oracle must run in this process, not in
+    # pool workers that never saw the patch.
     fast = [
-        make(seed, leaf).fit(X, y).predict(Q)
+        make(seed, leaf).fit(X, y, workers=1).predict(Q)
         for seed, (X, y, Q, leaf) in enumerate(cases)
     ]
     monkeypatch.setattr(trees, "_best_split", _loop_best_split)
     for seed, (X, y, Q, leaf) in enumerate(cases):
-        ref = make(seed, leaf).fit(X, y).predict(Q)
+        ref = make(seed, leaf).fit(X, y, workers=1).predict(Q)
         assert fast[seed].tobytes() == ref.tobytes(), (engine, seed)
 
 

@@ -100,11 +100,13 @@ class TestCheckpointResume:
         )
 
         qor, hw = models
+        # workers=1: the test-local strategy class cannot be pickled
+        # into pool workers.
         with pytest.raises(RuntimeError, match="simulated crash"):
             PortfolioRunner(
                 sobel_space, qor, hw,
                 strategies=(Exploding(), "random"), rounds=3,
-                seed=9, store=store,
+                seed=9, store=store, workers=1,
             ).run(450)
         partial = RunLedger(store.root).latest()
         assert partial["status"] == "partial"

@@ -80,7 +80,7 @@ class TestStrategyAccounting:
         result = PortfolioRunner(
             sobel_space, cq, ch,
             strategies=("hill", "nsga2:population_size=12", "random"),
-            rounds=2, seed=5, workers=None,
+            rounds=2, seed=5, workers=1,
         ).run(401)
         # The portfolio spends the requested budget to the last call
         # (strategies with quantised spends are topped up by random

@@ -24,12 +24,13 @@ class TestParser:
             build_parser().parse_args(["search-worker"])
 
     def test_search_rejects_http_store_before_any_work(self, tmp_path,
-                                                       monkeypatch):
-        from repro.errors import ValidationError
-
+                                                       monkeypatch,
+                                                       capsys):
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(ValidationError, match="sqlite:PATH"):
-            main(["search", "--store", "http://x", "--budget", "10"])
+        assert main(
+            ["search", "--store", "http://x", "--budget", "10"]
+        ) == 2
+        assert "sqlite:PATH" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_accelerator_choices(self):
@@ -224,11 +225,9 @@ class TestCommands:
         assert lines[0] == "ssim,area"
         assert len(lines) >= 2
 
-    def test_workloads_run_unknown_name(self):
-        from repro.errors import WorkloadError
-
-        with pytest.raises(WorkloadError, match="registered"):
-            main(["workloads", "run", "frobnicate"])
+    def test_workloads_run_unknown_name(self, capsys):
+        assert main(["workloads", "run", "frobnicate"]) == 1
+        assert "registered" in capsys.readouterr().err
 
     def test_runs_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -497,20 +496,17 @@ class TestStoreCommands:
         assert flag_store.keys("component")
 
     def test_runs_show_unknown_id(self, store_env, capsys):
-        from repro.errors import StoreError
-
         self._run_json(capsys)
-        with pytest.raises(StoreError, match="no run"):
-            main(["runs", "show", "nope"])
+        assert main(["runs", "show", "nope"]) == 1
+        assert "no run" in capsys.readouterr().err
 
-    def test_runs_against_missing_store(self, tmp_path, monkeypatch):
-        from repro.errors import StoreError
-
+    def test_runs_against_missing_store(self, tmp_path, monkeypatch,
+                                        capsys):
         monkeypatch.setenv(
             "REPRO_STORE_DIR", str(tmp_path / "absent")
         )
-        with pytest.raises(StoreError, match="no experiment store"):
-            main(["runs", "list"])
+        assert main(["runs", "list"]) == 1
+        assert "no experiment store" in capsys.readouterr().err
 
 
 class TestPoolSynthCounters:
@@ -558,6 +554,91 @@ class TestPoolSynthCounters:
         assert pool_batches["w1"] == pool_batches["w2-inline"] == 0
         assert stats["w1"]["synth_misses"] > 0
         assert stats["w2"] == stats["w2-inline"] == stats["w1"]
+
+
+class TestErrorExit:
+    """A ``ReproError`` ends a command with one ``error:`` line on
+    stderr and no traceback: exit 2 for a bad setting, else 1."""
+
+    @staticmethod
+    def _one_error_line(capsys, needle):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert needle in lines[0]
+        assert "Traceback" not in captured.err
+
+    def test_run_with_http_store(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--store", "http://x"]) == 2
+        self._one_error_line(capsys, "sqlite:PATH")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_runs_list_with_https_store_dir(self, capsys):
+        assert main(["runs", "list", "--store-dir", "https://x"]) == 2
+        self._one_error_line(capsys, "sqlite:PATH")
+
+    def test_runs_show_unknown_run(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        assert main(["runs", "show", "nope"]) == 1
+        self._one_error_line(capsys, "no experiment store")
+
+
+class TestDefaultWorkers:
+    """With no ``--workers`` and no ``REPRO_WORKERS``, a run uses every
+    usable core: the library build, ``evaluate_many`` and the forest
+    fit all fan out.  ``--workers 1`` keeps every batch in-process and
+    yields the same front."""
+
+    RUN = [
+        "run", "--accelerator", "sobel", "--scale", "0.001",
+        "--images", "1", "--train", "12", "--evals", "150",
+    ]
+    FANNED = {"library-build", "evaluate_many", "forest-fit"}
+
+    def _run(self, tmp_path, label, extra=()):
+        from repro.core import runtime as rt
+
+        trace = tmp_path / f"{label}.json"
+        front = tmp_path / f"{label}.csv"
+        before = rt.get_runtime().stats["parallel_batches"]
+        assert main(self.RUN + [
+            "--store", str(tmp_path / f"store-{label}"),
+            "--trace", str(trace), "--out", str(front), *extra,
+        ]) == 0
+        batches = rt.get_runtime().stats["parallel_batches"] - before
+        events = json.loads(trace.read_text())["traceEvents"]
+        by_id = {e["args"]["span_id"]: e for e in events}
+        pooled = {
+            by_id[e["args"]["parent"]]["name"].split(".", 1)[1]
+            for e in events if e["cat"] == "worker"
+        }
+        return front.read_bytes(), batches, pooled
+
+    def test_default_fans_out_and_workers_one_stays_in_process(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.core import runtime as rt
+
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
+        rt.reset_runtime()
+        try:
+            front, batches, pooled = self._run(tmp_path, "default")
+            serial_front, serial_batches, serial_pooled = self._run(
+                tmp_path, "w1", ["--workers", "1"]
+            )
+        finally:
+            rt.reset_runtime()
+        capsys.readouterr()
+        assert self.FANNED <= pooled
+        assert batches >= len(self.FANNED)
+        assert serial_pooled == set()
+        assert serial_batches == 0
+        assert serial_front == front
 
 
 class TestJsonStdoutPurity:
