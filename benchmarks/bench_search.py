@@ -19,7 +19,8 @@ JSON array) in the working tree.
 Run ``python benchmarks/bench_search.py --smoke`` (or set
 ``REPRO_SEARCH_SMOKE=1``) for the tiny CI variant; the library is
 store-cached (``REPRO_STORE_DIR``), so a warmed store skips the
-characterisation cost entirely.
+characterisation cost entirely.  The portfolio's islands run on the
+runtime's worker count (``REPRO_WORKERS``, else every usable core).
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ def test_search_portfolio():
     space, qor_model, hw_model = _build_models(
         0.02 if smoke else 0.05
     )
-    workers = min(4, os.cpu_count() or 1)
     mark = metrics_mark()
 
     hv_serial_all, hv_portfolio_all, rows = [], [], []
@@ -107,7 +107,6 @@ def test_search_portfolio():
             portfolio = PortfolioRunner(
                 space, qor_model, hw_model,
                 strategies=STRATEGIES, rounds=2, seed=seed,
-                workers=workers,
             ).run(budget)
         portfolio_s += t.seconds
 

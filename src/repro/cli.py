@@ -125,10 +125,11 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
 def _workers_arg(text: str) -> int:
     """argparse type for ``--workers``: clear error on bad values.
 
-    The validated value is passed through verbatim — an explicit
-    ``--workers 1`` must reach the engine as 1 (forcing in-process
-    evaluation) rather than collapsing to the ``REPRO_WORKERS``
-    fallback.
+    This is the one place the flag is validated.  The value is kept
+    verbatim — an explicit ``--workers 1`` must reach the runtime as 1
+    (forcing in-process execution) rather than collapsing to the
+    ``REPRO_WORKERS`` fallback; :func:`main` applies it for the
+    command through :func:`repro.core.runtime.use_workers`.
     """
     from repro.core.runtime import validate_workers
 
@@ -226,12 +227,7 @@ def _cmd_generate_library(args: argparse.Namespace) -> int:
             "store": store.uri if store else None,
         }},
     )
-    result = build_library(
-        plan,
-        workers=args.workers,
-        store=store,
-        progress=log.info,
-    )
+    result = build_library(plan, store=store, progress=log.info)
     library, stats = result.library, result.stats
     if store is not None:
         # Whole-library blob under the shared experiment-setup key, so
@@ -403,7 +399,6 @@ def _run_accelerator_pipeline(
     train: int,
     evals: int,
     seed: int,
-    workers: Optional[int],
     store,
     out: Optional[str] = None,
 ):
@@ -415,9 +410,7 @@ def _run_accelerator_pipeline(
     if library_path:
         library = load_library(library_path)
     else:
-        library = scaled_library(
-            scale, seed=seed, store=store, workers=workers
-        )
+        library = scaled_library(scale, seed=seed, store=store)
     accelerator = ACCELERATORS[accelerator_name]()
     images = benchmark_images(n_images)
     config = AutoAxConfig(
@@ -425,7 +418,6 @@ def _run_accelerator_pipeline(
         n_test=max(2, train // 2),
         max_evaluations=evals,
         seed=seed,
-        workers=workers,
     )
     pipeline = AutoAx(
         accelerator, library, images, config=config, store=store,
@@ -448,7 +440,7 @@ def _run_accelerator_pipeline(
 def _cmd_run(args: argparse.Namespace) -> int:
     result = _run_accelerator_pipeline(
         args.accelerator, args.library, args.scale, args.images,
-        args.train, args.evals, args.seed, args.workers,
+        args.train, args.evals, args.seed,
         _resolve_store(args.store), out=args.out,
     )
     if args.json:
@@ -469,7 +461,6 @@ def _run_workload_pipeline(
     train: int,
     evals: int,
     seed: int,
-    workers: Optional[int],
     store,
     out: Optional[str] = None,
 ):
@@ -479,7 +470,7 @@ def _run_workload_pipeline(
 
     return run_workload_pipeline(
         name, scale=scale, n_images=n_images, train=train, evals=evals,
-        seed=seed, workers=workers, store=store, out=out,
+        seed=seed, store=store, out=out,
     )
 
 
@@ -513,8 +504,7 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
     # workloads run <name>
     setup, result = _run_workload_pipeline(
         args.name, args.scale, args.images, args.train, args.evals,
-        args.seed, args.workers, _resolve_store(args.store),
-        out=args.out,
+        args.seed, _resolve_store(args.store), out=args.out,
     )
     if args.json:
         doc = _result_doc(result, "workload", args.name)
@@ -541,7 +531,6 @@ def _run_search(
     rounds: int,
     seed: int,
     engines: List[str],
-    workers: Optional[int],
     store,
     resume_from: Optional[str] = None,
 ):
@@ -556,17 +545,15 @@ def _run_search(
     from repro.search import PortfolioRunner
 
     setup = workload_setup(
-        workload, scale=scale, n_images=n_images, seed=seed,
-        workers=workers, store=store,
+        workload, scale=scale, n_images=n_images, seed=seed, store=store,
     )
     profiles = profile_accelerator(
         setup.accelerator, setup.images, rng=seed
     )
     space = reduce_library(setup.accelerator, setup.library, profiles)
-    engine = build_workload_engine(setup, workers=workers)
+    engine = build_workload_engine(setup)
     qor_model, hw_model = fit_search_models(
         space, engine, train, test, engines=engines, seed=seed,
-        workers=workers,
     )
     runner = PortfolioRunner(
         space,
@@ -575,7 +562,6 @@ def _run_search(
         strategies=strategies,
         rounds=rounds,
         seed=seed,
-        workers=workers,
         store=store,
         label=f"search:{workload}",
         run_params={
@@ -668,7 +654,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     result = _run_search(
         args.workload, args.scale, args.images, args.train,
         args.test, args.budget, strategies, args.rounds, args.seed,
-        engines, args.workers, _resolve_store(args.store),
+        engines, _resolve_store(args.store),
     )
     if args.json:
         _emit_json({"search": _search_doc(result, args.workload)})
@@ -811,14 +797,14 @@ def _cmd_runs_resume(args: argparse.Namespace) -> int:
         _, result = _run_workload_pipeline(
             params["name"], params.get("scale"), params["images"],
             params["train"], params["evals"], params["seed"],
-            args.workers, store, out=params.get("out"),
+            store, out=params.get("out"),
         )
         label_key, label = "workload", params["name"]
     elif command == "run":
         result = _run_accelerator_pipeline(
             params["accelerator"], params.get("library"),
             params["scale"], params["images"], params["train"],
-            params["evals"], params["seed"], args.workers, store,
+            params["evals"], params["seed"], store,
             out=params.get("out"),
         )
         label_key, label = "accelerator", params["accelerator"]
@@ -827,8 +813,8 @@ def _cmd_runs_resume(args: argparse.Namespace) -> int:
             params["workload"], params.get("scale"), params["images"],
             params["train"], params["test"], params["budget"],
             list(params["strategies"]), params["rounds"],
-            params["seed"], list(params["engines"]), args.workers,
-            store, resume_from=args.run_id,
+            params["seed"], list(params["engines"]), store,
+            resume_from=args.run_id,
         )
         if args.json:
             doc = _search_doc(result, params["workload"])
@@ -909,7 +895,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     coordinator = Coordinator(
         store=_resolve_store(args.store),
-        workers=args.workers,
         parallel_jobs=args.parallel_jobs,
     )
     app = ServeApp(coordinator, keys)
@@ -1164,12 +1149,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     ``error: ...`` line on stderr and no traceback: exit 2 for a
     :class:`~repro.errors.ValidationError` (a bad setting), else 1.
     """
+    from repro.core.runtime import use_workers
     from repro.errors import ReproError, ValidationError
 
     args = build_parser().parse_args(argv)
     setup_logging()
     try:
-        with _tracing(args.command, getattr(args, "trace", None)):
+        with use_workers(getattr(args, "workers", None)), _tracing(
+            args.command, getattr(args, "trace", None)
+        ):
             return _COMMANDS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,10 +16,12 @@ analysis fast and scalable in four layered steps:
    SSIM is scored by a :class:`~repro.imaging.metrics.BatchedSsim` whose
    golden-side window statistics are precomputed once;
 3. **route** — :meth:`evaluate_many` takes one route for every space:
-   with ``workers >= 2`` the unique configurations fan out in
-   contiguous chunks to worker processes through the shared runtime
-   (the analyses are independent), otherwise they run in a plain
-   per-configuration loop.  The configuration-axis batched pass
+   when the runtime's worker count
+   (:func:`~repro.core.runtime.default_workers`) is 2 or more, the
+   unique configurations fan out in contiguous chunks to worker
+   processes through the shared runtime (the analyses are
+   independent), otherwise they run in a plain per-configuration loop.
+   The configuration-axis batched pass
    (:meth:`EvaluationEngine.qor_batch`) stays defined but is no longer
    routed to: it was slower than the per-configuration loop at every
    measured size;
@@ -42,11 +44,7 @@ import numpy as np
 
 from repro.accelerators.base import ImageAccelerator
 from repro.core.configuration import Configuration, ConfigurationSpace
-from repro.core.runtime import (
-    default_workers,
-    get_runtime,
-    validate_workers,
-)
+from repro.core.runtime import default_workers, get_runtime
 from repro.imaging.metrics import BatchedSsim
 from repro.library.component import ComponentRecord
 from repro.synthesis.synthesizer import SynthesisReport, synthesize
@@ -86,10 +84,6 @@ class EvaluationEngine:
     scenario and the QoR is the mean SSIM over all runs, following the
     paper's protocol (§3).
 
-    ``workers`` sets the default process count of :meth:`evaluate_many`
-    (overridable per call); ``None`` falls back to ``REPRO_WORKERS`` and
-    then to every usable core.
-
     ``synth_cache`` plugs a second-level synthesis cache behind the
     in-memory memo: any object with ``get(memo_key)`` /
     ``put(memo_key, report)`` (e.g.
@@ -104,7 +98,6 @@ class EvaluationEngine:
         accelerator: ImageAccelerator,
         images: Sequence[np.ndarray],
         scenarios: Optional[Sequence[Dict[str, int]]] = None,
-        workers: Optional[int] = None,
         synth_cache=None,
     ):
         if not images:
@@ -113,11 +106,6 @@ class EvaluationEngine:
         self.images = [np.asarray(img) for img in images]
         self.scenarios: List[Optional[Dict[str, int]]] = (
             list(scenarios) if scenarios else [None]
-        )
-        self.workers = (
-            validate_workers(workers)
-            if workers is not None
-            else default_workers()
         )
         self.synth_cache = synth_cache
         self._program = accelerator.graph.compile()
@@ -285,14 +273,14 @@ class EvaluationEngine:
         self,
         space: ConfigurationSpace,
         configs: Sequence[Configuration],
-        workers: Optional[int] = None,
     ) -> List[EvaluationResult]:
         """Full analysis of a batch of configurations.
 
-        Duplicates are analysed once.  With ``workers >= 2`` and at
-        least two unique configurations, contiguous chunks of them go
-        through the shared runtime's pool; otherwise a plain
-        per-configuration loop runs them.  The route depends on neither
+        Duplicates are analysed once.  With a worker count of 2 or more
+        (:func:`~repro.core.runtime.default_workers`) and at least two
+        unique configurations, contiguous chunks of them go through the
+        shared runtime's pool; otherwise a plain per-configuration loop
+        runs them.  The route depends on neither
         the space nor a timing probe, and both produce results
         bit-identical to ``[evaluate(space, c) for c in configs]``.
         """
@@ -306,16 +294,12 @@ class EvaluationEngine:
         metrics.inc("engine.evaluate_batches")
         metrics.observe("engine.batch_size", len(configs))
 
-        if workers is None:
-            workers = self.workers
-        else:
-            workers = validate_workers(workers)
         with maybe_span(
             "engine.evaluate_many", cat="engine",
             args={"configs": len(configs), "unique": len(ordered)},
         ):
-            if workers is not None and len(ordered) >= 2:
-                results = self._evaluate_parallel(space, ordered, workers)
+            if default_workers() is not None and len(ordered) >= 2:
+                results = self._evaluate_parallel(space, ordered)
             else:
                 results = [self.evaluate(space, c) for c in ordered]
         return [results[unique[c]] for c in configs]
@@ -417,11 +401,9 @@ class EvaluationEngine:
         self,
         space: ConfigurationSpace,
         configs: List[Configuration],
-        workers: int,
     ) -> List[EvaluationResult]:
-        workers = min(workers, len(configs))
         # Contiguous chunks, a few per worker so stragglers even out.
-        n_chunks = min(len(configs), workers * 4)
+        n_chunks = min(len(configs), (default_workers() or 1) * 4)
         chunks = [
             [configs[i] for i in part]
             for part in np.array_split(np.arange(len(configs)), n_chunks)
@@ -435,7 +417,6 @@ class EvaluationEngine:
             _evaluate_chunk,
             chunks,
             context=(self, space),
-            workers=workers,
             label="evaluate_many",
         )
         flat: List[EvaluationResult] = []

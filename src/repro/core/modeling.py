@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,20 +79,13 @@ def build_training_set(
     evaluator: EvaluationEngine,
     count: int,
     rng: RngLike = 0,
-    workers: Optional[int] = None,
 ) -> TrainingSet:
-    """Draw ``count`` random configurations and analyse them fully.
-
-    ``workers`` is forwarded to the evaluation engine's ``evaluate_many``
-    (process-parallel real evaluation); ``None`` keeps the evaluator's
-    own default.
-    """
+    """Draw ``count`` random configurations and analyse them fully."""
     if count < 1:
         raise ModelError("training set needs at least one configuration")
     gen = ensure_rng(rng)
     configs = space.random_configurations(count, gen)
-    # workers=None defers to the evaluator's own default.
-    results = evaluator.evaluate_many(space, configs, workers=workers)
+    results = evaluator.evaluate_many(space, configs)
     return TrainingSet(
         configs=configs,
         qor=np.asarray([r.qor for r in results]),
@@ -126,14 +119,10 @@ class EstimationModel:
             return self.space.qor_features(configs)
         return self.space.hw_features(configs, self.hw_features)
 
-    def fit(
-        self, configs, y, workers: Optional[int] = None
-    ) -> "EstimationModel":
+    def fit(self, configs, y) -> "EstimationModel":
         global _FIT_COUNT
         _FIT_COUNT += 1
-        self.regressor.fit(
-            self.features(configs), np.asarray(y, float), workers=workers
-        )
+        self.regressor.fit(self.features(configs), np.asarray(y, float))
         return self
 
     def predict(self, configs) -> np.ndarray:
@@ -187,14 +176,8 @@ def fit_engines(
     include_naive: bool = True,
     hw_features: Sequence[str] = HW_FEATURES,
     seed: int = 0,
-    workers: Optional[int] = None,
 ) -> List[EngineReport]:
-    """Fit every engine on ``train``, score fidelity on train and test.
-
-    ``workers`` caps the processes an ensemble engine fits on (``None``:
-    ``REPRO_WORKERS``, else every usable core); the reports do not
-    depend on it.
-    """
+    """Fit every engine on ``train``, score fidelity on train and test."""
     names = list(engines) if engines is not None else default_engines()
     y_train = train.target(target)
     y_test = test.target(target)
@@ -216,7 +199,7 @@ def fit_engines(
 
     for name, model in candidates:
         start = time.perf_counter()
-        model.fit(train.configs, y_train, workers=workers)
+        model.fit(train.configs, y_train)
         elapsed = time.perf_counter() - start
         pred_train = model.predict(train.configs)
         pred_test = model.predict(test.configs)

@@ -24,6 +24,12 @@ stages produces bit-identical downstream results to a cold run.  Every
 invocation is recorded in the :class:`~repro.store.RunLedger` as a
 manifest (params, config hash, per-stage timing and cache outcome,
 artifact refs) — the basis of ``repro runs list|show|resume|gc``.
+
+The parallel stages (real evaluation, the random-forest fit) fan out
+over the process-wide worker count that
+:func:`repro.core.runtime.default_workers` resolves.  The count is not
+part of :class:`AutoAxConfig`, so it never enters a stage key: any
+count gives the same artifacts.
 """
 
 from __future__ import annotations
@@ -85,9 +91,6 @@ class AutoAxConfig:
     per_op_cap: Optional[int] = None
     max_samples: int = 1 << 16
     seed: int = 0
-    #: worker processes for real evaluation and the forest fit
-    #: (None: REPRO_WORKERS, else every usable core)
-    workers: Optional[int] = None
 
     def __post_init__(self):
         if self.n_train < 2 or self.n_test < 2:
@@ -96,13 +99,8 @@ class AutoAxConfig:
             raise ValueError("at least one learning engine is required")
 
     def cache_payload(self) -> Dict[str, object]:
-        """The hashable identity of this config.
-
-        ``workers`` is excluded: parallelism changes wall time, never
-        results, so it must not fragment the cache.
-        """
+        """The hashable identity of this config."""
         payload = asdict(self)
-        payload.pop("workers", None)
         payload["engines"] = list(self.engines)
         payload["hw_features"] = list(self.hw_features)
         return payload
@@ -235,7 +233,6 @@ class AutoAx:
                 self.accelerator,
                 self.images,
                 self.scenarios,
-                workers=self.config.workers,
                 synth_cache=synth_cache,
             )
         return self._engine
@@ -485,13 +482,11 @@ class AutoAx:
                 space, train, test, target="qor",
                 engines=cfg.engines, include_naive=cfg.include_naive,
                 hw_features=cfg.hw_features, seed=cfg.seed,
-                workers=cfg.workers,
             )
             hw_reports = fit_engines(
                 space, train, test, target="area",
                 engines=cfg.engines, include_naive=cfg.include_naive,
                 hw_features=cfg.hw_features, seed=cfg.seed,
-                workers=cfg.workers,
             )
             if store is not None:
                 store.put(

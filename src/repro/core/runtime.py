@@ -14,11 +14,18 @@ random-forest tree chunks, portfolio islands) fans out through
   attach zero-copy read-only views; nothing bulk ever crosses the task
   pipe.  Segments are tracked and unlinked on :meth:`close` and at
   interpreter exit (crash or ``KeyboardInterrupt`` included);
+* **one worker count** — :func:`default_workers` is the only place the
+  count is resolved: the ``--workers`` value ``repro.cli.main`` applies
+  for the running command (:func:`use_workers`), else
+  ``REPRO_WORKERS``, else every usable core.  No other layer takes a
+  count; the engine and the forest read this one to size their chunks;
 * **one pool rule** — a batch fans out over
-  ``min(workers, usable_cores(), len(tasks))`` processes.  It runs
-  in-process when that count is below 2, when it is issued from inside
-  a worker, or under ``REPRO_PARALLEL=never``; otherwise every task
-  goes to the pool;
+  ``min(default_workers(), usable_cores(), len(tasks))`` processes.  It
+  runs in-process when that count is below 2, when it is issued from
+  inside a worker, or under ``REPRO_PARALLEL=never``; otherwise every
+  task goes to the pool.  The pool is started once, sized by the count
+  at that moment, and never resized, so concurrent batches of any size
+  (``repro serve --parallel-jobs``) share it safely;
 * **one start-method story** — context travels the same shared-memory
   route under ``fork``, ``forkserver`` and ``spawn``
   (``REPRO_START_METHOD``), so non-fork platforms produce bit-identical
@@ -32,8 +39,8 @@ on the same values).
 
 Environment knobs
 -----------------
-``REPRO_WORKERS``            default worker count (shared convention;
-                             unset: every usable core)
+``REPRO_WORKERS``            worker count when ``--workers`` is not
+                             given (unset: every usable core)
 ``REPRO_START_METHOD``       fork | forkserver | spawn (default: fork
                              where available)
 ``REPRO_PARALLEL``           auto | never (``never`` keeps every batch
@@ -45,6 +52,7 @@ Environment knobs
 from __future__ import annotations
 
 import atexit
+import contextlib
 import io
 import os
 import pickle
@@ -61,7 +69,7 @@ from repro.telemetry import (
 )
 from repro.telemetry.tracing import current_tracer, worker_tracer
 
-#: Environment knob: default worker-process count (shared convention).
+#: Environment knob: worker-process count when ``--workers`` is not given.
 WORKERS_ENV = "REPRO_WORKERS"
 
 #: Environment knob: multiprocessing start method for the worker pool.
@@ -80,8 +88,7 @@ MIN_SHARED_ARRAY_BYTES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
-# Worker-count validation (the one shared copy, imported by the engine,
-# the library pipeline, the portfolio search and the CLI).
+# The worker count (resolved here and nowhere else).
 # ---------------------------------------------------------------------------
 
 def validate_workers(value, source: str = "workers") -> Optional[int]:
@@ -116,11 +123,41 @@ def validate_workers(value, source: str = "workers") -> Optional[int]:
     return count if count > 1 else None
 
 
-def default_workers() -> Optional[int]:
-    """Worker count from ``REPRO_WORKERS``, else every usable core.
+#: The ``--workers`` count applied for the running command (``None``:
+#: not given).  Set only through :func:`use_workers`.
+_APPLIED_WORKERS: Optional[int] = None
 
-    Values <= 1 (and a one-core host) mean in-process (``None``).
+
+@contextlib.contextmanager
+def use_workers(count: Optional[int]) -> Iterator[None]:
+    """Apply a validated ``--workers`` count while the block runs.
+
+    ``repro.cli.main`` wraps each command in this; ``None`` (no flag)
+    changes nothing.  The previous value is restored on exit, so
+    in-process callers that run several commands do not leak one
+    command's count into the next.
     """
+    global _APPLIED_WORKERS
+    if count is None:
+        yield
+        return
+    previous = _APPLIED_WORKERS
+    _APPLIED_WORKERS = count
+    try:
+        yield
+    finally:
+        _APPLIED_WORKERS = previous
+
+
+def default_workers() -> Optional[int]:
+    """The process-wide worker count: ``None`` (in-process) or ``>= 2``.
+
+    The ``--workers`` value applied by :func:`use_workers`, else
+    ``REPRO_WORKERS``, else every usable core.  Values <= 1 (and a
+    one-core host) mean in-process.
+    """
+    if _APPLIED_WORKERS is not None:
+        return _APPLIED_WORKERS if _APPLIED_WORKERS > 1 else None
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if not raw:
         return validate_workers(usable_cores())
@@ -284,7 +321,6 @@ class ParallelRuntime:
         self._lock = threading.RLock()
         self._start_method = self._pick_start_method(start_method)
         self._executor = None
-        self._executor_size = 0
         self._segments: Dict[str, object] = {}  # name -> SharedMemory
         self._segment_seq = 0
         self._ctx_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
@@ -447,33 +483,37 @@ class ParallelRuntime:
 
     # -- pool lifecycle ------------------------------------------------------
 
-    def _get_executor(self, workers: int):
+    def _get_executor(self):
+        """The persistent pool, started on first use and never resized.
+
+        Its size is the worker count (capped by the usable cores) when
+        it starts; a batch smaller than that simply leaves processes
+        idle.  Holding the lock makes concurrent first batches start
+        one pool between them.
+        """
         from concurrent.futures import ProcessPoolExecutor
         import multiprocessing as mp
 
-        if self._executor is not None and self._executor_size != workers:
-            self._shutdown_executor()
-        if self._executor is None:
-            ctx = mp.get_context(self._start_method)
-            self._executor = ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=ctx,
-                initializer=_worker_init,
-            )
-            self._executor_size = workers
-            get_metrics().inc("runtime.pool_starts")
-        else:
-            get_metrics().inc("runtime.pool_reuse")
-        return self._executor
+        with self._lock:
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=min(default_workers() or 1, usable_cores()),
+                    mp_context=mp.get_context(self._start_method),
+                    initializer=_worker_init,
+                )
+                get_metrics().inc("runtime.pool_starts")
+            else:
+                get_metrics().inc("runtime.pool_reuse")
+            return self._executor
 
     def _shutdown_executor(self, wait: bool = True) -> None:
-        if self._executor is not None:
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is not None:
             try:
-                self._executor.shutdown(wait=wait, cancel_futures=True)
+                executor.shutdown(wait=wait, cancel_futures=True)
             except Exception:  # pragma: no cover - teardown best effort
                 pass
-            self._executor = None
-            self._executor_size = 0
 
     def close(self) -> None:
         """Shut the pool down and unlink every tracked shm segment.
@@ -493,18 +533,17 @@ class ParallelRuntime:
 
     # -- execution -----------------------------------------------------------
 
-    def _pool_size(self, workers: Optional[int], n_tasks: int) -> int:
+    def _pool_size(self, n_tasks: int) -> int:
         """Processes a batch fans out to; below 2 means in-process."""
         if self._parallel_mode() == "never" or _IN_WORKER:
             return 1
-        return min(workers or 1, usable_cores(), n_tasks)
+        return min(default_workers() or 1, usable_cores(), n_tasks)
 
     def imap(
         self,
         fn: Callable,
         tasks: Iterable,
         context=None,
-        workers: Optional[int] = None,
         label: str = "",
     ) -> Iterator:
         """Apply ``fn(context, task)`` to every task, yielding in order.
@@ -512,18 +551,14 @@ class ParallelRuntime:
         ``fn`` must be a module-level function; results stream back in
         task order.  The batch runs in-process or on the persistent
         pool by the pool rule (module docstring) — the results are
-        identical either way.  ``workers=None`` takes
-        :func:`default_workers`; callers that mean in-process pass 1.
+        identical either way.
         """
         tasks = list(tasks)
-        if workers is None:
-            workers = default_workers()
-        else:
-            workers = validate_workers(workers)
         label = label or getattr(fn, "__name__", "batch")
-        size = self._pool_size(workers, len(tasks))
+        size = self._pool_size(len(tasks))
         mode = "parallel" if size > 1 else "serial"
-        self.stats[f"{mode}_batches"] += 1
+        with self._lock:
+            self.stats[f"{mode}_batches"] += 1
         get_metrics().inc(f"runtime.{mode}_batches")
 
         if not tasks:
@@ -545,9 +580,7 @@ class ParallelRuntime:
 
     def _run_batch(self, fn, tasks, context, size, trace_ctx) -> Iterator:
         if size > 1:
-            yield from self._run_parallel(
-                fn, tasks, context, size, trace_ctx
-            )
+            yield from self._run_parallel(fn, tasks, context, trace_ctx)
         else:
             for task in tasks:
                 yield fn(context, task)
@@ -557,22 +590,16 @@ class ParallelRuntime:
         fn: Callable,
         tasks: Iterable,
         context=None,
-        workers: Optional[int] = None,
         label: str = "",
     ) -> List:
         """:meth:`imap`, collected into a list."""
-        return list(
-            self.imap(fn, tasks, context=context, workers=workers,
-                      label=label)
-        )
+        return list(self.imap(fn, tasks, context=context, label=label))
 
-    def _run_parallel(
-        self, fn, tasks, context, workers, trace_ctx=None
-    ) -> Iterator:
+    def _run_parallel(self, fn, tasks, context, trace_ctx=None) -> Iterator:
         from concurrent.futures.process import BrokenProcessPool
 
         ref = self.publish(context)
-        executor = self._get_executor(workers)
+        executor = self._get_executor()
         payloads = [(fn, ref, task, trace_ctx) for task in tasks]
         try:
             for result, delta in executor.map(_call_task, payloads):

@@ -123,19 +123,18 @@ def _cached_library(
     store: Optional[ArtifactStore],
     key: str,
     plan: GenerationPlan,
-    workers: Optional[int] = None,
 ) -> ComponentLibrary:
     """Load the library from the store, else build it.
 
     Misses build through the parallel construction pipeline
-    (:func:`repro.library.pipeline.build_library`): ``workers``
-    processes and per-component memoisation in ``store``, so even a
-    whole-library miss only recomputes components no previous plan
-    characterised.  With ``store=None`` (``use_cache=False``) nothing
-    is read or written — the library is always regenerated.
+    (:func:`repro.library.pipeline.build_library`): the runtime's
+    worker processes and per-component memoisation in ``store``, so
+    even a whole-library miss only recomputes components no previous
+    plan characterised.  With ``store=None`` (``use_cache=False``)
+    nothing is read or written — the library is always regenerated.
     """
     if store is None:
-        return generate_library(plan, workers=workers)
+        return generate_library(plan)
     library = store.get("library", key)
     if library is not None:
         return library
@@ -144,9 +143,7 @@ def _cached_library(
     # runs, not stages.
     from repro.library.pipeline import build_library
 
-    library = build_library(
-        plan, workers=workers, store=store, record_run=False
-    ).library
+    library = build_library(plan, store=store, record_run=False).library
     store.put(
         "library", key,
         library,
@@ -205,7 +202,6 @@ def workload_setup(
     seed: int = 0,
     use_cache: bool = True,
     registry: Optional[WorkloadRegistry] = None,
-    workers: Optional[int] = None,
     store: Optional[ArtifactStore] = None,
 ) -> WorkloadSetup:
     """Build (or load from cache) everything a workload DSE run needs.
@@ -213,8 +209,7 @@ def workload_setup(
     The library is cached per *signature set*, so workloads sharing
     operation signatures (e.g. ``gaussian5`` and ``box5``) share one
     characterised library on disk; misses build through the parallel
-    pipeline with ``workers`` processes (``None``: ``REPRO_WORKERS``).
-    The cache is ``store`` when given, else the shared
+    pipeline.  The cache is ``store`` when given, else the shared
     :func:`experiment_store`.
     """
     if scale is None:
@@ -234,7 +229,6 @@ def workload_setup(
         store,
         _plan_key("workload-library", plan, scale),
         plan,
-        workers=workers,
     )
     return WorkloadSetup(bundle=bundle, library=library, seed=seed)
 
@@ -246,7 +240,6 @@ def run_workload_pipeline(
     train: int = 150,
     evals: int = 10_000,
     seed: int = 0,
-    workers: Optional[int] = None,
     store: Optional[ArtifactStore] = None,
     out: Optional[str] = None,
     command: str = "workloads",
@@ -264,15 +257,13 @@ def run_workload_pipeline(
     from repro.core.pipeline import AutoAx, AutoAxConfig
 
     setup = workload_setup(
-        name, scale=scale, n_images=n_images, seed=seed,
-        workers=workers, store=store,
+        name, scale=scale, n_images=n_images, seed=seed, store=store,
     )
     config = AutoAxConfig(
         n_train=train,
         n_test=max(2, train // 2),
         max_evaluations=evals,
         seed=seed,
-        workers=workers,
     )
     pipeline = AutoAx(
         setup.accelerator,
@@ -297,15 +288,10 @@ def run_workload_pipeline(
     return setup, pipeline.run()
 
 
-def build_workload_engine(
-    setup: WorkloadSetup, workers: Optional[int] = None
-) -> EvaluationEngine:
+def build_workload_engine(setup: WorkloadSetup) -> EvaluationEngine:
     """The evaluation engine of a materialised workload setup."""
     return build_engine(
-        setup.accelerator,
-        setup.images,
-        scenarios=setup.scenarios,
-        workers=workers,
+        setup.accelerator, setup.images, scenarios=setup.scenarios
     )
 
 
@@ -316,7 +302,6 @@ def fit_search_models(
     n_test: int,
     engines: Sequence[str] = ("K-Neighbors",),
     seed: int = 0,
-    workers: Optional[int] = None,
 ):
     """Fit the (QoR, area) estimation models the search layer consumes.
 
@@ -332,19 +317,15 @@ def fit_search_models(
         select_best_model,
     )
 
-    train = build_training_set(
-        space, engine, n_train, rng=seed, workers=workers
-    )
-    test = build_training_set(
-        space, engine, n_test, rng=seed + 1, workers=workers
-    )
+    train = build_training_set(space, engine, n_train, rng=seed)
+    test = build_training_set(space, engine, n_test, rng=seed + 1)
     qor_model = select_best_model(
         fit_engines(space, train, test, target="qor",
-                    engines=list(engines), seed=seed, workers=workers)
+                    engines=list(engines), seed=seed)
     ).model
     hw_model = select_best_model(
         fit_engines(space, train, test, target="area",
-                    engines=list(engines), seed=seed, workers=workers)
+                    engines=list(engines), seed=seed)
     ).model
     return qor_model, hw_model
 
@@ -353,24 +334,20 @@ def build_engine(
     accelerator: ImageAccelerator,
     images: Sequence[np.ndarray],
     scenarios: Optional[Sequence[Dict[str, int]]] = None,
-    workers: Optional[int] = None,
 ) -> EvaluationEngine:
     """The experiment drivers' evaluation engine.
 
-    One shared constructor so every driver (and benchmark) picks up the
-    compiled/batched real-evaluation path and the ``REPRO_WORKERS``
-    parallelism knob uniformly.
+    One shared constructor, so every driver (and benchmark) evaluates
+    through the same compiled engine; its batches fan out over the
+    runtime's worker count like every other parallel stage.
     """
-    return EvaluationEngine(
-        accelerator, images, scenarios=scenarios, workers=workers
-    )
+    return EvaluationEngine(accelerator, images, scenarios=scenarios)
 
 
 def scaled_library(
     scale: float,
     seed: int = 0,
     store: Optional[ArtifactStore] = None,
-    workers: Optional[int] = None,
 ) -> ComponentLibrary:
     """The Table 2 library at ``scale``, store-cached when asked.
 
@@ -383,7 +360,6 @@ def scaled_library(
         store,
         default_library_key(plan, scale),
         plan,
-        workers=workers,
     )
 
 
@@ -393,7 +369,6 @@ def default_setup(
     image_shape: Optional[Tuple[int, int]] = None,
     seed: int = 0,
     use_cache: bool = True,
-    workers: Optional[int] = None,
 ) -> ExperimentSetup:
     """Build (or load from the store) the default experiment setup."""
     if scale is None:
@@ -401,8 +376,6 @@ def default_setup(
     if image_shape is None:
         image_shape = DEFAULT_SHAPE
     store = experiment_store() if use_cache else None
-    library = scaled_library(
-        scale, seed=seed, store=store, workers=workers
-    )
+    library = scaled_library(scale, seed=seed, store=store)
     images = benchmark_images(n_images, shape=image_shape)
     return ExperimentSetup(library=library, images=images, seed=seed)

@@ -2,43 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-from repro.library.generation import (
-    PAPER_COUNTS,
-    paper_scale_plan,
-    scaled_plan,
-)
+from repro.library.generation import PAPER_COUNTS
 from repro.library.library import ComponentLibrary
-from repro.library.pipeline import LibraryBuildResult, build_library
 
 #: The paper's library sizes per signature.
 PAPER_TABLE2: Dict[Tuple[str, int], int] = dict(PAPER_COUNTS)
-
-
-def build_table2_library(
-    scale: float = 1.0,
-    seed: int = 0,
-    workers: Optional[int] = None,
-    store=None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> LibraryBuildResult:
-    """Build the (possibly scaled) Table 2 library through the pipeline.
-
-    ``scale=1.0`` reproduces the paper's full component counts (tens of
-    thousands of circuits — the dominant cold-start cost, which is
-    exactly what the parallel, store-memoised pipeline exists for);
-    smaller scales use the same proportional plan as the experiment
-    drivers.  Returns the build result including cache statistics, so
-    drivers can report how much of the library came warm.
-    """
-    plan = (
-        paper_scale_plan(seed=seed) if scale >= 1.0
-        else scaled_plan(scale, seed=seed)
-    )
-    return build_library(
-        plan, workers=workers, store=store, progress=progress
-    )
 
 
 def table2_counts(

@@ -13,9 +13,7 @@ scale-invariant, so the capped space substitutes for the paper's full one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.accelerators.profiler import profile_accelerator
 from repro.accelerators.sobel import SobelEdgeDetector
@@ -28,7 +26,6 @@ from repro.experiments.setup import (
     build_engine,
     fit_search_models,
 )
-from repro.search.portfolio import PortfolioRunner
 from repro.search.strategies import make_strategy
 
 
@@ -61,17 +58,13 @@ def table4_distances(
     stagnation_limit: int = 50,
     engines: Sequence[str] = ("Random Forest",),
     enumeration_limit: float = 2e6,
-    include_portfolio: bool = False,
-    portfolio_workers: Optional[int] = None,
 ) -> Table4Result:
     """Run proposed vs RS at each budget against the exhaustive front.
 
     Every algorithm runs through the budget-metered search-strategy
     layer, so each row's ``evaluations`` is the *exact* number of model
     calls issued — the budget-matched comparison of the paper's
-    Table 4 holds by construction.  ``include_portfolio`` adds a third
-    row per budget: the parallel portfolio (hill + NSGA-II + random
-    islands) at the same exact budget.
+    Table 4 holds by construction.
 
     The reduced space is thinned (``per_op_cap``) only when it exceeds
     ``enumeration_limit`` configurations, so the reference front stays
@@ -131,15 +124,6 @@ def table4_distances(
                 ),
             ),
         ]
-        if include_portfolio:
-            portfolio = PortfolioRunner(
-                space, qor_model, hw_model,
-                strategies=("hill", "nsga2", "random"),
-                rounds=2,
-                seed=setup.seed + budget,
-                workers=portfolio_workers,
-            ).run(budget)
-            results.append(("Portfolio", portfolio.as_dse_result()))
         for name, result in results:
             stats = front_distances(
                 result.points, optimal.points, bounds=(low, high)

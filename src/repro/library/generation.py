@@ -340,21 +340,17 @@ def enumerate_plan(
 
 def generate_library(
     plan: GenerationPlan,
-    workers=None,
     store=None,
     progress=None,
 ) -> ComponentLibrary:
     """Generate a characterised library according to ``plan``.
 
     Delegates to the construction pipeline
-    (:func:`repro.library.pipeline.build_library`): ``workers`` worker
-    processes (``None`` falls back to ``REPRO_WORKERS``, then every
-    usable core) and optional per-component memoisation in ``store``.
-    The result is bit-identical for every ``workers`` setting and for
-    warm vs. cold stores.
+    (:func:`repro.library.pipeline.build_library`): the runtime's
+    worker processes and optional per-component memoisation in
+    ``store``.  The result is bit-identical for any worker count and
+    for warm vs. cold stores.
     """
     from repro.library.pipeline import build_library
 
-    return build_library(
-        plan, workers=workers, store=store, progress=progress
-    ).library
+    return build_library(plan, store=store, progress=progress).library

@@ -10,9 +10,9 @@ three-stage pipeline:
    produces the deterministic circuit inventory (cheap, serial, one
    spawned child RNG per signature);
 2. **characterisation + synthesis** — the inventory is cut into
-   fixed-size chunks that worker processes consume
-   (:data:`REPRO_WORKERS`/``workers`` convention).  Each chunk is
-   characterised through the batched
+   fixed-size chunks that the shared runtime's worker processes
+   consume (:func:`repro.core.runtime.default_workers` sets how
+   many).  Each chunk is characterised through the batched
    :func:`~repro.circuits.characterization.characterize_many` (shared
    exact LUTs and operand samples) and synthesised per component;
 3. **assembly** — chunk results stream back in order and land in one
@@ -20,7 +20,7 @@ three-stage pipeline:
 
 Chunk boundaries are fixed (independent of the worker count) and no
 worker consumes shared RNG state, so the built library is
-**bit-identical for every ``workers`` setting**.
+**bit-identical for any worker count**.
 
 With a ``store``, every component is memoised individually in the
 experiment store under the ``component`` artifact kind, keyed by a
@@ -173,26 +173,8 @@ def _run_chunk(context, task):
     return index, payloads, hits, len(miss_circuits)
 
 
-def _execute_chunks(tasks, context, workers: Optional[int]):
-    """Yield chunk results in order through the shared runtime.
-
-    The runtime streams results back in task order, so any ``workers``
-    setting produces the identical library.
-    """
-    from repro.core.runtime import get_runtime
-
-    yield from get_runtime().imap(
-        _run_chunk,
-        tasks,
-        context=context,
-        workers=min(workers or 1, len(tasks)),
-        label="library-build",
-    )
-
-
 def build_library(
     plan: GenerationPlan,
-    workers: Optional[int] = None,
     store=None,
     progress: Optional[Callable[[str], None]] = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -200,24 +182,19 @@ def build_library(
 ) -> LibraryBuildResult:
     """Build the characterised library of ``plan`` through the pipeline.
 
-    ``workers`` bounds the characterisation/synthesis process count
-    (``None`` falls back to ``REPRO_WORKERS``, then every usable core);
-    the result does not depend on it.  ``store`` enables per-component
-    memoisation (and a ``library-build`` ledger manifest unless
-    ``record_run`` is off).  ``progress`` receives one human-readable
+    Chunks fan out over the runtime's worker count; the result does
+    not depend on it.  ``store`` enables per-component memoisation
+    (and a ``library-build`` ledger manifest unless ``record_run`` is
+    off).  ``progress`` receives one human-readable
     line per completed chunk; by default those lines go to the
     structured logger (stderr) at DEBUG, keeping programmatic builds
     quiet and ``--json`` stdout pure — the CLI passes the logger's INFO
     method for visible progress.
     """
-    from repro.core.runtime import default_workers, validate_workers
+    from repro.core.runtime import default_workers, get_runtime
 
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
-    if workers is None:
-        workers = default_workers()
-    else:
-        workers = validate_workers(workers)
     if progress is None:
         progress = get_logger("library").debug
 
@@ -235,7 +212,7 @@ def build_library(
     stats = LibraryBuildStats(
         components=len(specs),
         chunks=len(tasks),
-        workers=workers or 1,
+        workers=default_workers() or 1,
     )
     library = ComponentLibrary()
     cursor = 0
@@ -246,8 +223,12 @@ def build_library(
         "library.build", cat="library",
         args={"components": len(specs), "chunks": len(tasks)},
     ):
-        for index, payloads, hits, misses in _execute_chunks(
-            tasks, (store, plan.sample_size), workers
+        # The runtime streams chunk results back in task order.
+        for index, payloads, hits, misses in get_runtime().imap(
+            _run_chunk,
+            tasks,
+            context=(store, plan.sample_size),
+            label="library-build",
         ):
             for payload in payloads:
                 record = ComponentRecord.from_dict(payload)

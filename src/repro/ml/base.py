@@ -34,14 +34,8 @@ class Regressor:
     def __init__(self):
         self._n_features: Optional[int] = None
 
-    def fit(self, X, y, workers: Optional[int] = None) -> "Regressor":
-        """Fit on ``(X, y)``.
-
-        ``workers`` caps the processes an ensemble of independent
-        members may fit on (see
-        :class:`~repro.ml.forest.RandomForestRegressor`); models fitted
-        in one piece ignore it.  No fitted model depends on it.
-        """
+    def fit(self, X, y) -> "Regressor":
+        """Fit on ``(X, y)``."""
         X, y = check_xy(X, y)
         self._n_features = X.shape[1]
         self._fit(X, y)

@@ -3,7 +3,8 @@
 The paper's winning engine: 100 trees (§4.1.2).  Bootstrap sampling plus
 per-split feature subsampling decorrelate the trees; predictions average.
 Trees are independent, so :meth:`RandomForestRegressor.fit` fits
-contiguous chunks of them on the shared runtime's worker pool.
+contiguous chunks of them on the shared runtime's worker pool, one chunk
+per worker of the runtime's count.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ml.base import Regressor, check_xy
+from repro.ml.base import Regressor
 from repro.ml.trees import DecisionTreeRegressor
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
@@ -37,32 +38,19 @@ class RandomForestRegressor(Regressor):
         self.max_features = max_features
         self.rng = rng
 
-    def fit(self, X, y, workers: Optional[int] = None):
-        """Fit the trees on up to ``workers`` processes.
+    def _fit(self, X, y):
+        """Fit the trees in chunks, one per worker.
 
-        ``None`` takes :func:`~repro.core.runtime.default_workers`.
-        Every tree draws from its own child generator, spawned here in
-        tree order, so the fitted forest is byte-identical for any
-        ``workers``; the count is not stored on the model.
+        The chunk count is the runtime's worker count
+        (:func:`~repro.core.runtime.default_workers`).  Every tree draws
+        from its own child generator, spawned here in tree order, so the
+        fitted forest is byte-identical for any count; the count is not
+        stored on the model.
         """
-        X, y = check_xy(X, y)
-        self._n_features = X.shape[1]
-        self._fit(X, y, workers)
-        return self
+        from repro.core.runtime import default_workers, get_runtime
 
-    def _fit(self, X, y, workers: Optional[int] = None):
-        from repro.core.runtime import (
-            default_workers,
-            get_runtime,
-            validate_workers,
-        )
-
-        if workers is None:
-            workers = default_workers()
-        else:
-            workers = validate_workers(workers)
         rngs = spawn_rngs(ensure_rng(self.rng), self.n_estimators)
-        n_chunks = min(workers or 1, len(rngs))
+        n_chunks = min(default_workers() or 1, len(rngs))
         step = -(-len(rngs) // n_chunks)
         params = {
             "max_depth": self.max_depth,
@@ -77,7 +65,6 @@ class RandomForestRegressor(Regressor):
             _fit_trees,
             chunks,
             context=(X, y),
-            workers=len(chunks),
             label="forest-fit",
         )
         self._trees = [tree for part in parts for tree in part]

@@ -23,7 +23,6 @@ from repro.search.portfolio import (
     IslandReport,
     PortfolioResult,
     PortfolioRunner,
-    analyze_front,
 )
 from repro.search.strategies import (
     STRATEGIES,
@@ -50,6 +49,5 @@ __all__ = [
     "RandomStrategy",
     "STRATEGIES",
     "SearchStrategy",
-    "analyze_front",
     "make_strategy",
 ]

@@ -11,11 +11,12 @@ merged through one vectorised
 front migrates back into the islands for the next round — the hill
 climbers restart from it, NSGA-II injects it into its population.
 
-Islands are independent, so a round executes them across worker
-processes (``workers``, defaulting to the ``REPRO_WORKERS``
-convention); each island owns a spawned RNG whose state is carried
-between rounds, which makes the result **bit-identical for any
-``workers`` setting** and lets a checkpoint freeze the whole search.
+Islands are independent, so a round executes them across the shared
+runtime's worker processes (as many as
+:func:`repro.core.runtime.default_workers` resolves); each island owns
+a spawned RNG whose state is carried between rounds, which makes the
+result **bit-identical for any worker count** and lets a checkpoint
+freeze the whole search.
 
 Checkpoints: with a ``store``, every completed round writes a ``search``
 artifact (merged front, per-island RNG + strategy state, spend) and a
@@ -33,8 +34,6 @@ import numpy as np
 
 from repro.core.budget import EvaluationBudget
 from repro.core.configuration import Configuration, ConfigurationSpace
-from repro.core.dse import DSEResult
-from repro.core.runtime import default_workers, validate_workers
 from repro.core.modeling import EstimationModel
 from repro.core.pareto import ParetoArchive
 from repro.errors import DSEError, StoreError
@@ -85,57 +84,6 @@ class PortfolioResult:
     def __len__(self) -> int:
         return len(self.configs)
 
-    def as_dse_result(self) -> DSEResult:
-        """View the merged front as a plain :class:`DSEResult`."""
-        return DSEResult(
-            configs=list(self.configs),
-            points=self.points.copy(),
-            evaluations=self.evaluations,
-            inserts=sum(r.inserts for r in self.islands),
-            restarts=sum(r.restarts for r in self.islands),
-        )
-
-
-def analyze_front(
-    result: "PortfolioResult",
-    space: ConfigurationSpace,
-    engine,
-    workers: Optional[int] = None,
-) -> List[Dict]:
-    """Exact analysis of a merged front in one batched engine pass.
-
-    Search fronts carry *model-estimated* objectives; before acting on
-    one (writing a report, picking a deployment point) the front should
-    be re-measured with the real evaluation path.  This helper funnels
-    every front configuration through a single
-    :meth:`~repro.core.engine.EvaluationEngine.evaluate_many` call — so
-    the whole front rides one configuration-axis batched pass instead
-    of a per-config loop — and returns, per configuration, the model
-    estimates next to the measured values:
-
-    ``[{"config", "estimated_qor", "estimated_cost", "qor", "area",
-    "delay", "power"}, ...]`` in front order.
-    """
-    if len(result.configs) != result.points.shape[0]:
-        raise DSEError("front configs and points are out of sync")
-    measured = engine.evaluate_many(
-        space, result.configs, workers=workers
-    )
-    return [
-        {
-            "config": tuple(int(g) for g in config),
-            "estimated_qor": float(result.points[i, 0]),
-            "estimated_cost": float(result.points[i, 1]),
-            "qor": real.qor,
-            "area": real.area,
-            "delay": real.delay,
-            "power": real.power,
-        }
-        for i, (config, real) in enumerate(
-            zip(result.configs, measured)
-        )
-    ]
-
 
 def _split_evenly(total: int, parts: int) -> List[int]:
     """Split ``total`` into ``parts`` integers differing by at most 1."""
@@ -181,9 +129,7 @@ class PortfolioRunner:
 
     ``strategies`` accepts :class:`SearchStrategy` objects or spec
     strings (``"hill"``, ``"nsga2:population_size=24"``, ...); one
-    island per entry.  ``workers`` bounds the process count per round
-    (``None`` falls back to ``REPRO_WORKERS``, then every usable
-    core); results do not depend on it.
+    island per entry.
     """
 
     def __init__(
@@ -196,7 +142,6 @@ class PortfolioRunner:
         ),
         rounds: int = 2,
         seed: int = 0,
-        workers: Optional[int] = None,
         store=None,
         label: str = "portfolio",
         run_params: Optional[Dict] = None,
@@ -214,10 +159,6 @@ class PortfolioRunner:
         ]
         self.rounds = rounds
         self.seed = seed
-        if workers is None:
-            self.workers = default_workers()
-        else:
-            self.workers = validate_workers(workers)
         self.store = store
         self.label = label
         self.run_params = dict(run_params or {})
@@ -527,6 +468,5 @@ class PortfolioRunner:
             _run_island,
             tasks,
             context=context,
-            workers=min(self.workers or 1, len(tasks)),
             label="portfolio-islands",
         )

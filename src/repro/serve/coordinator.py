@@ -30,9 +30,10 @@ synchronous evaluation stack.  Its contract:
 
 Job execution runs on a single worker thread by default
 (``parallel_jobs=1``): passes serialise, and the parallelism lives
-*inside* a pass (``REPRO_WORKERS`` / ``--workers`` fan out the real
-evaluations).  All job-state mutation is marshalled back onto the
-event-loop thread.
+*inside* a pass (the runtime's worker count, ``--workers`` /
+``REPRO_WORKERS``, fans out the real evaluations).  Concurrent passes
+(``parallel_jobs > 1``) share the runtime's one fixed-size pool.  All
+job-state mutation is marshalled back onto the event-loop thread.
 """
 
 from __future__ import annotations
@@ -69,13 +70,11 @@ class Coordinator:
     def __init__(
         self,
         store=None,
-        workers: Optional[int] = None,
         parallel_jobs: int = 1,
     ):
         if parallel_jobs < 1:
             raise ValueError("parallel_jobs must be >= 1")
         self.store = store
-        self.workers = workers
         self.board = JobBoard()
         self._executor = ThreadPoolExecutor(
             max_workers=parallel_jobs, thread_name_prefix="serve-job"
@@ -206,7 +205,6 @@ class Coordinator:
                 train=request.train,
                 evals=request.evals,
                 seed=request.seed,
-                workers=self.workers,
                 store=self.store,
             )
         return job_result_doc(request, setup, result)

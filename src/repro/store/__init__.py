@@ -61,7 +61,6 @@ from repro.store.hashing import (
     content_hash,
     images_fingerprint,
     library_fingerprint,
-    space_fingerprint,
 )
 from repro.store.ledger import MANIFEST_VERSION, RunLedger
 from repro.store.synth_cache import (
@@ -90,6 +89,5 @@ __all__ = [
     "open_store",
     "parse_store_uri",
     "require_store",
-    "space_fingerprint",
     "synth_cache_for",
 ]

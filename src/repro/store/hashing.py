@@ -8,8 +8,7 @@ equal inputs hash identically across processes, platforms and runs.
 
 The fingerprint helpers describe the domain objects whose identity
 matters for cache keys: accelerators (their full dataflow graph),
-component libraries, benchmark-image sets and reduced configuration
-spaces.
+component libraries and benchmark-image sets.
 """
 
 from __future__ import annotations
@@ -114,12 +113,3 @@ def library_fingerprint(library: ComponentLibrary) -> Dict:
 def images_fingerprint(images: Sequence[np.ndarray]) -> List:
     """Identity of a benchmark-image set (order matters)."""
     return [_canonize(np.asarray(img)) for img in images]
-
-
-def space_fingerprint(payload: Dict) -> Dict:
-    """Identity of a reduced configuration space (its store payload)."""
-    return {
-        "slots": payload["slots"],
-        "choices": payload["choices"],
-        "wmeds": payload["wmeds"],
-    }

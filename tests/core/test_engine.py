@@ -109,13 +109,13 @@ class TestEvaluateMany:
         assert engine.synth_misses == 2 and engine.synth_hits == 0
 
     def test_parallel_matches_serial(self, sobel, small_images,
-                                     sobel_space):
+                                     sobel_space, monkeypatch):
         engine = EvaluationEngine(sobel, small_images)
         configs = sobel_space.random_configurations(4, rng=8)
-        serial = engine.evaluate_many(sobel_space, configs, workers=1)
-        parallel = engine.evaluate_many(
-            sobel_space, configs, workers=2
-        )
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        serial = engine.evaluate_many(sobel_space, configs)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        parallel = engine.evaluate_many(sobel_space, configs)
         assert serial == parallel
 
     def test_parallel_merges_worker_memo(self, fixed_gf, small_images,
@@ -127,12 +127,13 @@ class TestEvaluateMany:
         from repro.synthesis.synthesizer import synthesis_run_count
 
         monkeypatch.setattr(rt, "usable_cores", lambda: 2)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         rt.reset_runtime()
         try:
             engine = EvaluationEngine(fixed_gf, small_images)
             configs = gf_space.random_configurations(3, rng=10)
             runs_before = synthesis_run_count()
-            engine.evaluate_many(gf_space, configs, workers=2)
+            engine.evaluate_many(gf_space, configs)
             # Every unique configuration reached the parent memo: all
             # chunks ran in workers (no synthesis in this process), and
             # their synthesis reports were adopted on merge, along with

@@ -4,9 +4,9 @@ The property layer (``tests/accelerators/test_property_config_batch``)
 pins ``GraphProgram.execute_batch`` against random graphs; this module
 pins everything the engine stacks on top of it:
 
-* ``evaluate_many`` takes one route for every space — the pool with
-  ``workers >= 2``, the per-configuration loop otherwise, never the
-  batched pass — and every route is byte-identical to the direct
+* ``evaluate_many`` takes one route for every space — the pool with a
+  worker count of 2 or more, the per-configuration loop otherwise,
+  never the batched pass — and every route is byte-identical to the direct
   per-configuration ``evaluate`` loop;
 * config-axis tiling never changes a byte of the output;
 * ``BatchedSsim.batch`` rows are bit-identical to per-slice calls;
@@ -62,7 +62,7 @@ class TestEvaluateManyModes:
         monkeypatch, fresh_runtime,
     ):
         """The selection rule: any space takes the pool route with
-        ``workers=2`` and the loop with ``workers=1``; a LUT-capable
+        ``REPRO_WORKERS=2`` and the loop with ``1``; a LUT-capable
         space no longer reaches the batched pass; all match the direct
         reference."""
         metrics = get_metrics()
@@ -83,8 +83,9 @@ class TestEvaluateManyModes:
         )
         before = metrics.counter("engine.config_batches")
         for workers in (1, 2):
+            monkeypatch.setenv("REPRO_WORKERS", str(workers))
             results = EvaluationEngine(sobel, small_images).evaluate_many(
-                sobel_space, configs, workers=workers
+                sobel_space, configs
             )
             assert as_bytes(results) == reference
         assert metrics.counter("engine.config_batches") == before
@@ -97,7 +98,7 @@ class TestEvaluateManyModes:
         )
         before = metrics.counter("engine.config_batches")
         pooled = EvaluationEngine(fixed_gf, small_images).evaluate_many(
-            gf_space, configs, workers=2
+            gf_space, configs
         )
         assert routed == [sobel_space, gf_space]
         assert fresh_runtime.stats["parallel_batches"] == 2

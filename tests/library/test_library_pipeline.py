@@ -73,22 +73,24 @@ def reference():
 
 class TestWorkerEquivalence:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_identical_for_any_worker_count(self, workers, reference):
-        result = build_library(PLAN, workers=workers, chunk_size=8)
+    def test_identical_for_any_worker_count(self, workers, reference,
+                                            monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", str(workers))
+        result = build_library(PLAN, chunk_size=8)
         assert payload_text(result.library) == reference
 
-    def test_identical_for_any_chunk_size(self, reference):
+    def test_identical_for_any_chunk_size(self, reference, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         for chunk_size in (1, 5, 64):
-            result = build_library(
-                PLAN, workers=2, chunk_size=chunk_size
-            )
+            result = build_library(PLAN, chunk_size=chunk_size)
             assert payload_text(result.library) == reference
 
     def test_generate_library_is_the_pipeline(self, reference):
         assert payload_text(generate_library(PLAN)) == reference
 
-    def test_stats_without_store(self):
-        result = build_library(PLAN, workers=1)
+    def test_stats_without_store(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        result = build_library(PLAN)
         assert result.stats.components == PLAN.total()
         assert result.stats.characterized == PLAN.total()
         assert result.stats.synthesized == PLAN.total()
@@ -101,14 +103,17 @@ class TestWorkerEquivalence:
 
 class TestStoreMemoisation:
     def test_warm_rebuild_is_free_and_identical(self, tmp_path,
-                                                reference):
+                                                reference, monkeypatch):
         store = ArtifactStore(tmp_path / "store")
-        cold = build_library(PLAN, workers=2, store=store)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        cold = build_library(PLAN, store=store)
         assert cold.stats.characterized == PLAN.total()
 
         chars_before = characterization_count()
         synth_before = synthesis_run_count()
-        warm = build_library(PLAN, workers=1, store=store)
+        # In-process, so the counters above see any work it does.
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        warm = build_library(PLAN, store=store)
         assert warm.stats.store_hits == PLAN.total()
         assert warm.stats.characterized == 0
         assert warm.stats.synthesized == 0
@@ -269,6 +274,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="chunk_size"):
             build_library(PLAN, chunk_size=0)
 
-    def test_bad_workers(self):
-        with pytest.raises(ValueError, match="worker count"):
-            build_library(PLAN, workers="many")
+    def test_bad_workers(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "many")
+        with pytest.raises(ValueError, match="REPRO_WORKERS"):
+            build_library(PLAN)

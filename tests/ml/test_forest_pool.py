@@ -49,6 +49,12 @@ def _forest(seed, n_estimators):
     )
 
 
+def _fit(forest, X, y, monkeypatch, workers):
+    """Fit ``forest`` with the process-wide worker count at ``workers``."""
+    monkeypatch.setenv("REPRO_WORKERS", str(workers))
+    return forest.fit(X, y)
+
+
 def _tree_bytes(forest):
     return [pickle.dumps(tree) for tree in forest._trees]
 
@@ -65,12 +71,15 @@ SHAPES = [(1, 2), (2, 3), (3, 2), (5, 3), (8, 2), (25, 4)]
 
 
 @pytest.mark.parametrize("n_estimators,workers", SHAPES)
-def test_pooled_fit_matches_in_process(n_estimators, workers, pool):
+def test_pooled_fit_matches_in_process(n_estimators, workers, pool,
+                                       monkeypatch):
     for seed in range(12):
         X, y, queries = _case(seed)
-        serial = _forest(seed, n_estimators).fit(X, y, workers=1)
+        serial = _fit(_forest(seed, n_estimators), X, y, monkeypatch, 1)
         before = pool.stats["parallel_batches"]
-        pooled = _forest(seed, n_estimators).fit(X, y, workers=workers)
+        pooled = _fit(
+            _forest(seed, n_estimators), X, y, monkeypatch, workers
+        )
         fanned = pool.stats["parallel_batches"] - before
         assert fanned == (1 if n_estimators > 1 else 0), seed
         assert len(pooled._trees) == n_estimators
@@ -84,24 +93,24 @@ def test_pooled_fit_matches_in_process(n_estimators, workers, pool):
         ), seed
 
 
-def test_shared_memory_context_matches_in_process(pool):
+def test_shared_memory_context_matches_in_process(pool, monkeypatch):
     """A training set large enough to travel through shared memory."""
     rng = np.random.default_rng(5)
     X = rng.normal(size=(400, 6))
     y = X @ rng.normal(size=6) + rng.normal(size=400)
     assert X.nbytes >= rt.MIN_SHARED_ARRAY_BYTES
-    serial = _forest(1, 6).fit(X, y, workers=1)
-    pooled = _forest(1, 6).fit(X, y, workers=2)
+    serial = _fit(_forest(1, 6), X, y, monkeypatch, 1)
+    pooled = _fit(_forest(1, 6), X, y, monkeypatch, 2)
     assert pool.stats["segments_created"] > 0
     assert _tree_bytes(pooled) == _tree_bytes(serial)
     assert pooled.predict(X).tobytes() == serial.predict(X).tobytes()
 
 
 def test_default_workers_fan_out(pool, monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
     X, y, queries = _case(4)
-    serial = _forest(4, 6).fit(X, y, workers=1)
+    serial = _fit(_forest(4, 6), X, y, monkeypatch, 1)
     assert pool.stats["parallel_batches"] == 0
+    monkeypatch.delenv("REPRO_WORKERS")
     default = _forest(4, 6).fit(X, y)
     assert pool.stats["parallel_batches"] == 1
     assert _tree_bytes(default) == _tree_bytes(serial)

@@ -14,13 +14,13 @@ def store(tmp_path):
     return ArtifactStore(tmp_path / "store")
 
 
-def _run(space, models, *, workers=None, store=None, rounds=2,
+def _run(space, models, *, store=None, rounds=2,
          strategies=("hill", "nsga2:population_size=12", "random"),
          budget=500, seed=11, resume_from=None):
     qor, hw = models
     return PortfolioRunner(
         space, qor, hw, strategies=strategies, rounds=rounds,
-        seed=seed, workers=workers, store=store,
+        seed=seed, store=store,
     ).run(budget, resume_from=resume_from)
 
 
@@ -41,9 +41,12 @@ class TestPortfolioRun:
         assert result.evaluations == 437
         assert sum(r.evaluations for r in result.islands) == 437
 
-    def test_bit_identical_across_workers(self, sobel_space, models):
-        serial = _run(sobel_space, models, workers=None)
-        parallel = _run(sobel_space, models, workers=3)
+    def test_bit_identical_across_workers(self, sobel_space, models,
+                                          monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        serial = _run(sobel_space, models)
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        parallel = _run(sobel_space, models)
         assert serial.configs == parallel.configs
         assert np.array_equal(serial.points, parallel.points)
         assert serial.evaluations == parallel.evaluations
@@ -81,7 +84,7 @@ class TestCheckpointResume:
         assert len(payload["front"]["configs"]) == len(result)
 
     def test_interrupted_run_resumes_bit_identical(
-        self, sobel_space, models, store
+        self, sobel_space, models, store, monkeypatch
     ):
         """Kill the search after round 0; resume must reconverge exactly."""
 
@@ -100,13 +103,16 @@ class TestCheckpointResume:
         )
 
         qor, hw = models
-        # workers=1: the test-local strategy class cannot be pickled
+        # In-process: the test-local strategy class cannot be pickled
         # into pool workers.
-        with pytest.raises(RuntimeError, match="simulated crash"):
+        with monkeypatch.context() as m, pytest.raises(
+            RuntimeError, match="simulated crash"
+        ):
+            m.setenv("REPRO_WORKERS", "1")
             PortfolioRunner(
                 sobel_space, qor, hw,
                 strategies=(Exploding(), "random"), rounds=3,
-                seed=9, store=store, workers=1,
+                seed=9, store=store,
             ).run(450)
         partial = RunLedger(store.root).latest()
         assert partial["status"] == "partial"

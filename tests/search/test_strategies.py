@@ -75,12 +75,14 @@ class TestStrategyAccounting:
         assert result.evaluations <= budget
 
     def test_portfolio_evaluations_exact(self, sobel_space,
-                                         count_models):
+                                         count_models, monkeypatch):
+        # In-process, so the counting models count in this process.
+        monkeypatch.setenv("REPRO_WORKERS", "1")
         cq, ch = count_models()
         result = PortfolioRunner(
             sobel_space, cq, ch,
             strategies=("hill", "nsga2:population_size=12", "random"),
-            rounds=2, seed=5, workers=1,
+            rounds=2, seed=5,
         ).run(401)
         # The portfolio spends the requested budget to the last call
         # (strategies with quantised spends are topped up by random

@@ -105,17 +105,15 @@ class TestWarmRun:
 
     def test_workers_do_not_fragment_cache(self, sobel, tiny_library,
                                            small_images, fast_config,
-                                           store):
-        """Parallelism is excluded from cache identity."""
+                                           store, monkeypatch):
+        """The worker count is excluded from cache identity."""
+        monkeypatch.setenv("REPRO_WORKERS", "2")
         _pipeline(
             sobel, tiny_library, small_images, fast_config, store
         ).run()
-        with_workers = AutoAxConfig(
-            n_train=16, n_test=8, engines=("K-Neighbors",),
-            max_evaluations=300, seed=3, workers=1,
-        )
+        monkeypatch.setenv("REPRO_WORKERS", "1")
         warm = _pipeline(
-            sobel, tiny_library, small_images, with_workers, store
+            sobel, tiny_library, small_images, fast_config, store
         ).run()
         assert set(warm.stage_cache.values()) == {"hit"}
 

@@ -72,7 +72,7 @@ def test_crash_before_commit_leaves_adoptable_orphans(tmp_path,
     assert len(store.entries("dse")) == len(items)
 
 
-def test_library_build_counts_each_component_put(tmp_path):
+def test_library_build_counts_each_component_put(tmp_path, monkeypatch):
     plan = GenerationPlan(
         {("add", 8): 5, ("sub", 12): 4}, seed=0, sample_size=1 << 10
     )
@@ -80,8 +80,8 @@ def test_library_build_counts_each_component_put(tmp_path):
     metrics = get_metrics()
     puts = metrics.counter("store.puts")
     written = metrics.counter("store.bytes_written")
-    build_library(plan, workers=1, store=store, record_run=False,
-                  chunk_size=4)
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    build_library(plan, store=store, record_run=False, chunk_size=4)
     entries = store.entries(COMPONENT_KIND)
     assert len(entries) == plan.total()
     assert metrics.counter("store.puts") - puts == plan.total()

@@ -79,14 +79,14 @@ class TestEngineSynthCache:
 
 class TestParallelEvaluateWithStore:
     def test_evaluate_many_workers_with_store_cache(
-        self, tmp_path, sobel_space, small_images
+        self, tmp_path, sobel_space, small_images, monkeypatch
     ):
         """Fork workers write reports into the store without tearing."""
         engine = _engine(small_images, _cache(tmp_path))
         configs = sobel_space.random_configurations(6, rng=1)
-        parallel = engine.evaluate_many(
-            sobel_space, configs, workers=2
-        )
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        parallel = engine.evaluate_many(sobel_space, configs)
+        monkeypatch.setenv("REPRO_WORKERS", "1")
         serial_engine = _engine(small_images, _cache(tmp_path))
         serial = serial_engine.evaluate_many(sobel_space, configs)
         assert parallel == serial

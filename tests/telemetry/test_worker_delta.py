@@ -45,6 +45,7 @@ def _metric_task(context, n):
 def test_worker_metrics_aggregate(start_method, fresh_runtime,
                                   monkeypatch):
     monkeypatch.setattr(rt, "usable_cores", lambda: 2)
+    monkeypatch.setenv("REPRO_WORKERS", "2")
     monkeypatch.setenv("REPRO_START_METHOD", start_method)
     tasks = list(range(8))
     metrics = get_metrics()
@@ -53,7 +54,7 @@ def test_worker_metrics_aggregate(start_method, fresh_runtime,
         "wd.values", {"count": 0, "sum": 0.0}
     )
 
-    out = fresh_runtime.map(_metric_task, tasks, workers=2)
+    out = fresh_runtime.map(_metric_task, tasks)
 
     assert out == [n * n for n in tasks]
     assert fresh_runtime.stats["parallel_batches"] == 1
@@ -68,8 +69,9 @@ def test_worker_metrics_aggregate(start_method, fresh_runtime,
 def test_worker_spans_stitch_under_batch(fresh_runtime, tracer,
                                          monkeypatch):
     monkeypatch.setattr(rt, "usable_cores", lambda: 2)
+    monkeypatch.setenv("REPRO_WORKERS", "2")
     tasks = list(range(6))
-    out = fresh_runtime.map(_metric_task, tasks, workers=2)
+    out = fresh_runtime.map(_metric_task, tasks)
     assert out == [n * n for n in tasks]
 
     events = tracer.events()
@@ -87,13 +89,14 @@ def test_results_identical_with_and_without_telemetry(
     fresh_runtime, monkeypatch
 ):
     monkeypatch.setattr(rt, "usable_cores", lambda: 2)
+    monkeypatch.setenv("REPRO_WORKERS", "2")
     tasks = list(range(10))
-    plain = fresh_runtime.map(_metric_task, tasks, workers=2)
+    plain = fresh_runtime.map(_metric_task, tasks)
 
     reset_runtime()
     tracer = install_tracer(Tracer())
     try:
-        traced = get_runtime().map(_metric_task, tasks, workers=2)
+        traced = get_runtime().map(_metric_task, tasks)
     finally:
         uninstall_tracer()
     assert pickle.dumps(traced) == pickle.dumps(plain)

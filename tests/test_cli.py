@@ -55,21 +55,24 @@ class TestParser:
         args = build_parser().parse_args(["run", "--workers", "1"])
         assert args.workers == 1
 
-    def test_explicit_workers_one_overrides_env(self, monkeypatch):
-        from repro.core.engine import EvaluationEngine
-        from repro.imaging.datasets import benchmark_images
-        from repro.accelerators.sobel import SobelEdgeDetector
+    def test_explicit_workers_one_overrides_env(self, tmp_path,
+                                                monkeypatch, capsys):
+        from repro.core import runtime as rt
 
         monkeypatch.setenv("REPRO_WORKERS", "8")
-        engine = EvaluationEngine(
-            SobelEdgeDetector(),
-            benchmark_images(1, shape=(8, 8)),
-            workers=1,
-        )
-        assert engine.workers is None  # in-process, env ignored
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
+        runtime = rt.get_runtime()
+        before = runtime.stats["parallel_batches"]
+        assert main(["generate-library", "--scale", "0.0005",
+                     "--workers", "1", "--no-store",
+                     "--out", str(tmp_path / "lib.json")]) == 0
+        capsys.readouterr()
+        # in-process, env ignored
+        assert runtime.stats["parallel_batches"] == before
 
     def test_workers_reach_library_build(self, tmp_path, monkeypatch):
         import repro.library.pipeline as library_pipeline
+        from repro.core import runtime as rt
 
         class Built(Exception):
             pass
@@ -77,9 +80,10 @@ class TestParser:
         seen = {}
 
         def fake_build_library(plan, **kwargs):
-            seen.update(kwargs)
+            seen["workers"] = rt.default_workers()
             raise Built  # the library build is all this test needs
 
+        monkeypatch.setenv("REPRO_WORKERS", "1")
         monkeypatch.setattr(
             library_pipeline, "build_library", fake_build_library
         )
@@ -587,28 +591,59 @@ class TestErrorExit:
 
 
 class TestDefaultWorkers:
-    """With no ``--workers`` and no ``REPRO_WORKERS``, a run uses every
-    usable core: the library build, ``evaluate_many`` and the forest
-    fit all fan out.  ``--workers 1`` keeps every batch in-process and
-    yields the same front."""
+    """With no ``--workers`` and no ``REPRO_WORKERS``, every command that
+    takes ``--workers`` uses every usable core: its batches fan out.
+    ``--workers 1`` keeps every batch in-process (each batch sees the
+    flag's count) and writes the same output."""
 
     RUN = [
         "run", "--accelerator", "sobel", "--scale", "0.001",
         "--images", "1", "--train", "12", "--evals", "150",
     ]
     FANNED = {"library-build", "evaluate_many", "forest-fit"}
+    SEARCH = [
+        "search", "--workload", "sobel", "--scale", "0.001",
+        "--images", "1", "--train", "12", "--test", "6",
+        "--budget", "150", "--rounds", "1", "--json",
+    ]
 
-    def _run(self, tmp_path, label, extra=()):
+    @pytest.fixture()
+    def two_cores(self, monkeypatch):
+        """Two usable cores, no count from the environment, and a spy
+        recording the worker count the runtime sees at every batch."""
         from repro.core import runtime as rt
 
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
+        seen = []
+        pool_size = rt.ParallelRuntime._pool_size
+
+        def spy(runtime, *args):
+            seen.append(rt.default_workers())
+            return pool_size(runtime, *args)
+
+        monkeypatch.setattr(rt.ParallelRuntime, "_pool_size", spy)
+        rt.reset_runtime()
+        yield seen
+        rt.reset_runtime()
+
+    @staticmethod
+    def _batches(argv):
+        """Run ``argv``; return the parallel batches it ran."""
+        from repro.core import runtime as rt
+
+        before = rt.get_runtime().stats["parallel_batches"]
+        assert main(argv) == 0
+        return rt.get_runtime().stats["parallel_batches"] - before
+
+    def _run(self, tmp_path, label, extra=()):
         trace = tmp_path / f"{label}.json"
         front = tmp_path / f"{label}.csv"
-        before = rt.get_runtime().stats["parallel_batches"]
-        assert main(self.RUN + [
+        batches = self._batches(self.RUN + [
             "--store", str(tmp_path / f"store-{label}"),
             "--trace", str(trace), "--out", str(front), *extra,
-        ]) == 0
-        batches = rt.get_runtime().stats["parallel_batches"] - before
+        ])
         events = json.loads(trace.read_text())["traceEvents"]
         by_id = {e["args"]["span_id"]: e for e in events}
         pooled = {
@@ -618,27 +653,85 @@ class TestDefaultWorkers:
         return front.read_bytes(), batches, pooled
 
     def test_default_fans_out_and_workers_one_stays_in_process(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, two_cores, capsys
     ):
-        from repro.core import runtime as rt
-
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_PARALLEL", raising=False)
-        monkeypatch.setattr(rt, "usable_cores", lambda: 2)
-        rt.reset_runtime()
-        try:
-            front, batches, pooled = self._run(tmp_path, "default")
-            serial_front, serial_batches, serial_pooled = self._run(
-                tmp_path, "w1", ["--workers", "1"]
-            )
-        finally:
-            rt.reset_runtime()
+        front, batches, pooled = self._run(tmp_path, "default")
+        assert set(two_cores) == {2}
+        two_cores.clear()
+        serial_front, serial_batches, serial_pooled = self._run(
+            tmp_path, "w1", ["--workers", "1"]
+        )
         capsys.readouterr()
         assert self.FANNED <= pooled
         assert batches >= len(self.FANNED)
         assert serial_pooled == set()
         assert serial_batches == 0
+        assert set(two_cores) == {None}
         assert serial_front == front
+
+    def _generate_library(self, tmp_path, label, extra, capsys):
+        out = tmp_path / f"{label}.json"
+        batches = self._batches([
+            "generate-library", "--scale", "0.001", "--no-store",
+            "--out", str(out), *extra,
+        ])
+        capsys.readouterr()
+        return batches, out.read_bytes()
+
+    def _workloads_run(self, tmp_path, label, extra, capsys):
+        out = tmp_path / f"{label}.csv"
+        batches = self._batches([
+            "workloads", "run", "sobel", "--scale", "0.001",
+            "--images", "1", "--train", "12", "--evals", "150",
+            "--store", str(tmp_path / f"store-{label}"),
+            "--out", str(out), *extra,
+        ])
+        capsys.readouterr()
+        return batches, out.read_bytes()
+
+    def _search(self, tmp_path, label, extra, capsys):
+        batches = self._batches(self.SEARCH + [
+            "--store", str(tmp_path / f"store-{label}"), *extra,
+        ])
+        return batches, json.loads(capsys.readouterr().out)["search"][
+            "front"
+        ]
+
+    def _runs_resume(self, tmp_path, label, extra, capsys):
+        store = str(tmp_path / f"store-{label}")
+        # The recorded search runs in-process; the resume is what counts.
+        assert main(self.SEARCH + ["--store", store, "--workers", "1"]) == 0
+        run_id = json.loads(capsys.readouterr().out)["search"]["run_id"]
+        batches = self._batches([
+            "runs", "resume", run_id, "--store-dir", store, "--json",
+            *extra,
+        ])
+        return batches, json.loads(capsys.readouterr().out)["search"][
+            "front"
+        ]
+
+    @pytest.mark.parametrize(
+        "command",
+        ["generate-library", "workloads-run", "search", "runs-resume"],
+    )
+    def test_every_workers_command_follows_the_flag(
+        self, command, tmp_path, two_cores, capsys
+    ):
+        drive = getattr(self, "_" + command.replace("-", "_"))
+        batches, output = drive(tmp_path, "default", (), capsys)
+        assert batches > 0
+        assert set(two_cores) >= {2}
+        two_cores.clear()
+        serial_batches, serial_output = drive(
+            tmp_path, "w1", ("--workers", "1"), capsys
+        )
+        assert serial_batches == 0
+        assert set(two_cores) == {None}
+        assert serial_output == output
+        # the flag held for its command only
+        from repro.core.runtime import default_workers
+
+        assert default_workers() == 2
 
 
 class TestJsonStdoutPurity:
