@@ -1,11 +1,10 @@
 """Shared infrastructure of the paper benchmarks.
 
 Every benchmark regenerates one table or figure of the paper (plus the
-NSGA-II extension, the ablations and the portfolio-search contest).
-Timing of the pipeline as a whole lives in ``e2ebench/``.  The
-experiment setup (characterised library + benchmark images) is built once
-per session and cached on disk; results are printed and archived under
-``results/``.
+NSGA-II extension and the ablations).  Timing of the pipeline as a whole
+lives in ``e2ebench/``.  The experiment setup (characterised library +
+benchmark images) is built once per session and cached on disk; results
+are printed and archived under ``results/``.
 
 Environment knobs:
 
@@ -17,16 +16,16 @@ Environment knobs:
 * ``REPRO_STORE_DIR``   — persistent experiment-store root (library
                           cache, stage artifacts, run ledger; default
                           ``.repro-store``); blank values are rejected.
-* ``REPRO_WORKERS``     — worker processes for real evaluation (default:
-                          in-process; picked up by the evaluation engine).
+* ``REPRO_WORKERS``     — worker processes for every parallel stage
+                          (default: every usable core; values <= 1 run
+                          in-process).
 """
 
 from __future__ import annotations
 
 import os
-import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.experiments.setup import (
     DEFAULT_SHAPE,
@@ -34,7 +33,6 @@ from repro.experiments.setup import (
     ExperimentSetup,
     default_setup,
 )
-from repro.telemetry import get_metrics
 
 __all__ = [
     "RESULTS_DIR",
@@ -42,9 +40,6 @@ __all__ = [
     "shared_setup",
     "sized",
     "write_result",
-    "timed",
-    "metrics_mark",
-    "bench_metrics",
 ]
 
 RESULTS_DIR = Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
@@ -81,45 +76,3 @@ def write_result(name: str, text: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print(f"\n===== {name} =====")
     print(text)
-
-
-class timed:
-    """Time one block on the monotonic clock, into the metrics registry.
-
-    ``with timed("cold") as t: ...`` leaves the elapsed wall seconds in
-    ``t.seconds`` and records the same value as a
-    ``bench.<name>_seconds`` histogram observation, so the telemetry
-    snapshot attached to the ``BENCH_search.json`` doc carries each
-    measured phase alongside the subsystem counters it triggered.
-    """
-
-    __slots__ = ("name", "seconds", "_start")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.seconds = 0.0
-
-    def __enter__(self) -> "timed":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.seconds = time.perf_counter() - self._start
-        get_metrics().observe(
-            f"bench.{self.name}_seconds", self.seconds
-        )
-
-
-def metrics_mark() -> Dict:
-    """Counter checkpoint; pass to :func:`bench_metrics` to diff."""
-    return get_metrics().mark()
-
-
-def bench_metrics(mark: Optional[Dict] = None) -> Dict:
-    """The telemetry ``metrics`` sub-object of a ``BENCH_search.json`` doc.
-
-    Counters are diffed against ``mark`` (when given) so the doc only
-    reports what the benchmark itself did; histograms are absolute.
-    """
-    return get_metrics().snapshot(since=mark)
-

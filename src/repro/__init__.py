@@ -21,8 +21,7 @@ Quick start::
 
 The public names below resolve on first access (PEP 562), so importing
 ``repro`` — or a submodule such as ``repro.cli`` — loads only what the
-caller uses; a warm ``repro run`` never imports the search portfolio or
-scipy.
+caller uses; a warm ``repro run`` never imports scipy.
 """
 
 import importlib
@@ -61,14 +60,8 @@ _EXPORTS = {
         "uniform_selection",
         "wmed",
     ),
+    "repro.core.budget": ("EvaluationBudget",),
     "repro.imaging": ("benchmark_images", "psnr", "ssim", "ssim_batch"),
-    "repro.search": (
-        "EvaluationBudget",
-        "PortfolioResult",
-        "PortfolioRunner",
-        "SearchStrategy",
-        "make_strategy",
-    ),
     "repro.library": (
         "ComponentLibrary",
         "ComponentRecord",
@@ -115,10 +108,6 @@ __all__ = [
     "uniform_selection",
     "exhaustive_search",
     "EvaluationBudget",
-    "PortfolioResult",
-    "PortfolioRunner",
-    "SearchStrategy",
-    "make_strategy",
     "reduce_library",
     "wmed",
     "pareto_front_indices",

@@ -15,15 +15,14 @@ Commands
 * ``workloads`` — ``list`` the registered workloads or ``run <name>``:
   the full pipeline on any registry entry, with a library generated (and
   cached) to cover exactly that workload's operation signatures.
-* ``search`` — budget-exact parallel portfolio design-space search:
-  strategy islands (hill climber, NSGA-II, random sampling, capped
-  exhaustive) over a workload's configuration space, with periodic
-  front merging and (with ``--store``) per-round checkpoints that
-  ``runs resume`` continues.
+* ``search`` — fit the estimation models for a workload, then run the
+  paper's hill climber (Algorithm 1) over its configuration space for
+  exactly ``--budget`` model evaluations and print the pseudo-Pareto
+  front; with ``--store`` the run is recorded in the ledger.
 * ``runs`` — the persistent experiment store's run ledger: ``list`` and
-  ``show`` recorded pipeline runs, ``resume`` one against the warm
-  store (including interrupted ``search`` runs), ``gc`` artifacts no
-  manifest references.
+  ``show`` recorded runs, ``resume`` one (``run``, ``workloads run`` or
+  ``search``) by re-executing its recorded params against the warm
+  store, ``gc`` artifacts no manifest references.
 * ``export-verilog`` — lower an accelerator with exact components and
   write structural Verilog.
 * ``serve`` — approximation-as-a-service: a stdlib HTTP server where
@@ -48,12 +47,13 @@ import argparse
 import contextlib
 import json
 import sys
+import time
 from typing import Dict, List, Optional
 
 from repro.accelerators.gaussian_fixed import FixedGaussianFilter
 from repro.accelerators.gaussian_generic import GenericGaussianFilter
 from repro.accelerators.sobel import SobelEdgeDetector
-from repro.telemetry import get_logger, setup_logging
+from repro.telemetry import get_logger, get_metrics, setup_logging
 from repro.utils.tabulate import format_table
 
 ACCELERATORS = {
@@ -527,23 +527,29 @@ def _run_search(
     train: int,
     test: int,
     budget: int,
-    strategies: List[str],
-    rounds: int,
     seed: int,
     engines: List[str],
     store,
-    resume_from: Optional[str] = None,
-):
-    """Fit estimation models for a workload and run the portfolio."""
+) -> Dict:
+    """Fit estimation models for a workload and run Algorithm 1.
+
+    The hill climber spends exactly ``budget`` model evaluations.  With
+    a ``store`` the run is recorded as a ``search`` ledger manifest
+    whose params ``runs resume`` re-executes.  Returns the ``--json``
+    document.
+    """
     from repro.accelerators.profiler import profile_accelerator
+    from repro.core.budget import EvaluationBudget
+    from repro.core.dse import heuristic_pareto_construction
     from repro.core.preprocessing import reduce_library
     from repro.experiments.setup import (
         build_workload_engine,
         fit_search_models,
         workload_setup,
     )
-    from repro.search import PortfolioRunner
 
+    metrics_mark = get_metrics().mark()
+    start = time.perf_counter()
     setup = workload_setup(
         workload, scale=scale, n_images=n_images, seed=seed, store=store,
     )
@@ -555,40 +561,21 @@ def _run_search(
     qor_model, hw_model = fit_search_models(
         space, engine, train, test, engines=engines, seed=seed,
     )
-    runner = PortfolioRunner(
-        space,
-        qor_model,
-        hw_model,
-        strategies=strategies,
-        rounds=rounds,
-        seed=seed,
-        store=store,
-        label=f"search:{workload}",
-        run_params={
-            "command": "search",
-            "workload": workload,
-            "scale": scale,
-            "images": n_images,
-            "train": train,
-            "test": test,
-            "budget": budget,
-            "strategies": list(strategies),
-            "rounds": rounds,
-            "seed": seed,
-            "engines": list(engines),
-        },
+    fit_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    result = heuristic_pareto_construction(
+        space, qor_model, hw_model, rng=seed,
+        budget=EvaluationBudget(budget),
     )
-    return runner.run(budget, resume_from=resume_from)
-
-
-def _search_doc(result, workload: str) -> Dict:
-    return {
+    dse_seconds = time.perf_counter() - start
+    doc = {
         "workload": workload,
-        "run_id": result.run_id,
-        "resumed_from": result.resumed_from,
+        "run_id": None,
+        "resumed_from": None,
         "evaluations": result.evaluations,
-        "max_evaluations": result.max_evaluations,
-        "rounds": result.rounds,
+        "max_evaluations": budget,
+        "inserts": result.inserts,
+        "restarts": result.restarts,
         "front_size": len(result),
         "front": {
             "configs": [list(c) for c in result.configs],
@@ -596,53 +583,58 @@ def _search_doc(result, workload: str) -> Dict:
                 [float(p[0]), float(p[1])] for p in result.points
             ],
         },
-        "islands": [
-            {
-                "round": r.round,
-                "island": r.island,
-                "strategy": r.strategy,
-                "evaluations": r.evaluations,
-                "front_size": r.front_size,
-                "seconds": round(r.seconds, 6),
-            }
-            for r in result.islands
-        ],
     }
+    if store is not None:
+        from repro.store import RunLedger, content_hash
 
-
-def _print_search_result(result, workload: str) -> None:
-    print(
-        f"portfolio search on {workload}: {result.evaluations} "
-        f"model evaluations (budget {result.max_evaluations}), "
-        f"{len(result)} front members"
-        + (f", run {result.run_id}" if result.run_id else "")
-    )
-    rows = [
-        [
-            r.round,
-            r.island,
-            r.strategy,
-            r.evaluations,
-            r.front_size,
-            f"{r.seconds:.3f}",
-        ]
-        for r in result.islands
-    ]
-    print(
-        format_table(
-            ["round", "island", "strategy", "evals", "front",
-             "seconds"],
-            rows,
+        params = {
+            "command": "search",
+            "workload": workload,
+            "scale": scale,
+            "images": n_images,
+            "train": train,
+            "test": test,
+            "budget": budget,
+            "seed": seed,
+            "engines": list(engines),
+        }
+        doc["run_id"] = RunLedger.new_run_id()
+        RunLedger(store).record(
+            doc["run_id"],
+            kind="search",
+            label=f"search:{workload}",
+            params=params,
+            config_hash=content_hash(params),
+            stages=[
+                {"name": "fit", "seconds": round(fit_seconds, 6),
+                 "cache": "miss"},
+                {"name": "dse", "seconds": round(dse_seconds, 6),
+                 "cache": "miss", "evaluations": result.evaluations},
+            ],
+            seed=seed,
+            extra={
+                "front_size": len(result),
+                "evaluations": result.evaluations,
+                "max_evaluations": budget,
+                "metrics": get_metrics().snapshot(since=metrics_mark),
+            },
         )
+    return doc
+
+
+def _print_search_result(doc: Dict) -> None:
+    print(
+        f"search on {doc['workload']}: {doc['evaluations']} "
+        f"model evaluations (budget {doc['max_evaluations']}), "
+        f"{doc['front_size']} front members, {doc['inserts']} "
+        f"inserts, {doc['restarts']} restarts"
+        + (f", run {doc['run_id']}" if doc["run_id"] else "")
     )
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
     from repro.ml.registry import default_engines
 
-    strategies = [
-        s.strip() for s in args.strategies.split(",") if s.strip()
-    ]
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
     known = default_engines()
     unknown = [e for e in engines if e not in known]
@@ -651,15 +643,18 @@ def _cmd_search(args: argparse.Namespace) -> int:
             f"unknown --engines {unknown}; known: {known}"
         )
         return 2
-    result = _run_search(
+    if args.budget < 1:
+        get_logger("search").error("--budget must be >= 1")
+        return 2
+    doc = _run_search(
         args.workload, args.scale, args.images, args.train,
-        args.test, args.budget, strategies, args.rounds, args.seed,
-        engines, _resolve_store(args.store),
+        args.test, args.budget, args.seed, engines,
+        _resolve_store(args.store),
     )
     if args.json:
-        _emit_json({"search": _search_doc(result, args.workload)})
+        _emit_json({"search": doc})
     else:
-        _print_search_result(result, args.workload)
+        _print_search_result(doc)
     return 0
 
 
@@ -809,20 +804,23 @@ def _cmd_runs_resume(args: argparse.Namespace) -> int:
         )
         label_key, label = "accelerator", params["accelerator"]
     elif command == "search":
-        result = _run_search(
+        if "strategies" in params:
+            raise StoreError(
+                f"run {args.run_id!r} is a portfolio search; the "
+                "portfolio runner is retired, so it cannot be resumed "
+                "(start a new 'repro search' instead)"
+            )
+        doc = _run_search(
             params["workload"], params.get("scale"), params["images"],
             params["train"], params["test"], params["budget"],
-            list(params["strategies"]), params["rounds"],
             params["seed"], list(params["engines"]), store,
-            resume_from=args.run_id,
         )
+        doc["resumed_from"] = args.run_id
         if args.json:
-            doc = _search_doc(result, params["workload"])
-            doc["resumed_from"] = args.run_id
             _emit_json({"search": doc})
         else:
-            print(f"resumed {args.run_id} -> {result.run_id}")
-            _print_search_result(result, params["workload"])
+            print(f"resumed {args.run_id} -> {doc['run_id']}")
+            _print_search_result(doc)
         return 0
     else:
         raise StoreError(
@@ -1024,20 +1022,12 @@ def build_parser() -> argparse.ArgumentParser:
     wl_run.add_argument("--out", help="CSV file for the final front")
 
     search = sub.add_parser(
-        "search", help="parallel portfolio design-space search"
+        "search", help="Algorithm 1 design-space search, exact budget"
     )
     search.add_argument("--workload", default="sobel",
                         help="workload name (see 'workloads list')")
     search.add_argument("--budget", type=int, default=2_000,
                         help="exact model-evaluation budget")
-    search.add_argument(
-        "--strategies", default="hill,nsga2,random",
-        help="comma-separated islands: hill, nsga2, random, "
-             "exhaustive (each may take args, e.g. "
-             "'nsga2:population_size=24')",
-    )
-    search.add_argument("--rounds", type=int, default=2,
-                        help="merge/migrate rounds")
     search.add_argument("--scale", type=float, default=None,
                         help="library scale (default: REPRO_SCALE)")
     search.add_argument("--images", type=int, default=2)

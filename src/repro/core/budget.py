@@ -12,15 +12,14 @@ construction:
   charged *before* the models run and refuses (raises
   :class:`~repro.errors.BudgetExceededError`) to go negative, so no code
   path can issue more model calls than the budget allows.
-* :class:`MeteredEstimator` is the only sanctioned way for a search
-  strategy to invoke the QoR/HW estimation models: every configuration
-  that reaches ``predict`` is charged exactly once (one *evaluation* =
-  one configuration estimated by both the QoR and the hardware model,
-  the paper's unit).
+* :class:`MeteredEstimator` is the only sanctioned way for a search to
+  invoke the QoR/HW estimation models: every configuration that reaches
+  ``predict`` is charged exactly once (one *evaluation* = one
+  configuration estimated by both the QoR and the hardware model, the
+  paper's unit).
 
-One budget can be shared by several strategies (the portfolio runner
-hands each island a slice); each strategy's own spend is the estimator's
-``count``.
+One budget can be shared by several searches; each search's own spend
+is its estimator's ``count``.
 """
 
 from __future__ import annotations
@@ -65,8 +64,8 @@ class EvaluationBudget:
         self._spent = 0
         self._lock = threading.Lock()
 
-    # Budgets travel inside worker-task payloads (portfolio islands);
-    # locks do not pickle, so rebuild one on the other side.
+    # Budgets may travel inside worker-task payloads; locks do not
+    # pickle, so rebuild one on the other side.
     def __getstate__(self):
         return {"total": self.total, "spent": self._spent}
 

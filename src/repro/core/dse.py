@@ -51,7 +51,6 @@ def heuristic_pareto_construction(
     rng: RngLike = 0,
     batch_size: int = 64,
     budget: Optional[EvaluationBudget] = None,
-    archive: Optional[ParetoArchive] = None,
 ) -> DSEResult:
     """Algorithm 1: hill climbing with a Pareto archive and restarts.
 
@@ -65,39 +64,32 @@ def heuristic_pareto_construction(
     number of configurations sent to the models and never exceeds
     ``max_evaluations``.
 
-    ``budget`` overrides ``max_evaluations`` with a shared
-    :class:`~repro.core.budget.EvaluationBudget` (portfolio islands
-    pass a slice of the global budget).  ``archive`` warm-starts the
-    search from an existing Pareto archive in *minimised* objective
-    space (``(-qor, cost)`` rows); the first parent is then drawn from
-    the archive instead of being sampled (and estimated) at random.
+    ``budget`` overrides ``max_evaluations`` with a caller-owned
+    :class:`~repro.core.budget.EvaluationBudget`; it must be finite,
+    because the climb only stops when the budget runs out.
     """
     if budget is None:
         if max_evaluations < 1:
             raise DSEError("max_evaluations must be >= 1")
         budget = EvaluationBudget(max_evaluations)
+    elif budget.total is None:
+        raise DSEError("hill climbing needs a finite evaluation budget")
     if stagnation_limit < 1:
         raise DSEError("stagnation_limit must be >= 1")
     gen = ensure_rng(rng)
-    if archive is None:
-        archive = ParetoArchive(n_objectives=2)
+    archive = ParetoArchive(n_objectives=2)
     estimator = MeteredEstimator(qor_model, hw_model, budget)
 
-    inserts = 0
+    if budget.grant(1) == 0:
+        raise DSEError(
+            "evaluation budget exhausted before the initial sample"
+        )
+    parent = space.random_configuration(gen)
+    est = estimator.estimate([parent])[0]
+    archive.insert((-est[0], est[1]), parent)
+    inserts = 1
     restarts = 0
     stagnation = 0
-    if len(archive):
-        members = archive.payloads
-        parent = members[int(gen.integers(0, len(members)))]
-    else:
-        if budget.grant(1) == 0:
-            raise DSEError(
-                "evaluation budget exhausted before the initial sample"
-            )
-        parent = space.random_configuration(gen)
-        est = estimator.estimate([parent])[0]
-        archive.insert((-est[0], est[1]), parent)
-        inserts = 1
 
     while True:
         # Adaptive batch ramp: a batch is discarded from the point of
@@ -205,27 +197,22 @@ def exhaustive_search(
     hw_model: EstimationModel,
     batch_size: int = 200_000,
     budget: Optional[EvaluationBudget] = None,
-    offset: int = 0,
 ) -> DSEResult:
     """Estimate *every* configuration; exact front of the estimated space.
 
     Only feasible for reduced/capped spaces — this is the "optimal
     Pareto" reference of Table 4.  With a ``budget`` the enumeration is
-    *capped*: it scans configurations in enumeration order starting at
-    ``offset`` (wrapping is the caller's concern) and stops when the
-    budget runs out, so the budget-limited variant is usable as a
-    portfolio island.
+    *capped*: it scans configurations in enumeration order and stops
+    when the budget runs out.
     """
     all_configs = space.enumerate_all()
     n = all_configs.shape[0]
     if budget is None:
         budget = EvaluationBudget(n)
-    if not 0 <= offset <= n:
-        raise DSEError(f"offset {offset} outside [0, {n}]")
     estimator = MeteredEstimator(qor_model, hw_model, budget)
     keep_configs: List[np.ndarray] = []
     keep_points: List[np.ndarray] = []
-    start = offset
+    start = 0
     while start < n:
         block_n = budget.grant(min(batch_size, n - start))
         if block_n == 0:

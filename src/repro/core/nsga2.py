@@ -13,12 +13,12 @@ algorithm: NSGA-II", IEEE TEC 2002.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.budget import EvaluationBudget, MeteredEstimator
-from repro.core.configuration import Configuration, ConfigurationSpace
+from repro.core.configuration import ConfigurationSpace
 from repro.core.dse import DSEResult
 from repro.core.modeling import EstimationModel
 from repro.core.pareto import pareto_front_indices
@@ -148,7 +148,6 @@ def nsga2_search(
     mutation_prob: float = 0.2,
     rng: RngLike = 0,
     budget: Optional[EvaluationBudget] = None,
-    seeds: Optional[Sequence[Configuration]] = None,
 ) -> DSEResult:
     """NSGA-II exploration returning the final population's Pareto front.
 
@@ -156,10 +155,6 @@ def nsga2_search(
     or fewer under an explicit ``budget`` — the search stops before any
     generation the budget cannot fully fund, and every model call is
     metered so ``DSEResult.evaluations`` is exact.
-
-    ``seeds`` pre-loads the initial population (truncated to the
-    population size, padded with random configurations) — the portfolio
-    runner's migration channel.
     """
     if population_size < 4 or population_size % 2:
         raise DSEError("population_size must be an even number >= 4")
@@ -169,14 +164,9 @@ def nsga2_search(
         budget = EvaluationBudget(population_size * (generations + 1))
     gen = ensure_rng(rng)
 
-    initial: List[Configuration] = []
-    if seeds:
-        initial = [tuple(c) for c in seeds[:population_size]]
-    initial += [
-        space.random_configuration(gen)
-        for _ in range(population_size - len(initial))
-    ]
-    population = np.stack(initial).astype(np.int64)
+    population = np.stack(
+        [space.random_configuration(gen) for _ in range(population_size)]
+    ).astype(np.int64)
 
     if budget.grant(population_size) < population_size:
         raise DSEError(

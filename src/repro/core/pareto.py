@@ -79,7 +79,7 @@ class ParetoArchive:
         return list(self._payloads)
 
     def copy(self) -> "ParetoArchive":
-        """Independent clone (used to hand islands their own archive)."""
+        """Independent clone."""
         clone = ParetoArchive(self.n_objectives)
         clone._points = self._points.copy()
         clone._payloads = list(self._payloads)

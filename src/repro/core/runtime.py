@@ -1,7 +1,7 @@
 """Shared parallel runtime: persistent workers, shared memory, one rule.
 
 Every parallel stage (``evaluate_many`` chunks, library-build chunks,
-random-forest tree chunks, portfolio islands) fans out through
+random-forest tree chunks) fans out through
 :class:`ParallelRuntime`, one process-wide service instead of a fresh
 ``multiprocessing`` pool per call:
 

@@ -17,8 +17,11 @@ from typing import List, Optional, Sequence
 
 from repro.accelerators.profiler import profile_accelerator
 from repro.accelerators.sobel import SobelEdgeDetector
-from repro.core.budget import EvaluationBudget
-from repro.core.dse import exhaustive_search
+from repro.core.dse import (
+    exhaustive_search,
+    heuristic_pareto_construction,
+    random_sampling,
+)
 from repro.core.pareto import front_distances
 from repro.core.preprocessing import reduce_library
 from repro.experiments.setup import (
@@ -26,7 +29,6 @@ from repro.experiments.setup import (
     build_engine,
     fit_search_models,
 )
-from repro.search.strategies import make_strategy
 
 
 @dataclass
@@ -61,10 +63,11 @@ def table4_distances(
 ) -> Table4Result:
     """Run proposed vs RS at each budget against the exhaustive front.
 
-    Every algorithm runs through the budget-metered search-strategy
-    layer, so each row's ``evaluations`` is the *exact* number of model
-    calls issued — the budget-matched comparison of the paper's
-    Table 4 holds by construction.
+    Both algorithms meter every model call through an
+    :class:`~repro.core.budget.EvaluationBudget`, so each row's
+    ``evaluations`` is the *exact* number of model calls issued — the
+    budget-matched comparison of the paper's Table 4 holds by
+    construction.
 
     The reduced space is thinned (``per_op_cap``) only when it exceeds
     ``enumeration_limit`` configurations, so the reference front stays
@@ -100,26 +103,21 @@ def table4_distances(
     low = optimal.points.min(axis=0)
     high = optimal.points.max(axis=0)
 
-    hill = make_strategy(
-        f"hill:stagnation_limit={stagnation_limit},batch_size=64"
-    )
-    sampler = make_strategy("random")
     rows: List[Table4Row] = []
     for budget in budgets:
         results = [
             (
                 "Proposed",
-                hill.run(
-                    space, qor_model, hw_model,
-                    budget=EvaluationBudget(budget),
+                heuristic_pareto_construction(
+                    space, qor_model, hw_model, max_evaluations=budget,
+                    stagnation_limit=stagnation_limit,
                     rng=setup.seed + budget,
                 ),
             ),
             (
                 "Random sampling",
-                sampler.run(
-                    space, qor_model, hw_model,
-                    budget=EvaluationBudget(budget),
+                random_sampling(
+                    space, qor_model, hw_model, max_evaluations=budget,
                     rng=setup.seed + budget,
                 ),
             ),

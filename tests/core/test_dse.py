@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from repro.core.budget import EvaluationBudget
 from repro.core.dse import (
     exhaustive_search,
     heuristic_pareto_construction,
@@ -8,6 +9,7 @@ from repro.core.dse import (
     uniform_selection,
 )
 from repro.core.modeling import build_training_set, fit_engines, select_best_model
+from repro.core.nsga2 import nsga2_search
 from repro.core.pareto import dominates, pareto_front_indices
 from repro.errors import DSEError
 
@@ -164,3 +166,137 @@ class TestExhaustive:
             assert not any(
                 dominates(point, opt_point) for opt_point in opt_min
             )
+
+
+class CountingModel:
+    """Estimation-model wrapper that counts every configuration predicted.
+
+    The ground truth of the budget-accounting contract: whatever a
+    search reports as ``evaluations`` must equal the number of
+    configurations that actually reached ``predict``.
+    """
+
+    def __init__(self, model):
+        self.model = model
+        self.configs_predicted = 0
+
+    def predict(self, configs):
+        self.configs_predicted += len(configs)
+        return self.model.predict(configs)
+
+
+@pytest.fixture()
+def count_models(models):
+    """Factory: fresh counting wrappers around the fitted models."""
+
+    def make():
+        qor, hw = models
+        return CountingModel(qor), CountingModel(hw)
+
+    return make
+
+
+class TestHillClimberAccounting:
+    """Regression: discarded batch tails must be counted."""
+
+    def test_never_exceeds_max_evaluations(self, sobel_space,
+                                           count_models):
+        cq, ch = count_models()
+        result = heuristic_pareto_construction(
+            sobel_space, cq, ch, max_evaluations=257, rng=0,
+            batch_size=64,
+        )
+        # Every configuration sent to the models is accounted for —
+        # including the batch tails discarded after accepted moves and
+        # restarts.
+        assert cq.configs_predicted == result.evaluations
+        assert ch.configs_predicted == result.evaluations
+        assert cq.configs_predicted <= 257
+
+    def test_spends_budget_exactly(self, sobel_space, count_models):
+        cq, ch = count_models()
+        result = heuristic_pareto_construction(
+            sobel_space, cq, ch, max_evaluations=300, rng=3,
+        )
+        assert result.evaluations == 300
+        assert cq.configs_predicted == 300
+
+    def test_many_accepted_moves_still_exact(self, sobel_space,
+                                             count_models):
+        """Small batches + frequent inserts maximise discarded tails."""
+        cq, ch = count_models()
+        result = heuristic_pareto_construction(
+            sobel_space, cq, ch, max_evaluations=199, rng=1,
+            batch_size=8, stagnation_limit=3,
+        )
+        assert cq.configs_predicted == result.evaluations == 199
+
+
+def _hill(space, qor, hw, budget):
+    return heuristic_pareto_construction(
+        space, qor, hw, rng=2, budget=budget,
+    )
+
+
+def _random(space, qor, hw, budget):
+    return random_sampling(
+        space, qor, hw, max_evaluations=budget.total, rng=2,
+        budget=budget,
+    )
+
+
+def _exhaustive(space, qor, hw, budget):
+    return exhaustive_search(space, qor, hw, batch_size=64, budget=budget)
+
+
+def _nsga2(space, qor, hw, budget):
+    return nsga2_search(
+        space, qor, hw, population_size=20, generations=14, rng=2,
+        budget=budget,
+    )
+
+
+class TestSearchAccounting:
+    """Property: evaluations == true predict counts for every search
+    under a shared :class:`EvaluationBudget`."""
+
+    @pytest.mark.parametrize(
+        "search,budget",
+        [
+            (_hill, 300),
+            (_nsga2, 300),
+            (_random, 200),
+            (_exhaustive, 150),
+        ],
+        ids=["hill-300", "nsga2-300", "random-200", "exhaustive-150"],
+    )
+    def test_evaluations_match_model_calls(
+        self, search, budget, sobel_space, count_models
+    ):
+        cq, ch = count_models()
+        ledger = EvaluationBudget(budget)
+        result = search(sobel_space, cq, ch, ledger)
+        assert cq.configs_predicted == result.evaluations
+        assert ch.configs_predicted == result.evaluations
+        assert result.evaluations == ledger.spent <= budget
+
+    def test_hill_climber_rejects_unlimited_budget(self, sobel_space,
+                                                   models):
+        """The climb stops only when the budget runs out, so an
+        uncapped budget would never end — fail loudly instead."""
+        qor, hw = models
+        with pytest.raises(DSEError, match="finite"):
+            heuristic_pareto_construction(
+                sobel_space, qor, hw, rng=0, budget=EvaluationBudget(),
+            )
+
+    def test_exhaustive_caps_at_space_size(self, sobel_space,
+                                           count_models):
+        if sobel_space.size() > 50_000:
+            pytest.skip("space too large for exhaustive reference")
+        cq, ch = count_models()
+        result = exhaustive_search(
+            sobel_space, cq, ch, budget=EvaluationBudget(10**9),
+        )
+        assert result.evaluations == sobel_space.size()
+        assert cq.configs_predicted == result.evaluations

@@ -150,18 +150,6 @@ class TestNsga2Search:
                          generations=4, rng=5)
         assert a.configs == b.configs
 
-    def test_seeded_population_contains_seeds(self, sobel_space, models):
-        qor, hw = models
-        seeds = [sobel_space.random_configuration(
-            np.random.default_rng(s)) for s in range(4)]
-        result = nsga2_search(
-            sobel_space, qor, hw, population_size=12, generations=2,
-            rng=0, seeds=seeds,
-        )
-        assert result.evaluations == 12 * 3
-        for config in result.configs:
-            sobel_space.validate_configuration(config)
-
     def test_competitive_with_random_sampling(self, sobel_space, models):
         """With the same evaluation budget NSGA-II's front hypervolume
         should not fall meaningfully below random sampling's."""

@@ -97,13 +97,10 @@ BIG = np.arange(100_000, dtype=np.int64)  # well above the shm threshold
 class TestWorkersConventions:
     def test_search_and_pipeline_share_the_convention(self):
         import repro.library.pipeline as pipeline_mod
-        import repro.search.portfolio as portfolio_mod
 
-        src_p = open(pipeline_mod.__file__).read()
-        src_s = open(portfolio_mod.__file__).read()
-        for src in (src_p, src_s):
-            assert "def validate_workers" not in src
-            assert 'get_context("fork")' not in src
+        src = open(pipeline_mod.__file__).read()
+        assert "def validate_workers" not in src
+        assert 'get_context("fork")' not in src
 
     def test_only_the_runtime_takes_a_worker_count(self):
         """No function outside the runtime takes a worker count, and no

@@ -1,11 +1,17 @@
-"""Stores written before the search work queue was retired stay usable.
+"""Stores written before the search work queue and the portfolio runner
+were retired stay usable.
 
 Older stores may hold the artifacts of store-backed distributed search:
 ``work-queue``/``work-item``/``work-lease``/``work-result`` JSON
 documents and a zlib-compressed pickle of kind ``search-context``
-(``.pklz`` blobs).  No manifest references them and none is a shared
-kind, so ``repro runs gc`` sweeps them, while the runs recorded next to
-them keep decoding and listing exactly as before.
+(``.pklz`` blobs).  They may also hold portfolio-search runs: a
+``search`` manifest whose params carry ``strategies`` and whose
+per-round checkpoint (a ``search`` artifact) is referenced only from the
+manifest's ``extra``.  No stage references any of these artifacts and
+none is a shared kind, so ``repro runs gc`` sweeps them, while the runs
+recorded next to them keep decoding and listing exactly as before.
+Resuming a portfolio run fails with one error line instead of silently
+running a different search.
 """
 
 import json
@@ -18,6 +24,8 @@ from repro.cli import main
 from repro.store import ArtifactStore, RunLedger, content_hash
 
 QUEUE_KINDS = ("work-queue", "work-item", "work-lease", "work-result")
+
+PORTFOLIO_RUN = "20260101T000001Z-00000001"
 
 
 def _fill(root):
@@ -48,6 +56,25 @@ def _fill(root):
         "search-context", content_hash({"search-context": queue_id}),
         context, ext="pklz",
     )
+    checkpoint = store.put(
+        "search", content_hash({"run": PORTFOLIO_RUN}),
+        {"version": 1, "round": 2, "rounds": 2, "spent": 150,
+         "max_evaluations": 150, "strategies": ["hill", "random"],
+         "front": {"configs": [[0, 1]], "points": [[0.9, 10.0]]}},
+    )
+    RunLedger(store).record(
+        PORTFOLIO_RUN, kind="search", label="search:sobel",
+        params={"command": "search", "workload": "sobel",
+                "scale": 0.0005, "images": 1, "train": 12, "test": 6,
+                "budget": 150, "strategies": ["hill", "random"],
+                "rounds": 2, "seed": 0, "engines": ["K-Neighbors"]},
+        config_hash=content_hash("portfolio"),
+        stages=[{"name": "round_1", "seconds": 0.1, "cache": "miss",
+                 "evaluations": 150}],
+        seed=0,
+        extra={"checkpoint": {"kind": checkpoint.kind,
+                              "key": checkpoint.key}},
+    )
     return store, run_artifacts
 
 
@@ -63,12 +90,12 @@ def test_gc_sweeps_queue_leftovers(tmp_path, capsys):
     listed = _cli_json(capsys, "runs", "list", "--store-dir", str(root),
                        "--json")
     assert [m["run_id"] for m in listed["runs"]] == [
-        "20260101T000000Z-00000000"
+        "20260101T000000Z-00000000", PORTFOLIO_RUN,
     ]
 
     doc = _cli_json(capsys, "runs", "gc", "--store-dir", str(root),
                     "--json")
-    gone = {*QUEUE_KINDS, "search-context"}
+    gone = {*QUEUE_KINDS, "search-context", "search"}
     assert set(doc["gc"]["by_kind"]) == gone
     assert doc["gc"]["removed"] == len(gone)
     assert doc["gc"]["kept"] == len(run_artifacts)
@@ -83,3 +110,23 @@ def test_gc_sweeps_queue_leftovers(tmp_path, capsys):
             assert got == obj
     assert _cli_json(capsys, "runs", "list", "--store-dir", str(root),
                      "--json") == listed
+
+
+def test_portfolio_run_refuses_to_resume(tmp_path, capsys):
+    root = tmp_path / "store"
+    store, _ = _fill(root)
+    before = {(ref.kind, ref.key) for ref in store.entries()}
+    capsys.readouterr()
+    assert main(["runs", "resume", PORTFOLIO_RUN,
+                 "--store-dir", str(root)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert "portfolio" in lines[0] and PORTFOLIO_RUN in lines[0]
+    # Nothing ran: no new manifest, no new artifact.
+    assert [m["run_id"] for m in RunLedger(store).runs()] == [
+        "20260101T000000Z-00000000", PORTFOLIO_RUN,
+    ]
+    assert {(ref.kind, ref.key) for ref in store.entries()} == before

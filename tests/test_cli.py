@@ -22,6 +22,9 @@ class TestParser:
         assert info.value.code == 2
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search-worker"])
+        for flag in ("--strategies", "--rounds"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["search", flag, "2"])
 
     def test_search_rejects_http_store_before_any_work(self, tmp_path,
                                                        monkeypatch,
@@ -355,6 +358,19 @@ class TestStoreCommands:
         assert "Traceback" not in captured.err
         assert not store_env.exists()
 
+    def test_search_rejects_bad_budget_before_any_work(
+        self, store_env, capsys
+    ):
+        assert main([
+            "search", "--workload", "sobel", "--scale", "0.0005",
+            "--budget", "0", "--json",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget must be >= 1" in captured.err
+        assert "Traceback" not in captured.err
+        assert not store_env.exists()
+
     def test_no_store_flag_disables(self, store_env, capsys):
         doc = self._run_json(capsys, extra=["--no-store"])
         assert set(doc["stage_cache"].values()) == {"off"}
@@ -395,27 +411,31 @@ class TestStoreCommands:
         assert main([
             "search", "--workload", "sobel", "--scale", "0.0005",
             "--images", "1", "--train", "12", "--test", "6",
-            "--budget", "150", "--rounds", "2", "--json",
+            "--budget", "150", "--json",
         ]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == 1
         search = doc["search"]
         assert search["evaluations"] == 150  # exact budget spend
+        assert search["max_evaluations"] == 150
+        assert search["front_size"] == len(search["front"]["configs"])
         assert search["front_size"] >= 1
+        assert search["inserts"] >= search["front_size"]
         assert search["run_id"]
-        assert any(
-            r["strategy"] == "hill" for r in search["islands"]
-        )
 
         assert main(["runs", "list"]) == 0
         assert search["run_id"] in capsys.readouterr().out
 
-        # Resuming a complete search serves the checkpointed front.
+        # The manifest owns no artifact gc could lose: resuming after a
+        # gc re-executes the recorded params and reproduces the front.
+        assert main(["runs", "gc"]) == 0
+        capsys.readouterr()
         assert main(
             ["runs", "resume", search["run_id"], "--json"]
         ) == 0
         resumed = json.loads(capsys.readouterr().out)["search"]
         assert resumed["resumed_from"] == search["run_id"]
+        assert resumed["run_id"] not in (None, search["run_id"])
         assert resumed["front"] == search["front"]
         assert resumed["evaluations"] == search["evaluations"]
 
@@ -604,7 +624,7 @@ class TestDefaultWorkers:
     SEARCH = [
         "search", "--workload", "sobel", "--scale", "0.001",
         "--images", "1", "--train", "12", "--test", "6",
-        "--budget", "150", "--rounds", "1", "--json",
+        "--budget", "150", "--json",
     ]
 
     @pytest.fixture()

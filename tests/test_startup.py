@@ -3,7 +3,7 @@
 ``repro`` and ``repro.experiments`` resolve their public names on first
 access, image synthesis blurs in numpy, and SSIM imports scipy at its
 first call.  So importing the CLI and the pipeline pulls in neither
-scipy nor the search portfolio, and a warm ``repro run`` served from the
+scipy nor the paper drivers, and a warm ``repro run`` served from the
 store (it scores no image) never imports scipy.
 """
 
@@ -50,7 +50,7 @@ def _reached(modules, prefix):
     return [m for m in modules if m == prefix or m.startswith(prefix + ".")]
 
 
-def test_imports_load_no_scipy_and_no_search(tmp_path):
+def test_imports_load_no_scipy(tmp_path):
     modules = _modules_after(
         "import repro, repro.cli, repro.experiments.setup, "
         "repro.core.pipeline",
@@ -58,7 +58,6 @@ def test_imports_load_no_scipy_and_no_search(tmp_path):
     )
     assert "repro.core.pipeline" in modules  # non-vacuous
     assert _reached(modules, "scipy") == []
-    assert _reached(modules, "repro.search") == []
     # the paper drivers stay unloaded until asked for
     assert "repro.experiments.table4_dse" not in modules
 
