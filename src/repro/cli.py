@@ -53,6 +53,7 @@ from typing import Dict, List, Optional
 from repro.accelerators.gaussian_fixed import FixedGaussianFilter
 from repro.accelerators.gaussian_generic import GenericGaussianFilter
 from repro.accelerators.sobel import SobelEdgeDetector
+from repro.errors import ReproError, ValidationError
 from repro.telemetry import get_logger, get_metrics, setup_logging
 from repro.utils.tabulate import format_table
 
@@ -91,8 +92,6 @@ def _tracing(command: str, trace_path: Optional[str]):
         raw = os.environ.get(TRACE_ENV)
         if raw is not None:
             if not raw.strip():
-                from repro.errors import ValidationError
-
                 raise ValidationError(
                     f"{TRACE_ENV} must name a trace output file, "
                     f"got {raw!r}"
@@ -217,8 +216,7 @@ def _cmd_generate_library(args: argparse.Namespace) -> int:
     log = get_logger("library")
     store = _resolve_store(args.store)
     if not args.out and store is None:
-        log.error("generate-library needs --out and/or --store")
-        return 2
+        raise ValidationError("generate-library needs --out and/or --store")
     plan = scaled_plan(args.scale, seed=args.seed)
     log.info(
         "generating components",
@@ -639,13 +637,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     known = default_engines()
     unknown = [e for e in engines if e not in known]
     if unknown:
-        get_logger("search").error(
-            f"unknown --engines {unknown}; known: {known}"
-        )
-        return 2
+        raise ValidationError(f"unknown --engines {unknown}; known: {known}")
     if args.budget < 1:
-        get_logger("search").error("--budget must be >= 1")
-        return 2
+        raise ValidationError("--budget must be >= 1")
     doc = _run_search(
         args.workload, args.scale, args.images, args.train,
         args.test, args.budget, args.seed, engines,
@@ -1140,7 +1134,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     :class:`~repro.errors.ValidationError` (a bad setting), else 1.
     """
     from repro.core.runtime import use_workers
-    from repro.errors import ReproError, ValidationError
 
     args = build_parser().parse_args(argv)
     setup_logging()

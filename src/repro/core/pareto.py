@@ -78,13 +78,6 @@ class ParetoArchive:
     def payloads(self) -> List[object]:
         return list(self._payloads)
 
-    def copy(self) -> "ParetoArchive":
-        """Independent clone."""
-        clone = ParetoArchive(self.n_objectives)
-        clone._points = self._points.copy()
-        clone._payloads = list(self._payloads)
-        return clone
-
     def insert(self, point: Sequence[float], payload: object) -> bool:
         """ParetoInsert: add unless dominated; evict dominated members.
 
@@ -116,56 +109,6 @@ class ParetoArchive:
         self._points = np.vstack([self._points, point[None, :]])
         self._payloads.append(payload)
         return True
-
-    def insert_many(
-        self, points: np.ndarray, payloads: Sequence[object]
-    ) -> np.ndarray:
-        """Vectorised bulk insertion; returns the per-point accepted mask.
-
-        The archive ends up holding exactly the joint Pareto front of
-        its previous members and ``points`` (one non-dominated sweep
-        over the stacked array instead of ``len(points)`` pairwise
-        passes).  Ties: existing members win over new points with equal
-        objective vectors, earlier batch rows win over later ones — the
-        same outcome sequential :meth:`insert` calls produce.  A point
-        that enters the front is reported accepted even if the batch
-        also evicts it later-dominated members; a point dominated by
-        *any* member of the joint front is rejected.
-        """
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.n_objectives:
-            raise ValueError(
-                f"expected (n, {self.n_objectives}) points, "
-                f"got {points.shape}"
-            )
-        if points.shape[0] != len(payloads):
-            raise ValueError("points and payloads must align")
-        accepted = np.zeros(points.shape[0], dtype=bool)
-        if points.shape[0] == 0:
-            return accepted
-        n_old = len(self._payloads)
-        combined = np.vstack([self._points, points])
-        combined_payloads = self._payloads + list(payloads)
-        front = set(pareto_front_indices(combined).tolist())
-        seen = set()
-        new_points: List[np.ndarray] = []
-        new_payloads: List[object] = []
-        for i in range(combined.shape[0]):
-            if i not in front:
-                continue
-            key = tuple(combined[i])
-            if key in seen:
-                continue
-            seen.add(key)
-            new_points.append(combined[i])
-            new_payloads.append(combined_payloads[i])
-            if i >= n_old:
-                accepted[i - n_old] = True
-        self._points = np.asarray(new_points, dtype=float).reshape(
-            -1, self.n_objectives
-        )
-        self._payloads = new_payloads
-        return accepted
 
 
 def hypervolume_2d(

@@ -26,11 +26,9 @@ persistent and shareable:
   :class:`~repro.store.synth_cache.StoreSynthCache` so reports are
   shared across processes and runs.
 
-The byte layer underneath is one local sqlite tree
-(:class:`~repro.store.backends.SqliteBackend`).  Every surface that
-takes a store location (``--store``, ``REPRO_STORE_DIR``) accepts a
-bare path or ``sqlite:PATH``, parsed by
-:func:`~repro.store.uri.parse_store_uri`; any other scheme is
+Every surface that takes a store location (``--store``,
+``REPRO_STORE_DIR``) accepts a bare path or ``sqlite:PATH``, parsed by
+:func:`~repro.store.artifacts.open_store`; any other scheme is
 rejected.
 
 Local disk layout — everything under ``REPRO_STORE_DIR``, else
@@ -46,15 +44,9 @@ from repro.store.artifacts import (
     STORE_ENV,
     ArtifactRef,
     ArtifactStore,
-    default_store_dir,
     open_store,
     require_store,
 )
-from repro.store.backends import (
-    SqliteBackend,
-    atomic_write_bytes,
-)
-from repro.store.uri import parse_store_uri
 from repro.store.hashing import (
     accelerator_fingerprint,
     canonical_json,
@@ -63,31 +55,22 @@ from repro.store.hashing import (
     library_fingerprint,
 )
 from repro.store.ledger import MANIFEST_VERSION, RunLedger
-from repro.store.synth_cache import (
-    MemorySynthCache,
-    StoreSynthCache,
-    synth_cache_for,
-)
+from repro.store.synth_cache import StoreSynthCache, synth_cache_for
 
 __all__ = [
     "ArtifactRef",
     "ArtifactStore",
     "DEFAULT_STORE_DIR",
     "MANIFEST_VERSION",
-    "MemorySynthCache",
     "RunLedger",
     "STORE_ENV",
-    "SqliteBackend",
     "StoreSynthCache",
     "accelerator_fingerprint",
-    "atomic_write_bytes",
     "canonical_json",
     "content_hash",
-    "default_store_dir",
     "images_fingerprint",
     "library_fingerprint",
     "open_store",
-    "parse_store_uri",
     "require_store",
     "synth_cache_for",
 ]

@@ -10,9 +10,8 @@ the warm store (``resume``) and the root set for garbage collection
 
 Manifests are ``<root>/runs/<run_id>.json`` files next to the
 artifact index; construct the ledger from an
-:class:`~repro.store.artifacts.ArtifactStore`, its
-:class:`~repro.store.backends.SqliteBackend` or the bare root path —
-all three observe the same documents.
+:class:`~repro.store.artifacts.ArtifactStore` or its bare root path —
+both observe the same documents.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import StoreError
-from repro.store.backends import atomic_write_bytes
+from repro.store.artifacts import atomic_write_bytes
 
 #: Manifest format version (bump on incompatible schema changes).
 MANIFEST_VERSION = 1
@@ -34,59 +33,17 @@ def _iso(ts: float) -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(ts))
 
 
-class _LocalManifests:
-    """Run-ledger manifest files under ``<root>/runs/``."""
-
-    def __init__(self, root: Path) -> None:
-        self.runs_dir = Path(root) / "runs"
-
-    def put(self, run_id: str, manifest: Dict) -> None:
-        data = json.dumps(manifest, sort_keys=True, indent=2)
-        atomic_write_bytes(
-            self.runs_dir / f"{run_id}.json", data.encode("utf-8")
-        )
-
-    def get(self, run_id: str) -> Optional[Dict]:
-        try:
-            return json.loads(
-                (self.runs_dir / f"{run_id}.json").read_text()
-            )
-        except (OSError, json.JSONDecodeError):
-            return None
-
-    def list(self) -> List[Dict]:
-        if not self.runs_dir.is_dir():
-            return []
-        manifests = []
-        for path in sorted(self.runs_dir.glob("*.json")):
-            if path.name.startswith("."):
-                continue  # in-flight atomic write of another process
-            try:
-                manifests.append(json.loads(path.read_text()))
-            except (OSError, json.JSONDecodeError):
-                continue
-        return manifests
-
-    def delete(self, run_id: str) -> bool:
-        try:
-            (self.runs_dir / f"{run_id}.json").unlink()
-        except OSError:
-            return False
-        return True
-
-
 class RunLedger:
     """Append-only collection of run manifests of one store."""
 
     def __init__(self, root) -> None:
         if not isinstance(root, (str, os.PathLike)):
-            root = root.root  # an ArtifactStore or SqliteBackend
+            root = root.root  # an ArtifactStore
         self.root = Path(root)
-        self._local = _LocalManifests(self.root)
+        self.runs_dir = self.root / "runs"
 
-    @property
-    def runs_dir(self) -> Path:
-        return self._local.runs_dir
+    def _path(self, run_id: str) -> Path:
+        return self.runs_dir / f"{run_id}.json"
 
     # -- creation -----------------------------------------------------------
 
@@ -128,7 +85,8 @@ class RunLedger:
         }
         if extra:
             manifest["extra"] = extra
-        self._local.put(run_id, manifest)
+        data = json.dumps(manifest, sort_keys=True, indent=2)
+        atomic_write_bytes(self._path(run_id), data.encode("utf-8"))
         return manifest
 
     # -- enumeration --------------------------------------------------------
@@ -139,7 +97,14 @@ class RunLedger:
         ``kind`` restricts the listing to one manifest kind (e.g.
         ``"serve-job"`` — the serving layer's audit log).
         """
-        manifests = self._local.list()
+        manifests = []
+        for path in sorted(self.runs_dir.glob("*.json")):
+            if path.name.startswith("."):
+                continue  # in-flight atomic write of another process
+            try:
+                manifests.append(json.loads(path.read_text()))
+            except (OSError, json.JSONDecodeError):
+                continue
         if kind is not None:
             manifests = [
                 m for m in manifests if m.get("kind") == kind
@@ -151,22 +116,20 @@ class RunLedger:
         return manifests
 
     def get(self, run_id: str) -> Dict:
-        manifest = self._local.get(run_id)
-        if manifest is None:
+        try:
+            return json.loads(self._path(run_id).read_text())
+        except (OSError, json.JSONDecodeError):
             raise StoreError(
                 f"no run {run_id!r} in ledger at {self.runs_dir}"
-            )
-        return manifest
-
-    def latest(self) -> Optional[Dict]:
-        manifests = self.runs()
-        return manifests[-1] if manifests else None
+            ) from None
 
     def delete(self, run_id: str) -> None:
-        if not self._local.delete(run_id):
+        try:
+            self._path(run_id).unlink()
+        except OSError:
             raise StoreError(
                 f"no run {run_id!r} in ledger at {self.runs_dir}"
-            )
+            ) from None
 
     # -- garbage-collection roots -------------------------------------------
 

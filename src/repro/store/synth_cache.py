@@ -16,28 +16,12 @@ chosen components.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.store.artifacts import ArtifactStore
 from repro.store.hashing import content_hash
 
 MemoKey = Tuple[Tuple[str, str], ...]
-
-
-class MemorySynthCache:
-    """Dict-backed cache (tests, or explicit sharing between engines)."""
-
-    def __init__(self) -> None:
-        self._reports: Dict[MemoKey, object] = {}
-
-    def get(self, memo_key: MemoKey):
-        return self._reports.get(memo_key)
-
-    def put(self, memo_key: MemoKey, report) -> None:
-        self._reports[memo_key] = report
-
-    def __len__(self) -> int:
-        return len(self._reports)
 
 
 class StoreSynthCache:

@@ -25,7 +25,6 @@ from repro.telemetry.logs import (
     setup_logging,
 )
 from repro.telemetry.metrics import (
-    TELEMETRY_ENV,
     MetricsRegistry,
     get_metrics,
     render_prometheus,
@@ -45,7 +44,6 @@ from repro.telemetry.tracing import (
 )
 
 __all__ = [
-    "TELEMETRY_ENV",
     "TRACE_ENV",
     "LOG_LEVEL_ENV",
     "LOG_FORMAT_ENV",

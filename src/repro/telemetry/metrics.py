@@ -12,9 +12,6 @@ each task result; the parent :func:`merge`\\ s those deltas back, so
 Histograms keep a bounded reservoir (algorithm R, deterministic seed —
 no wall-clock entropy) so percentiles stay O(capacity) in memory no
 matter how many observations arrive.
-
-``REPRO_TELEMETRY=off`` swaps in a no-op registry: every instrumentation
-site degrades to one attribute lookup plus an empty method call.
 """
 
 from __future__ import annotations
@@ -26,19 +23,12 @@ import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional
 
-from repro.utils.validation import check_env_choice
-
 __all__ = [
-    "TELEMETRY_ENV",
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "get_metrics",
     "reset_metrics",
     "render_prometheus",
 ]
-
-#: Kill switch — ``off``/``0``/``false`` disables the whole registry.
-TELEMETRY_ENV = "REPRO_TELEMETRY"
 
 #: Bounded reservoir size per histogram; percentiles are exact until
 #: a histogram sees more observations than this.
@@ -129,8 +119,6 @@ class _Histogram:
 
 class MetricsRegistry:
     """Thread-safe counters, gauges, and histograms under one lock."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -249,42 +237,6 @@ class MetricsRegistry:
             self._histograms = {}
 
 
-class NullMetricsRegistry(MetricsRegistry):
-    """No-op stand-in when ``REPRO_TELEMETRY=off``."""
-
-    enabled = False
-
-    def inc(self, name, value=1):
-        pass
-
-    def set_gauge(self, name, value):
-        pass
-
-    def observe(self, name, value):
-        pass
-
-    @contextmanager
-    def timer(self, name):
-        yield
-
-    def export_delta(self):
-        return None
-
-    def merge(self, delta):
-        pass
-
-
-def _telemetry_enabled() -> bool:
-    raw = os.environ.get(TELEMETRY_ENV)
-    if raw is None:
-        return True
-    choice = check_env_choice(
-        raw, TELEMETRY_ENV,
-        ("on", "off", "1", "0", "true", "false"),
-    )
-    return choice in ("on", "1", "true")
-
-
 _REGISTRY: Optional[MetricsRegistry] = None
 _REGISTRY_PID: Optional[int] = None
 _REGISTRY_LOCK = threading.Lock()
@@ -298,17 +250,13 @@ def get_metrics() -> MetricsRegistry:
         return registry
     with _REGISTRY_LOCK:
         if _REGISTRY is None or _REGISTRY_PID != os.getpid():
-            _REGISTRY = (
-                MetricsRegistry()
-                if _telemetry_enabled()
-                else NullMetricsRegistry()
-            )
+            _REGISTRY = MetricsRegistry()
             _REGISTRY_PID = os.getpid()
         return _REGISTRY
 
 
 def reset_metrics() -> None:
-    """Drop the process registry (tests; re-reads the env knob)."""
+    """Drop the process registry (tests)."""
     global _REGISTRY, _REGISTRY_PID
     with _REGISTRY_LOCK:
         _REGISTRY = None

@@ -195,66 +195,3 @@ class TestFrontDistances:
     def test_objective_count_mismatch(self):
         with pytest.raises(ValueError):
             front_distances(np.zeros((1, 2)), np.zeros((1, 3)))
-
-
-class TestInsertMany:
-    def _sequential(self, batch, payloads):
-        archive = ParetoArchive(n_objectives=2)
-        for point, payload in zip(batch, payloads):
-            archive.insert(point, payload)
-        return archive
-
-    def test_matches_sequential_inserts(self):
-        rng = np.random.default_rng(0)
-        batch = rng.uniform(0, 1, (80, 2))
-        payloads = [f"p{i}" for i in range(80)]
-        sequential = self._sequential(batch, payloads)
-        bulk = ParetoArchive(n_objectives=2)
-        bulk.insert_many(batch, payloads)
-        # same final front membership (vectorised one-pass merge)
-        assert sorted(map(tuple, bulk.points.tolist())) == sorted(
-            map(tuple, sequential.points.tolist())
-        )
-        assert sorted(bulk.payloads) == sorted(sequential.payloads)
-
-    def test_accepted_mask_and_eviction(self):
-        archive = ParetoArchive(n_objectives=2)
-        archive.insert((5.0, 5.0), "old")
-        accepted = archive.insert_many(
-            np.array([[6.0, 6.0], [1.0, 1.0], [2.0, 2.0]]),
-            ["worse", "best", "mid"],
-        )
-        assert accepted.tolist() == [False, True, False]
-        assert archive.payloads == ["best"]
-
-    def test_duplicates_keep_first(self):
-        archive = ParetoArchive(n_objectives=2)
-        archive.insert((1.0, 2.0), "existing")
-        accepted = archive.insert_many(
-            np.array([[1.0, 2.0], [2.0, 1.0], [2.0, 1.0]]),
-            ["dupe-of-old", "new", "dupe-of-new"],
-        )
-        assert accepted.tolist() == [False, True, False]
-        assert sorted(archive.payloads) == ["existing", "new"]
-
-    def test_empty_batch(self):
-        archive = ParetoArchive(n_objectives=2)
-        accepted = archive.insert_many(np.empty((0, 2)), [])
-        assert accepted.shape == (0,)
-
-    def test_shape_validation(self):
-        archive = ParetoArchive(n_objectives=2)
-        with pytest.raises(ValueError):
-            archive.insert_many(np.zeros((2, 3)), ["a", "b"])
-        with pytest.raises(ValueError):
-            archive.insert_many(np.zeros((2, 2)), ["a"])
-
-    def test_copy_is_independent(self):
-        archive = ParetoArchive(n_objectives=2)
-        archive.insert((1.0, 2.0), "a")
-        clone = archive.copy()
-        clone.insert((0.5, 0.5), "b")
-        assert len(archive) == 1
-        assert len(clone) == 1  # "b" evicted "a" in the clone only
-        assert archive.payloads == ["a"]
-        assert clone.payloads == ["b"]

@@ -79,10 +79,8 @@ def golden_specs():
     return specs
 
 
-def _blob_digest(store: ArtifactStore, kind: str, key: str) -> str:
-    data = store.backend.get_bytes(kind, key, ext="json")
-    assert data is not None, (kind, key)
-    return hashlib.sha256(data).hexdigest()
+def _blob_digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def component_digests(root) -> dict:
@@ -92,11 +90,12 @@ def component_digests(root) -> dict:
     sample_size = 1 << 15
     _, _, hits, misses = _run_chunk((store, sample_size), (0, specs))
     assert (hits, misses) == (0, len(specs))
+    blobs = {ref.key: ref.path for ref in store.entries(COMPONENT_KIND)}
     digests = {}
     for family, width, params in specs:
         circuit = FAMILY_REGISTRY[family](width, **params)
         key = component_key(circuit, sample_size)
-        digests[circuit.name] = _blob_digest(store, COMPONENT_KIND, key)
+        digests[circuit.name] = _blob_digest(blobs[key])
     return digests
 
 
@@ -106,8 +105,7 @@ def library_digest(root) -> str:
     library = build_library(
         scaled_plan(0.005, seed=0), store=store, record_run=False
     ).library
-    store.put("library", "golden", library)
-    return _blob_digest(store, "library", "golden")
+    return _blob_digest(store.put("library", "golden", library).path)
 
 
 GOLDEN_COMPONENTS = {

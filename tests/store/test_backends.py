@@ -1,31 +1,33 @@
-"""SqliteBackend: dict semantics, self-healing reads, gc, fork safety, URIs.
+"""ArtifactStore bytes: map semantics, self-healing reads, gc, fork
+safety, URIs.
 
-Any interleaving of put/get/delete/iter — including corrupting a blob
-on disk mid-sequence — must leave the backend observationally a
-``(kind, key) -> bytes`` map.
+Any interleaving of put/get/delete/entries — including corrupting a
+blob on disk mid-sequence — must leave the store observationally a
+``(kind, key) -> object`` map.
 """
 
 import hashlib
 import multiprocessing
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ValidationError
-from repro.store import ArtifactStore, SqliteBackend, parse_store_uri
+from repro.store import ArtifactStore, open_store
 
 KEY = "a" * 64
 KINDS = ("training-set", "dse", "models")
 
 
-# -- dict semantics ----------------------------------------------------------
+# -- map semantics -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_backend_behaves_like_a_map(tmp_path, seed):
     """A randomized op sequence matches an in-memory dict model."""
-    backend = SqliteBackend(tmp_path)
-    model = {}
+    store = ArtifactStore(tmp_path)
+    model = {}  # (kind, key) -> (object, blob size)
     rng = random.Random(seed)
     keys = [format(i, "x") * 16 for i in range(8)]
     for _ in range(120):
@@ -33,97 +35,114 @@ def test_backend_behaves_like_a_map(tmp_path, seed):
         kind = rng.choice(KINDS)
         key = rng.choice(keys)
         if op == "put":
-            data = f"{kind}/{key}#{rng.randrange(4)}".encode()
-            ref = backend.put_bytes(kind, key, data, ext="json")
-            model[kind, key] = data
+            obj = f"{kind}/{key}#{rng.randrange(4)}"
+            ref = store.put(kind, key, obj)
+            data = ref.path.read_bytes()
+            model[kind, key] = (obj, len(data))
             assert (ref.kind, ref.key, ref.size) == (kind, key, len(data))
             assert ref.sha256 == hashlib.sha256(data).hexdigest()
         elif op == "get":
-            assert backend.get_bytes(kind, key) == model.get((kind, key))
+            expected = model.get((kind, key), (None, 0))[0]
+            assert store.get(kind, key) == expected
         elif op == "delete":
-            backend.delete(kind, key)
+            store.delete(kind, key)
             model.pop((kind, key), None)
         else:
             assert [
-                (r.kind, r.key, r.size) for r in backend.iter_refs()
+                (r.kind, r.key, r.size) for r in store.entries()
             ] == [
-                (k, key, len(model[k, key])) for k, key in sorted(model)
+                (k, key, model[k, key][1]) for k, key in sorted(model)
             ]
 
 
 def test_corrupt_blob_heals_identically(tmp_path):
-    """Disk corruption: adopted at the byte layer, evicted by the codec.
+    """Disk corruption: valid bytes are adopted, garbage is evicted.
 
-    At the byte level changed bytes are indistinguishable from a raced
-    valid write, so the backend adopts and re-serves them; the codec
-    layer above (:class:`ArtifactStore`) is where garbage turns into a
-    transparent miss.
+    Changed bytes that still decode are indistinguishable from a raced
+    valid write, so the store re-indexes and re-serves them; bytes the
+    codec cannot decode turn into a transparent miss.
     """
-    backend = SqliteBackend(tmp_path)
-    backend.put_bytes("dse", KEY, b'{"x": 1}')
-    [path] = list(tmp_path.rglob(f"{KEY}.json"))
-    path.write_bytes(b'{"x": "raced"}')
-    # byte layer: adopted, re-indexed, served consistently
-    assert backend.get_bytes("dse", KEY) == b'{"x": "raced"}'
-    assert backend.get_bytes("dse", KEY) == b'{"x": "raced"}'
-    [ref] = backend.iter_refs("dse")
+    store = ArtifactStore(tmp_path)
+    ref = store.put("dse", KEY, {"x": 1})
+    ref.path.write_bytes(b'{"x": "raced"}')
+    # adopted, re-indexed, served consistently
+    assert store.get("dse", KEY) == {"x": "raced"}
+    assert store.get("dse", KEY) == {"x": "raced"}
+    [ref] = store.entries("dse")
     assert ref.sha256 == hashlib.sha256(b'{"x": "raced"}').hexdigest()
 
-    store = ArtifactStore(backend)
-    path.write_bytes(b"garbage")  # undecodable corruption
+    ref.path.write_bytes(b"garbage")  # undecodable corruption
     assert store.get("dse", KEY) is None  # evicted, not a crash
-    assert backend.iter_refs("dse") == []
+    assert store.entries("dse") == []
     store.put("dse", KEY, {"x": 2})
     assert store.get("dse", KEY) == {"x": 2}
 
 
 def test_gc_dry_run_matches_real_pass(tmp_path):
-    backend = SqliteBackend(tmp_path)
+    store = ArtifactStore(tmp_path)
+    sizes = {}
     for i in range(6):
-        backend.put_bytes("dse", format(i, "x") * 16, b"x" * (i + 1))
+        key = format(i, "x") * 16
+        sizes[key] = store.put("dse", key, "x" * (i + 1)).size
     kept = {("dse", format(i, "x") * 16) for i in range(2)}
-    dry = backend.gc(kept, set(), dry_run=True)
+    dry = store.gc(kept, keep_kinds=(), dry_run=True)
     assert dry["dry_run"] is True
-    assert len(backend.iter_refs()) == 6  # nothing deleted
-    real = backend.gc(kept, set())
+    assert len(store.entries()) == 6  # nothing deleted
+    real = store.gc(kept, keep_kinds=())
     assert real["dry_run"] is False
-    assert [r.key for r in backend.iter_refs()] == sorted(
+    assert [r.key for r in store.entries()] == sorted(
         key for _, key in kept
     )
     dry.pop("dry_run"), real.pop("dry_run")
     assert dry == real
+    freed = sum(
+        size for key, size in sizes.items() if ("dse", key) not in kept
+    )
     assert real["removed"] == 4
-    assert real["freed_bytes"] == 3 + 4 + 5 + 6
-    assert real["by_kind"] == {"dse": {"count": 4, "bytes": 18}}
+    assert real["freed_bytes"] == freed
+    assert real["by_kind"] == {"dse": {"count": 4, "bytes": freed}}
+
+
+def test_gc_sweeps_orphans_but_not_in_flight_writes(tmp_path):
+    store = ArtifactStore(tmp_path)
+    ref = store.put("dse", KEY, {"x": 1})
+    orphan = ref.path.with_name("b" * 64 + ".json")
+    orphan.write_bytes(b"{}")
+    in_flight = ref.path.with_name(".tmp-abc.json")
+    in_flight.write_bytes(b"{")
+    stats = store.gc({("dse", KEY)})
+    assert (stats["removed"], stats["freed_bytes"]) == (1, 2)
+    assert not orphan.exists()
+    assert in_flight.exists() and ref.path.exists()
 
 
 # -- fork safety -------------------------------------------------------------
 
 
-def _child_reads(backend, queue):
+def _child_reads(store, queue):
     try:
-        queue.put(("ok", backend.get_bytes("dse", KEY)))
+        queue.put(("ok", store.get("dse", KEY)))
     except Exception as exc:  # pragma: no cover - the failure mode
         queue.put(("err", repr(exc)))
 
 
 def test_fork_after_read_gets_fresh_connection(tmp_path):
     """A child forked after a read must not share the parent's handle."""
-    backend = SqliteBackend(tmp_path)
-    backend.put_bytes("dse", KEY, b'{"x": 1}')
-    assert backend.get_bytes("dse", KEY) == b'{"x": 1}'  # caches conn
+    store = ArtifactStore(tmp_path)
+    store.put("dse", KEY, {"x": 1})
+    assert store.get("dse", KEY) == {"x": 1}  # caches conn
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
-    child = ctx.Process(target=_child_reads, args=(backend, queue))
+    child = ctx.Process(target=_child_reads, args=(store, queue))
     child.start()
     tag, value = queue.get(timeout=30)
     child.join(timeout=30)
-    assert (tag, value) == ("ok", b'{"x": 1}')
+    assert (tag, value) == ("ok", {"x": 1})
     assert child.exitcode == 0
     # and the parent's cached connection still works after the fork
-    assert backend.get_bytes("dse", KEY) == b'{"x": 1}'
-    backend.put_bytes("dse", "b" * 64, b"[]")
-    assert backend.get_bytes("dse", "b" * 64) == b"[]"
+    assert store.get("dse", KEY) == {"x": 1}
+    store.put("dse", "b" * 64, [])
+    assert store.get("dse", "b" * 64) == []
 
 
 # -- store URIs --------------------------------------------------------------
@@ -131,19 +150,23 @@ def test_fork_after_read_gets_fresh_connection(tmp_path):
 
 class TestStoreUri:
     def test_bare_path_is_sqlite(self, tmp_path):
-        backend = parse_store_uri(str(tmp_path))
-        assert isinstance(backend, SqliteBackend)
-        assert backend.root == tmp_path
+        store = open_store(str(tmp_path))
+        assert isinstance(store, ArtifactStore)
+        assert store.root == tmp_path
 
     def test_sqlite_scheme(self, tmp_path):
-        backend = parse_store_uri(f"sqlite:{tmp_path}")
-        assert isinstance(backend, SqliteBackend)
-        assert backend.root == tmp_path
+        store = open_store(f"sqlite:{tmp_path}")
+        assert isinstance(store, ArtifactStore)
+        assert store.root == tmp_path
+
+    def test_path_is_never_reparsed(self):
+        for odd in ("http://x", "sqlite:", "sharded:/x"):
+            assert open_store(Path(odd)).root == Path(odd)
 
     def test_http_rejected_naming_accepted_forms(self):
         for uri in ("http://127.0.0.1:9999", "https://store.example/x"):
             with pytest.raises(ValidationError) as info:
-                parse_store_uri(uri)
+                open_store(uri)
             message = str(info.value)
             assert "unknown scheme" in message
             assert "sqlite:PATH" in message and "bare path" in message
@@ -152,19 +175,20 @@ class TestStoreUri:
                                      "sqlit:/x"])
     def test_unknown_scheme_rejected(self, uri):
         with pytest.raises(ValidationError, match="unknown scheme"):
-            parse_store_uri(uri)
+            open_store(uri)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            parse_store_uri("")
+        for uri in ("", "   "):
+            with pytest.raises(ValidationError, match="non-empty"):
+                open_store(uri)
+        with pytest.raises(ValidationError, match="missing a path"):
+            open_store("sqlite:")
 
     def test_uri_round_trips(self, tmp_path):
         uri = f"sqlite:{tmp_path / 'a'}"
-        assert parse_store_uri(uri).uri == uri
+        assert open_store(uri).uri == uri
 
     def test_open_store_accepts_uri(self, tmp_path):
-        from repro.store import open_store
-
         store = open_store(f"sqlite:{tmp_path}")
         store.put("dse", KEY, {"x": 1})
         assert open_store(store) is store

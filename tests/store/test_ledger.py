@@ -58,7 +58,6 @@ class TestLedger:
         assert len(manifests) == 3
         stamps = [m["created_ts"] for m in manifests]
         assert stamps == sorted(stamps)
-        assert ledger.latest()["run_id"] == manifests[-1]["run_id"]
 
     def test_get_unknown_raises(self, tmp_path):
         with pytest.raises(StoreError, match="no run"):

@@ -14,9 +14,13 @@ Resuming a portfolio run fails with one error line instead of silently
 running a different search.
 """
 
+import hashlib
 import json
 import pickle
+import sqlite3
+import time
 import zlib
+from contextlib import closing
 
 import numpy as np
 
@@ -26,6 +30,22 @@ from repro.store import ArtifactStore, RunLedger, content_hash
 QUEUE_KINDS = ("work-queue", "work-item", "work-lease", "work-result")
 
 PORTFOLIO_RUN = "20260101T000001Z-00000001"
+
+
+def _put_legacy_blob(root, kind, key, data, ext):
+    """Index a blob whose kind no codec knows any more, the way the
+    retired writer laid it out: file plus ``artifacts`` row."""
+    path = root / "objects" / kind / key[:2] / f"{key}.{ext}"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data)
+    with closing(sqlite3.connect(root / "index.sqlite3")) as conn, conn:
+        conn.execute(
+            "INSERT INTO artifacts "
+            "(kind, key, filename, sha256, size, created_at, meta) "
+            "VALUES (?, ?, ?, ?, ?, ?, '{}')",
+            (kind, key, str(path.relative_to(root)),
+             hashlib.sha256(data).hexdigest(), len(data), time.time()),
+        )
 
 
 def _fill(root):
@@ -52,8 +72,8 @@ def _fill(root):
         store.put(kind, content_hash({kind: queue_id}),
                   {"queue": queue_id, "status": "open"})
     context = zlib.compress(pickle.dumps(("space", "models")), 6)
-    store.backend.put_bytes(
-        "search-context", content_hash({"search-context": queue_id}),
+    _put_legacy_blob(
+        root, "search-context", content_hash({"search-context": queue_id}),
         context, ext="pklz",
     )
     checkpoint = store.put(

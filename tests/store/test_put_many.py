@@ -1,8 +1,8 @@
-"""Batched blob writes: ``SqliteBackend.put_many`` / ``ArtifactStore.put_many``.
+"""Batched blob writes: ``ArtifactStore.put_many``.
 
 The library build stores each chunk's component blobs with one
-``put_many``: the sqlite backend still writes every blob through a temp
-file, fsync and atomic rename, but indexes the whole chunk in a single
+``put_many``: the store still writes every blob through a temp file,
+fsync and atomic rename, but indexes the whole chunk in a single
 transaction.
 """
 
@@ -10,7 +10,7 @@ import pytest
 
 from repro.library.generation import GenerationPlan
 from repro.library.pipeline import COMPONENT_KIND, build_library
-from repro.store import ArtifactStore, SqliteBackend
+from repro.store import ArtifactStore
 from repro.telemetry import get_metrics
 
 
@@ -21,13 +21,13 @@ def _items(n):
     ]
 
 
-def _count_commits(backend, action):
+def _count_commits(store, action):
     statements = []
-    backend._connect().set_trace_callback(statements.append)
+    store._connect().set_trace_callback(statements.append)
     try:
         action()
     finally:
-        backend._connect().set_trace_callback(None)
+        store._connect().set_trace_callback(None)
     return sum(s.strip().upper() == "COMMIT" for s in statements)
 
 
@@ -35,7 +35,7 @@ def test_chunk_of_puts_is_one_commit(tmp_path):
     store = ArtifactStore(tmp_path)
     items = _items(8)
     assert _count_commits(
-        store.backend, lambda: store.put_many("dse", items)
+        store, lambda: store.put_many("dse", items)
     ) == 1
     for key, obj, _ in items:
         assert store.get("dse", key) == obj
@@ -49,7 +49,7 @@ def test_single_puts_commit_each(tmp_path):
         for key, obj, meta in _items(3):
             store.put("dse", key, obj, meta=meta)
 
-    assert _count_commits(store.backend, put_each) == 3
+    assert _count_commits(store, put_each) == 3
 
 
 def test_crash_before_commit_leaves_adoptable_orphans(tmp_path,
@@ -61,7 +61,7 @@ def test_crash_before_commit_leaves_adoptable_orphans(tmp_path,
         raise RuntimeError("killed between the renames and the commit")
 
     with monkeypatch.context() as patch:
-        patch.setattr(SqliteBackend, "_index_many", crash)
+        patch.setattr(ArtifactStore, "_index_many", crash)
         with pytest.raises(RuntimeError, match="killed"):
             store.put_many("dse", items)
     blobs = list((tmp_path / "objects" / "dse").rglob("*.json"))

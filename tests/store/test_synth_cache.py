@@ -4,7 +4,6 @@ from repro.accelerators.sobel import SobelEdgeDetector
 from repro.core.engine import EvaluationEngine
 from repro.store import (
     ArtifactStore,
-    MemorySynthCache,
     StoreSynthCache,
     accelerator_fingerprint,
     content_hash,
@@ -52,13 +51,14 @@ class TestEngineSynthCache:
         assert engine.synth_misses == 1
         assert engine.synth_store_hits == 0
 
-    def test_memory_cache_shares_between_engines(self, sobel_space,
+    def test_memory_cache_shares_between_engines(self, tmp_path,
+                                                 sobel_space,
                                                  small_images):
-        shared = MemorySynthCache()
+        shared = _cache(tmp_path)
         config = sobel_space.random_configuration(rng=0)
         records = sobel_space.records(config)
         _engine(small_images, shared).hardware(records)
-        assert len(shared) == 1
+        assert len(shared.store.entries(StoreSynthCache.KIND)) == 1
         other = _engine(small_images, shared)
         other.hardware(records)
         assert other.synth_misses == 0

@@ -1,17 +1,13 @@
-"""Metrics registry: thread safety, percentiles, deltas, the kill switch."""
+"""Metrics registry: thread safety, percentiles, deltas, Prometheus text."""
 
 import threading
 
 import pytest
 
-from repro.errors import ValidationError
 from repro.telemetry.metrics import (
     RESERVOIR_CAPACITY,
     MetricsRegistry,
-    NullMetricsRegistry,
-    get_metrics,
     render_prometheus,
-    reset_metrics,
 )
 
 
@@ -121,45 +117,6 @@ class TestSnapshotsAndDeltas:
     def test_merge_none_is_noop(self, registry):
         registry.merge(None)
         assert registry.snapshot()["counters"] == {}
-
-
-class TestKillSwitch:
-    def test_disabled_registry_is_null(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "off")
-        reset_metrics()
-        try:
-            registry = get_metrics()
-            assert isinstance(registry, NullMetricsRegistry)
-            assert registry.enabled is False
-            registry.inc("x")
-            registry.observe("y", 1.0)
-            with registry.timer("t"):
-                pass
-            assert registry.snapshot() == {
-                "counters": {}, "gauges": {}, "histograms": {},
-            }
-            assert registry.export_delta() is None
-        finally:
-            reset_metrics()
-
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        reset_metrics()
-        try:
-            assert get_metrics().enabled is True
-        finally:
-            reset_metrics()
-
-    def test_bogus_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "maybe")
-        reset_metrics()
-        try:
-            with pytest.raises(
-                ValidationError, match="REPRO_TELEMETRY"
-            ):
-                get_metrics()
-        finally:
-            reset_metrics()
 
 
 class TestPrometheus:

@@ -199,7 +199,9 @@ class TestCommands:
         assert main(
             ["generate-library", "--scale", "0.0005", "--no-store"]
         ) == 2
-        assert "--out" in capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "error: generate-library needs --out and/or --store"
+        ]
 
     def test_profile(self, capsys):
         assert main(["profile", "--images", "1"]) == 0
@@ -353,9 +355,9 @@ class TestStoreCommands:
         ]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "Random Forrest" in captured.err
-        assert "'Random Forest'" in captured.err  # the known names
-        assert "Traceback" not in captured.err
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: unknown --engines ['Random Forrest']")
+        assert "'Random Forest'" in line  # the known names
         assert not store_env.exists()
 
     def test_search_rejects_bad_budget_before_any_work(
@@ -367,8 +369,7 @@ class TestStoreCommands:
         ]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--budget must be >= 1" in captured.err
-        assert "Traceback" not in captured.err
+        assert captured.err.splitlines() == ["error: --budget must be >= 1"]
         assert not store_env.exists()
 
     def test_no_store_flag_disables(self, store_env, capsys):
@@ -513,11 +514,11 @@ class TestStoreCommands:
         flagged = tmp_path / "flagged"
         self._run_json(capsys, extra=["--store", str(flagged)])
         env_store = open_store(str(store_env))
-        assert env_store.keys("library") == []
-        assert env_store.keys("component") == []
+        assert env_store.entries("library") == []
+        assert env_store.entries("component") == []
         flag_store = open_store(str(flagged))
-        assert len(flag_store.keys("library")) == 1
-        assert flag_store.keys("component")
+        assert len(flag_store.entries("library")) == 1
+        assert flag_store.entries("component")
 
     def test_runs_show_unknown_id(self, store_env, capsys):
         self._run_json(capsys)
