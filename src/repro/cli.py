@@ -25,11 +25,6 @@ Commands
   store, ``gc`` artifacts no manifest references.
 * ``export-verilog`` — lower an accelerator with exact components and
   write structural Verilog.
-* ``serve`` — approximation-as-a-service: a stdlib HTTP server where
-  clients submit (workload, quality-target, budget) jobs; concurrent
-  identical requests coalesce into one pipeline pass, warm queries are
-  answered from the store, and every job is metered per API key and
-  recorded in the run ledger (``repro runs list --kind serve-job``).
 
 Store-aware commands accept ``--store [URI]``/``--no-store`` to enable
 the persistent stage cache (default: on when ``REPRO_STORE_DIR`` is
@@ -652,20 +647,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _restore_sigint() -> None:
-    """Make Ctrl-C / ``kill -INT`` work even when launched as ``cmd &``.
-
-    Shells start background jobs with SIGINT set to ignore, and Python
-    keeps an inherited ignore — so a long-running server would be
-    unstoppable by SIGINT.  ``serve`` relies on ``KeyboardInterrupt``
-    for graceful shutdown, so restore the default handler explicitly.
-    """
-    import signal
-
-    if signal.getsignal(signal.SIGINT) == signal.SIG_IGN:
-        signal.signal(signal.SIGINT, signal.default_int_handler)
-
-
 # -- runs (experiment-store ledger) -----------------------------------------
 
 
@@ -818,8 +799,8 @@ def _cmd_runs_resume(args: argparse.Namespace) -> int:
         return 0
     else:
         raise StoreError(
-            f"run {args.run_id!r} has no resumable params "
-            f"(command={command!r})"
+            f"run {args.run_id!r} (kind {manifest.get('kind')!r}) has "
+            f"no resumable params (command={command!r})"
         )
     if args.json:
         doc = _result_doc(result, label_key, label)
@@ -866,55 +847,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         "resume": _cmd_runs_resume,
         "gc": _cmd_runs_gc,
     }[args.runs_command](args)
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import os
-
-    from repro.serve import (
-        SERVE_KEYS_ENV,
-        ApiKeyRegistry,
-        Coordinator,
-        ServeApp,
-        default_port,
-        serve_forever,
-    )
-
-    keys = ApiKeyRegistry(
-        args.keys if args.keys is not None
-        else os.environ.get(SERVE_KEYS_ENV)
-    )
-    coordinator = Coordinator(
-        store=_resolve_store(args.store),
-        parallel_jobs=args.parallel_jobs,
-    )
-    app = ServeApp(coordinator, keys)
-    port = args.port if args.port is not None else default_port()
-
-    log = get_logger("serve")
-
-    def ready(actual_port: int) -> None:
-        mode = (
-            f"{len(keys.accounts)} API key(s)" if keys.enabled
-            else "open (no API keys)"
-        )
-        where = (
-            coordinator.store.uri if coordinator.store else "none"
-        )
-        log.info(
-            f"repro serve on http://{args.host}:{actual_port} "
-            f"[auth: {mode}, store: {where}]"
-        )
-
-    try:
-        _restore_sigint()
-        asyncio.run(
-            serve_forever(app, host=args.host, port=port, ready=ready)
-        )
-    except KeyboardInterrupt:
-        log.info("repro serve: shutting down")
-    return 0
 
 
 def _cmd_export_verilog(args: argparse.Namespace) -> int:
@@ -1061,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--kind", default=None,
                 help="only manifests of this kind "
-                     "(e.g. workload, search, serve-job)",
+                     "(e.g. workload, search)",
             )
         if name in ("show", "resume"):
             cmd.add_argument("run_id", help="ledger run id")
@@ -1078,30 +1010,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="report what would be removed (per-kind counts "
                      "and byte totals) without deleting anything",
             )
-
-    serve = sub.add_parser(
-        "serve", help="HTTP approximation service (submit/poll jobs)"
-    )
-    serve.add_argument("--host", default="127.0.0.1",
-                       help="bind address (default: 127.0.0.1)")
-    serve.add_argument(
-        "--port", type=int, default=None,
-        help="TCP port (default: REPRO_SERVE_PORT env or 8035; "
-             "0 picks a free port)",
-    )
-    serve.add_argument(
-        "--keys", default=None,
-        help="comma-separated API keys '[name=]secret[:budget]' "
-             "(default: REPRO_SERVE_KEYS env; none => open server)",
-    )
-    serve.add_argument(
-        "--parallel-jobs", type=int, default=1,
-        help="concurrent pipeline passes (default: 1; parallelism "
-             "lives inside a pass via --workers)",
-    )
-    _add_workers_arg(serve)
-    _add_store_arg(serve)
-    _add_trace_arg(serve)
 
     export = sub.add_parser("export-verilog",
                             help="structural Verilog of an accelerator")
@@ -1121,7 +1029,6 @@ _COMMANDS = {
     "workloads": _cmd_workloads,
     "search": _cmd_search,
     "runs": _cmd_runs,
-    "serve": _cmd_serve,
     "export-verilog": _cmd_export_verilog,
 }
 

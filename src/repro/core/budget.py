@@ -43,14 +43,9 @@ class EvaluationBudget:
     would exceed the cap — callers are expected to ``grant`` first and
     size their batch accordingly.
 
-    The ledger is **thread-safe**: one budget may be shared by several
-    coordinator threads (the serving layer meters every API key through
-    one budget).  ``charge`` is atomic under an internal lock, and
-    concurrent grant-then-charge callers should use :meth:`reserve`,
-    which grants and commits in one locked step — two threads
-    interleaving ``grant``/``charge`` could otherwise both observe the
-    same ``remaining`` and jointly overspend the exact-accounting
-    contract.
+    The ledger is **thread-safe**: ``charge`` checks and commits under
+    one internal lock, so concurrent callers sharing one budget can
+    never jointly spend past ``total``.
     """
 
     __slots__ = ("total", "_spent", "_lock")
@@ -110,27 +105,6 @@ class EvaluationBudget:
                     f"budget ({self._spent}/{self.total} spent)"
                 )
             self._spent += count
-
-    def reserve(self, requested: int) -> int:
-        """Atomically grant *and* charge up to ``requested`` evaluations.
-
-        Returns the number actually committed (possibly 0 when the
-        budget is exhausted).  This is the concurrency-safe form of the
-        ``grant``-then-``charge`` idiom: the check and the commit happen
-        under one lock, so N threads hammering one budget can never
-        jointly spend past ``total``.
-        """
-        if requested < 0:
-            raise DSEError("cannot request a negative batch")
-        with self._lock:
-            if self.total is None:
-                granted = int(requested)
-            else:
-                granted = int(
-                    min(requested, max(0, self.total - self._spent))
-                )
-            self._spent += granted
-            return granted
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cap = "inf" if self.total is None else str(self.total)

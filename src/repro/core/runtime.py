@@ -24,8 +24,8 @@ random-forest tree chunks) fans out through
   runs in-process when that count is below 2, when it is issued from
   inside a worker, or under ``REPRO_PARALLEL=never``; otherwise every
   task goes to the pool.  The pool is started once, sized by the count
-  at that moment, and never resized, so concurrent batches of any size
-  (``repro serve --parallel-jobs``) share it safely;
+  at that moment, and never resized, so batches of any size mapped
+  concurrently from several threads share it safely;
 * **one start-method story** — context travels the same shared-memory
   route under ``fork``, ``forkserver`` and ``spawn``
   (``REPRO_START_METHOD``), so non-fork platforms produce bit-identical

@@ -26,7 +26,7 @@ reports and QoR evaluation matrices are canonical JSON, fitted models
 and operand profiles are pickles (stdlib, local trusted cache).
 
 Every surface that takes a store location (``--store``,
-``REPRO_STORE_DIR``, ``repro serve``) goes through :func:`open_store`,
+``--store-dir``, ``REPRO_STORE_DIR``) goes through :func:`open_store`,
 which accepts a bare path or ``sqlite:PATH``; any other ``scheme:``
 prefix (``http://`` included) is rejected rather than read as a
 relative directory name.
@@ -250,8 +250,8 @@ class ArtifactStore:
     (keyed by pid: a forked child opens its own and *parks* the
     inherited parent handle rather than closing it, which sqlite
     forbids across processes) and opened with
-    ``check_same_thread=False`` behind an instance lock so the serve
-    layer's executor threads can share one store.
+    ``check_same_thread=False`` behind an instance lock, so threads of
+    one process may share a store instance.
 
     Keys are content hashes (hex), kinds are short identifiers; the
     kind's codec decides what the bytes mean and the blob filename

@@ -95,7 +95,7 @@ class RunLedger:
         """All manifests, oldest first (undecodable files are skipped).
 
         ``kind`` restricts the listing to one manifest kind (e.g.
-        ``"serve-job"`` — the serving layer's audit log).
+        ``"workload"`` or ``"search"``).
         """
         manifests = []
         for path in sorted(self.runs_dir.glob("*.json")):
@@ -119,14 +119,6 @@ class RunLedger:
         try:
             return json.loads(self._path(run_id).read_text())
         except (OSError, json.JSONDecodeError):
-            raise StoreError(
-                f"no run {run_id!r} in ledger at {self.runs_dir}"
-            ) from None
-
-    def delete(self, run_id: str) -> None:
-        try:
-            self._path(run_id).unlink()
-        except OSError:
             raise StoreError(
                 f"no run {run_id!r} in ledger at {self.runs_dir}"
             ) from None

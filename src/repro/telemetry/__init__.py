@@ -27,7 +27,6 @@ from repro.telemetry.logs import (
 from repro.telemetry.metrics import (
     MetricsRegistry,
     get_metrics,
-    render_prometheus,
     reset_metrics,
 )
 from repro.telemetry.tracing import (
@@ -52,7 +51,6 @@ __all__ = [
     "Tracer",
     "get_metrics",
     "reset_metrics",
-    "render_prometheus",
     "get_logger",
     "setup_logging",
     "install_tracer",

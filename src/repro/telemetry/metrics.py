@@ -2,7 +2,8 @@
 
 One :class:`MetricsRegistry` per process (``get_metrics()``), guarded by
 a single lock so every operation is thread-safe. Metric names are flat
-dotted strings (``engine.evaluations``, ``serve.job_seconds.memory``).
+dotted strings (``engine.evaluations``,
+``pipeline.stage_seconds.model_construction``).
 
 Cross-process aggregation: ``ParallelRuntime`` workers accumulate into
 their *own* process registry and export an :func:`export_delta` with
@@ -27,14 +28,13 @@ __all__ = [
     "MetricsRegistry",
     "get_metrics",
     "reset_metrics",
-    "render_prometheus",
 ]
 
 #: Bounded reservoir size per histogram; percentiles are exact until
 #: a histogram sees more observations than this.
 RESERVOIR_CAPACITY = 1024
 
-#: Percentiles exported by ``snapshot()`` and the Prometheus renderer.
+#: Percentiles exported by ``snapshot()``.
 QUANTILES = (0.5, 0.95, 0.99)
 
 
@@ -261,37 +261,3 @@ def reset_metrics() -> None:
     with _REGISTRY_LOCK:
         _REGISTRY = None
         _REGISTRY_PID = None
-
-
-# -- Prometheus text exposition --------------------------------------
-
-def _prom_name(name: str) -> str:
-    return "repro_" + "".join(
-        c if c.isalnum() or c == "_" else "_" for c in name
-    )
-
-
-def render_prometheus(snapshot: dict) -> str:
-    """Render a ``snapshot()`` dict as Prometheus text exposition."""
-    lines: List[str] = []
-    for name in sorted(snapshot.get("counters", {})):
-        metric = _prom_name(name) + "_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {snapshot['counters'][name]}")
-    for name in sorted(snapshot.get("gauges", {})):
-        metric = _prom_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric} {snapshot['gauges'][name]}")
-    for name in sorted(snapshot.get("histograms", {})):
-        summary = snapshot["histograms"][name]
-        metric = _prom_name(name)
-        lines.append(f"# TYPE {metric} summary")
-        for q in QUANTILES:
-            value = summary.get(f"p{int(q * 100)}")
-            if value is not None:
-                lines.append(
-                    f'{metric}{{quantile="{q}"}} {value}'
-                )
-        lines.append(f"{metric}_sum {summary['sum']}")
-        lines.append(f"{metric}_count {summary['count']}")
-    return "\n".join(lines) + "\n"

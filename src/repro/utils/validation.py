@@ -26,41 +26,6 @@ def check_env_dir(value: object, source: str) -> str:
     return text
 
 
-def check_env_int(
-    value: object,
-    source: str,
-    minimum: Optional[int] = None,
-    maximum: Optional[int] = None,
-) -> int:
-    """Validate an integer environment knob (or flag) value.
-
-    Blank and non-numeric values raise a
-    :class:`~repro.errors.ValidationError` naming ``source`` — the same
-    contract as :func:`check_env_dir` — instead of surfacing a raw
-    ``ValueError`` traceback from ``int()`` deep inside a run.
-    """
-    text = str(value).strip() if value is not None else ""
-    if not text:
-        raise ValidationError(
-            f"{source} must be an integer, got {value!r}"
-        )
-    try:
-        number = int(text)
-    except ValueError:
-        raise ValidationError(
-            f"{source} must be an integer, got {value!r}"
-        ) from None
-    if minimum is not None and number < minimum:
-        raise ValidationError(
-            f"{source} must be >= {minimum}, got {number}"
-        )
-    if maximum is not None and number > maximum:
-        raise ValidationError(
-            f"{source} must be <= {maximum}, got {number}"
-        )
-    return number
-
-
 def check_env_float(
     value: object,
     source: str,
@@ -68,7 +33,7 @@ def check_env_float(
 ) -> float:
     """Validate a floating-point environment knob (or flag) value.
 
-    Same contract as :func:`check_env_int`: blank or non-numeric input
+    Same contract as :func:`check_env_dir`: blank or non-numeric input
     is a configuration error named after its knob, never a raw
     ``ValueError`` traceback (and never a silent fallback).
     """

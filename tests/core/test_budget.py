@@ -105,43 +105,6 @@ class TestBudgetConcurrency:
         assert len(overdrafts) == 1_000
         assert budget.exhausted
 
-    def test_hammered_reserve_spends_budget_exactly(self):
-        import threading
-
-        budget = EvaluationBudget(997)  # prime: no lucky alignment
-        granted = []
-        lock = threading.Lock()
-
-        def worker():
-            while True:
-                got = budget.reserve(13)
-                if got == 0:
-                    return
-                with lock:
-                    granted.append(got)
-
-        threads = [threading.Thread(target=worker) for _ in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert sum(granted) == 997
-        assert budget.spent == 997
-
-    def test_reserve_caps_and_commits(self):
-        budget = EvaluationBudget(10)
-        assert budget.reserve(7) == 7
-        assert budget.reserve(7) == 3
-        assert budget.reserve(7) == 0
-        assert budget.spent == 10
-        with pytest.raises(DSEError):
-            budget.reserve(-1)
-
-    def test_unlimited_reserve_grants_everything(self):
-        budget = EvaluationBudget(None)
-        assert budget.reserve(1_000_000) == 1_000_000
-        assert budget.spent == 1_000_000
-
     def test_budget_pickles_without_lock(self):
         import pickle
 

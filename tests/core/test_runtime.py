@@ -267,9 +267,8 @@ class TestParallelExecution:
     def test_concurrent_batches_of_different_sizes_share_the_pool(
         self, fresh_runtime, monkeypatch
     ):
-        """Two threads mapping batches of 3 and 8 tasks (what ``repro
-        serve --parallel-jobs 2`` does) both complete: a batch never
-        shuts down the pool another thread is using."""
+        """Two threads mapping batches of 3 and 8 tasks both complete:
+        a batch never shuts down the pool another thread is using."""
         monkeypatch.setattr(rt, "usable_cores", lambda: 4)
         _use_workers(monkeypatch, 4)
         errors = []

@@ -63,15 +63,6 @@ class TestLedger:
         with pytest.raises(StoreError, match="no run"):
             RunLedger(tmp_path).get("nope")
 
-    def test_delete(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        run_id = ledger.new_run_id()
-        _record(ledger, run_id)
-        ledger.delete(run_id)
-        assert ledger.runs() == []
-        with pytest.raises(StoreError):
-            ledger.delete(run_id)
-
     def test_new_run_ids_unique(self, tmp_path):
         ids = {RunLedger.new_run_id() for _ in range(50)}
         assert len(ids) == 50

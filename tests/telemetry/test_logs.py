@@ -54,11 +54,11 @@ class TestJsonFormat:
 class TestTextFormat:
     def test_key_value_suffix(self):
         stream = _capture("text")
-        get_logger("serve").warning(
+        get_logger("pipeline").warning(
             "slow", extra={"data": {"seconds": 1.5}}
         )
         line = stream.getvalue().strip()
-        assert line == "WARNING repro.serve: slow seconds=1.5"
+        assert line == "WARNING repro.pipeline: slow seconds=1.5"
 
 
 class TestEnvKnobs:

@@ -1,14 +1,10 @@
-"""Metrics registry: thread safety, percentiles, deltas, Prometheus text."""
+"""Metrics registry: thread safety, percentiles, deltas."""
 
 import threading
 
 import pytest
 
-from repro.telemetry.metrics import (
-    RESERVOIR_CAPACITY,
-    MetricsRegistry,
-    render_prometheus,
-)
+from repro.telemetry.metrics import RESERVOIR_CAPACITY, MetricsRegistry
 
 
 @pytest.fixture()
@@ -117,18 +113,3 @@ class TestSnapshotsAndDeltas:
     def test_merge_none_is_noop(self, registry):
         registry.merge(None)
         assert registry.snapshot()["counters"] == {}
-
-
-class TestPrometheus:
-    def test_renders_all_kinds(self, registry):
-        registry.inc("engine.evaluations", 4)
-        registry.set_gauge("search.front_size", 9)
-        for value in (0.1, 0.2, 0.3):
-            registry.observe("serve.job_seconds.cold", value)
-        text = render_prometheus(registry.snapshot())
-        assert "# TYPE repro_engine_evaluations_total counter" in text
-        assert "repro_engine_evaluations_total 4" in text
-        assert "repro_search_front_size 9" in text
-        assert 'repro_serve_job_seconds_cold{quantile="0.5"}' in text
-        assert "repro_serve_job_seconds_cold_count 3" in text
-        assert text.endswith("\n")

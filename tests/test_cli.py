@@ -252,32 +252,6 @@ class TestCommands:
             ["run", "--no-store"]
         ).store is False
 
-    def test_restore_sigint_unignores(self):
-        """Background-job SIGINT=ignore must be reset to default.
-
-        Shells start ``cmd &`` jobs with SIGINT ignored; serve relies
-        on KeyboardInterrupt for graceful shutdown.
-        """
-        import signal
-
-        from repro.cli import _restore_sigint
-
-        previous = signal.getsignal(signal.SIGINT)
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            _restore_sigint()
-            assert (signal.getsignal(signal.SIGINT)
-                    is signal.default_int_handler)
-
-            def custom(signum, frame):  # pragma: no cover - handler
-                pass
-
-            signal.signal(signal.SIGINT, custom)
-            _restore_sigint()  # a live handler is left alone
-            assert signal.getsignal(signal.SIGINT) is custom
-        finally:
-            signal.signal(signal.SIGINT, previous)
-
     def test_export_verilog_stdout(self, capsys):
         assert main(["export-verilog", "--accelerator", "sobel"]) == 0
         out = capsys.readouterr().out
@@ -610,6 +584,47 @@ class TestErrorExit:
         assert main(["runs", "show", "nope"]) == 1
         self._one_error_line(capsys, "no experiment store")
 
+    def test_retired_serve_job_manifest_stays_readable(
+        self, store_env, capsys
+    ):
+        """Stores may hold ``serve-job`` manifests written by the
+        retired HTTP service: they still list and gc, resuming one is
+        one error line naming its kind, and ``serve`` is no command."""
+        from repro.store import ArtifactStore, RunLedger
+
+        request = {
+            "workload": "sobel", "quality_target": 0.8, "evals": 300,
+            "scale": 0.001, "images": 1, "train": 12, "seed": 0,
+        }
+        run_id = RunLedger.new_run_id()
+        RunLedger(ArtifactStore(store_env)).record(
+            run_id,
+            kind="serve-job",
+            label="serve:sobel",
+            params={**request, "job_id": "job-000001",
+                    "account": "ci", "api_key": "0123abcd"},
+            config_hash="0" * 64,
+            stages=[{"name": "serve", "seconds": 1.5,
+                     "cache": "cold", "artifacts": []}],
+            seed=0,
+            extra={"source": "cold", "error": None},
+        )
+
+        assert main(["runs", "list", "--json", "--kind", "serve-job"]) == 0
+        runs = json.loads(capsys.readouterr().out)["runs"]
+        assert [r["run_id"] for r in runs] == [run_id]
+
+        assert main(["runs", "gc", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["gc"]["removed"] == 0
+
+        assert main(["runs", "resume", run_id]) == 1
+        self._one_error_line(capsys, "(kind 'serve-job')")
+
+        with pytest.raises(SystemExit) as info:
+            main(["serve"])
+        assert info.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
+
 
 class TestDefaultWorkers:
     """With no ``--workers`` and no ``REPRO_WORKERS``, every command that
@@ -832,7 +847,7 @@ class TestJsonStdoutPurity:
         doc, _ = self._pure_json(capsys)
         assert len(doc["runs"]) == 1
         assert main(
-            ["runs", "list", "--json", "--kind", "serve-job"]
+            ["runs", "list", "--json", "--kind", "search"]
         ) == 0
         doc, _ = self._pure_json(capsys)
         assert doc["runs"] == []

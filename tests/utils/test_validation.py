@@ -54,30 +54,6 @@ class TestProbabilityVector:
 class TestEnvNumberKnobs:
     """Numeric environment knobs must fail loudly, naming the knob."""
 
-    def test_env_int_parses(self):
-        from repro.utils.validation import check_env_int
-
-        assert check_env_int("8035", source="REPRO_SERVE_PORT") == 8035
-        assert check_env_int(" 42 ", source="K") == 42
-
-    @pytest.mark.parametrize("raw", ["", "   ", "abc", "8.5", "0x10"])
-    def test_env_int_rejects_non_integers(self, raw):
-        from repro.errors import ValidationError
-        from repro.utils.validation import check_env_int
-
-        with pytest.raises(ValidationError, match="REPRO_SERVE_PORT"):
-            check_env_int(raw, source="REPRO_SERVE_PORT")
-
-    def test_env_int_bounds(self):
-        from repro.errors import ValidationError
-        from repro.utils.validation import check_env_int
-
-        with pytest.raises(ValidationError, match="PORT"):
-            check_env_int("70000", source="PORT", minimum=0,
-                          maximum=65535)
-        with pytest.raises(ValidationError, match="PORT"):
-            check_env_int("-1", source="PORT", minimum=0)
-
     def test_env_float_parses(self):
         from repro.utils.validation import check_env_float
 
@@ -109,23 +85,6 @@ class TestEnvNumberKnobs:
 
 class TestKnobConsumers:
     """The real knobs route through the validated parsers."""
-
-    @pytest.mark.parametrize("raw", ["", "http", "8035.5", "-2"])
-    def test_serve_port_rejects_junk(self, monkeypatch, raw):
-        from repro.errors import ValidationError
-        from repro.serve.server import default_port
-
-        monkeypatch.setenv("REPRO_SERVE_PORT", raw)
-        with pytest.raises(ValidationError, match="REPRO_SERVE_PORT"):
-            default_port()
-
-    def test_serve_port_parses_and_defaults(self, monkeypatch):
-        from repro.serve.server import DEFAULT_PORT, default_port
-
-        monkeypatch.setenv("REPRO_SERVE_PORT", "9000")
-        assert default_port() == 9000
-        monkeypatch.delenv("REPRO_SERVE_PORT")
-        assert default_port() == DEFAULT_PORT
 
     @pytest.mark.parametrize("raw", ["", "big", "nan"])
     def test_scale_rejects_junk(self, monkeypatch, raw):
