@@ -15,16 +15,22 @@ Commands
 * ``workloads`` — ``list`` the registered workloads or ``run <name>``:
   the full pipeline on any registry entry, with a library generated (and
   cached) to cover exactly that workload's operation signatures.
-* ``search`` — fit the estimation models for a workload, then run the
-  paper's hill climber (Algorithm 1) over its configuration space for
-  exactly ``--budget`` model evaluations and print the pseudo-Pareto
-  front; with ``--store`` the run is recorded in the ledger.
+* ``search`` — the ``workloads run`` pipeline stopped after its
+  pseudo-Pareto stage: profile with the workload's scenarios, reduce,
+  fit the ``--engines`` models, then run the paper's hill climber
+  (Algorithm 1) for exactly ``--budget`` model evaluations and print
+  the pseudo-Pareto front.  It shares stage-cache keys with ``workloads
+  run``.
 * ``runs`` — the persistent experiment store's run ledger: ``list`` and
   ``show`` recorded runs, ``resume`` one (``run``, ``workloads run`` or
   ``search``) by re-executing its recorded params against the warm
   store, ``gc`` artifacts no manifest references.
 * ``export-verilog`` — lower an accelerator with exact components and
   write structural Verilog.
+
+``run``, ``workloads run``, ``search`` and ``runs resume`` build their
+pipeline from the same params through one builder, and the pipeline
+writes every manifest.
 
 Store-aware commands accept ``--store [URI]``/``--no-store`` to enable
 the persistent stage cache (default: on when ``REPRO_STORE_DIR`` is
@@ -42,14 +48,13 @@ import argparse
 import contextlib
 import json
 import sys
-import time
 from typing import Dict, List, Optional
 
 from repro.accelerators.gaussian_fixed import FixedGaussianFilter
 from repro.accelerators.gaussian_generic import GenericGaussianFilter
 from repro.accelerators.sobel import SobelEdgeDetector
 from repro.errors import ReproError, ValidationError
-from repro.telemetry import get_logger, get_metrics, setup_logging
+from repro.telemetry import get_logger, setup_logging
 from repro.utils.tabulate import format_table
 
 ACCELERATORS = {
@@ -384,87 +389,156 @@ def _print_pipeline_result(result, out: Optional[str]) -> None:
         print(f"front written to {out}")
 
 
-def _run_accelerator_pipeline(
-    accelerator_name: str,
-    library_path: Optional[str],
-    scale: float,
-    n_images: int,
-    train: int,
-    evals: int,
-    seed: int,
-    store,
-    out: Optional[str] = None,
-):
+def _pipeline(params: Dict, store):
+    """The one builder: a command's recorded params -> an ``AutoAx``.
+
+    Returns ``(pipeline, bundle)``; ``bundle`` is the materialised
+    :class:`~repro.workloads.WorkloadBundle` for ``workloads run`` and
+    ``search``, ``None`` for ``run``.
+
+    ``run``, ``workloads run``, ``search`` and ``runs resume`` all build
+    their pipeline here, so a command and its resume get the identical
+    :class:`~repro.core.pipeline.AutoAxConfig` and share stage-cache
+    keys.  ``run`` uses the Table 2 library at ``scale``; ``workloads``
+    and ``search`` use the library covering the workload's signatures
+    and its scenarios.  A missing scale resolves from ``REPRO_SCALE``
+    and is recorded, so a resume runs on the same library.
+    """
     from repro.core.pipeline import AutoAx, AutoAxConfig
-    from repro.experiments.setup import scaled_library
-    from repro.imaging.datasets import benchmark_images
-    from repro.library.io import load_library
+    from repro.experiments.setup import default_scale
 
-    if library_path:
-        library = load_library(library_path)
-    else:
-        library = scaled_library(scale, seed=seed, store=store)
-    accelerator = ACCELERATORS[accelerator_name]()
-    images = benchmark_images(n_images)
+    params = dict(params)
+    if params.get("scale") is None:
+        params["scale"] = default_scale()
+    command = params["command"]
+    search = command == "search"
     config = AutoAxConfig(
-        n_train=train,
-        n_test=max(2, train // 2),
-        max_evaluations=evals,
-        seed=seed,
+        n_train=params["train"],
+        n_test=params["test"] if search else max(2, params["train"] // 2),
+        engines=tuple(params["engines"]) if search
+        else AutoAxConfig.engines,
+        max_evaluations=params["budget"] if search else params["evals"],
+        seed=params["seed"],
     )
-    pipeline = AutoAx(
-        accelerator, library, images, config=config, store=store,
-        run_kind="run", run_label=accelerator_name,
-        run_params={
-            "command": "run",
-            "accelerator": accelerator_name,
-            "library": library_path,
-            "scale": scale,
-            "images": n_images,
-            "train": train,
-            "evals": evals,
-            "seed": seed,
-            "out": out,
+    if command == "run":
+        from repro.experiments.setup import scaled_library
+        from repro.imaging.datasets import benchmark_images
+        from repro.library.io import load_library
+
+        name = params["accelerator"]
+        if params.get("library"):
+            library = load_library(params["library"])
+        else:
+            library = scaled_library(
+                params["scale"], seed=params["seed"], store=store
+            )
+        return AutoAx(
+            ACCELERATORS[name](), library,
+            benchmark_images(params["images"]), config=config,
+            store=store, run_kind="run", run_label=name,
+            run_params=params,
+        ), None
+    from repro.experiments.setup import workload_setup
+
+    name = params["workload"] if search else params["name"]
+    setup = workload_setup(
+        name, scale=params["scale"], n_images=params["images"],
+        seed=params["seed"], store=store,
+    )
+    return AutoAx(
+        setup.accelerator, setup.library, setup.images,
+        scenarios=setup.scenarios, config=config, store=store,
+        run_kind="search" if search else "workload",
+        run_label=f"search:{name}" if search else name,
+        run_params=params,
+    ), setup.bundle
+
+
+def _search_doc(result, params: Dict,
+                resumed_from: Optional[str]) -> Dict:
+    """The ``--json`` ``search`` object: the pseudo-Pareto front."""
+    pseudo = result.pseudo_pareto
+    return {
+        "workload": params["workload"],
+        "run_id": result.run_id,
+        "resumed_from": resumed_from,
+        "evaluations": pseudo.evaluations,
+        "max_evaluations": params["budget"],
+        "inserts": pseudo.inserts,
+        "restarts": pseudo.restarts,
+        "front_size": len(pseudo),
+        "front": {
+            "configs": [list(c) for c in pseudo.configs],
+            "points": [[float(p[0]), float(p[1])] for p in pseudo.points],
         },
-    )
-    return pipeline.run()
+    }
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    result = _run_accelerator_pipeline(
-        args.accelerator, args.library, args.scale, args.images,
-        args.train, args.evals, args.seed,
-        _resolve_store(args.store), out=args.out,
+def _print_search_result(doc: Dict) -> None:
+    print(
+        f"search on {doc['workload']}: {doc['evaluations']} "
+        f"model evaluations (budget {doc['max_evaluations']}), "
+        f"{doc['front_size']} front members, {doc['inserts']} "
+        f"inserts, {doc['restarts']} restarts"
+        + (f", run {doc['run_id']}" if doc["run_id"] else "")
     )
-    if args.json:
-        _emit_pipeline_json(
-            result,
-            _result_doc(result, "accelerator", args.accelerator),
-            args.out,
-        )
+
+
+def _run_pipeline(
+    params: Dict,
+    store,
+    as_json: bool,
+    resumed_from: Optional[str] = None,
+) -> int:
+    """Build, run and report one pipeline command or its resume.
+
+    ``search`` is the same pipeline stopped after ``pseudo_pareto``.  A
+    resume reports like its command, adds ``resumed_from`` and writes
+    no ``--out`` file.
+    """
+    pipeline, bundle = _pipeline(params, store)
+    command = params["command"]
+    result = pipeline.run(final_analysis=command != "search")
+    if resumed_from and not as_json:
+        print(f"resumed {resumed_from} -> {result.run_id}")
+    if command == "search":
+        doc = _search_doc(result, params, resumed_from)
+        if as_json:
+            _emit_json({"search": doc})
+        else:
+            _print_search_result(doc)
+        return 0
+
+    out = None if resumed_from else params.get("out")
+    if command == "run":
+        doc = _result_doc(result, "accelerator", params["accelerator"])
     else:
-        _print_pipeline_result(result, args.out)
+        doc = _result_doc(result, "workload", params["name"])
+        doc["runs_per_config"] = bundle.run_count
+        if not as_json:
+            print(
+                f"workload {params['name']}: {bundle.run_count} "
+                f"runs/config ({len(bundle.images)} images x "
+                f"{len(bundle.scenarios or [None])} scenarios)"
+            )
+    if resumed_from:
+        doc["resumed_from"] = resumed_from
+    if as_json:
+        _emit_pipeline_json(result, doc, out)
+    else:
+        _print_pipeline_result(result, out)
     return 0
 
 
-def _run_workload_pipeline(
-    name: str,
-    scale: Optional[float],
-    n_images: int,
-    train: int,
-    evals: int,
-    seed: int,
-    store,
-    out: Optional[str] = None,
-):
-    # Shared with `runs resume` and the serving layer: one entry point
-    # guarantees byte-identical results and common stage-cache keys.
-    from repro.experiments.setup import run_workload_pipeline
+def _params(args: argparse.Namespace, command: str, *flags: str) -> Dict:
+    """A pipeline command's recorded params: its name and its flags."""
+    return {"command": command, **{f: getattr(args, f) for f in flags}}
 
-    return run_workload_pipeline(
-        name, scale=scale, n_images=n_images, train=train, evals=evals,
-        seed=seed, store=store, out=out,
-    )
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    params = _params(args, "run", "accelerator", "library", "scale",
+                     "images", "train", "evals", "seed", "out")
+    return _run_pipeline(params, _resolve_store(args.store), args.json)
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
@@ -494,135 +568,9 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
         )
         return 0
 
-    # workloads run <name>
-    setup, result = _run_workload_pipeline(
-        args.name, args.scale, args.images, args.train, args.evals,
-        args.seed, _resolve_store(args.store), out=args.out,
-    )
-    if args.json:
-        doc = _result_doc(result, "workload", args.name)
-        doc["runs_per_config"] = setup.bundle.run_count
-        _emit_pipeline_json(result, doc, args.out)
-    else:
-        print(
-            f"workload {args.name}: {setup.bundle.run_count} "
-            f"runs/config ({len(setup.images)} images x "
-            f"{len(setup.scenarios or [None])} scenarios)"
-        )
-        _print_pipeline_result(result, args.out)
-    return 0
-
-
-def _run_search(
-    workload: str,
-    scale: Optional[float],
-    n_images: int,
-    train: int,
-    test: int,
-    budget: int,
-    seed: int,
-    engines: List[str],
-    store,
-) -> Dict:
-    """Fit estimation models for a workload and run Algorithm 1.
-
-    The hill climber spends exactly ``budget`` model evaluations.  With
-    a ``store`` the run is recorded as a ``search`` ledger manifest
-    whose params ``runs resume`` re-executes.  Returns the ``--json``
-    document.
-    """
-    from repro.accelerators.profiler import profile_accelerator
-    from repro.core.budget import EvaluationBudget
-    from repro.core.dse import heuristic_pareto_construction
-    from repro.core.preprocessing import reduce_library
-    from repro.experiments.setup import (
-        build_workload_engine,
-        fit_search_models,
-        workload_setup,
-    )
-
-    metrics_mark = get_metrics().mark()
-    start = time.perf_counter()
-    setup = workload_setup(
-        workload, scale=scale, n_images=n_images, seed=seed, store=store,
-    )
-    profiles = profile_accelerator(
-        setup.accelerator, setup.images, rng=seed
-    )
-    space = reduce_library(setup.accelerator, setup.library, profiles)
-    engine = build_workload_engine(setup)
-    qor_model, hw_model = fit_search_models(
-        space, engine, train, test, engines=engines, seed=seed,
-    )
-    fit_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    result = heuristic_pareto_construction(
-        space, qor_model, hw_model, rng=seed,
-        budget=EvaluationBudget(budget),
-    )
-    dse_seconds = time.perf_counter() - start
-    doc = {
-        "workload": workload,
-        "run_id": None,
-        "resumed_from": None,
-        "evaluations": result.evaluations,
-        "max_evaluations": budget,
-        "inserts": result.inserts,
-        "restarts": result.restarts,
-        "front_size": len(result),
-        "front": {
-            "configs": [list(c) for c in result.configs],
-            "points": [
-                [float(p[0]), float(p[1])] for p in result.points
-            ],
-        },
-    }
-    if store is not None:
-        from repro.store import RunLedger, content_hash
-
-        params = {
-            "command": "search",
-            "workload": workload,
-            "scale": scale,
-            "images": n_images,
-            "train": train,
-            "test": test,
-            "budget": budget,
-            "seed": seed,
-            "engines": list(engines),
-        }
-        doc["run_id"] = RunLedger.new_run_id()
-        RunLedger(store).record(
-            doc["run_id"],
-            kind="search",
-            label=f"search:{workload}",
-            params=params,
-            config_hash=content_hash(params),
-            stages=[
-                {"name": "fit", "seconds": round(fit_seconds, 6),
-                 "cache": "miss"},
-                {"name": "dse", "seconds": round(dse_seconds, 6),
-                 "cache": "miss", "evaluations": result.evaluations},
-            ],
-            seed=seed,
-            extra={
-                "front_size": len(result),
-                "evaluations": result.evaluations,
-                "max_evaluations": budget,
-                "metrics": get_metrics().snapshot(since=metrics_mark),
-            },
-        )
-    return doc
-
-
-def _print_search_result(doc: Dict) -> None:
-    print(
-        f"search on {doc['workload']}: {doc['evaluations']} "
-        f"model evaluations (budget {doc['max_evaluations']}), "
-        f"{doc['front_size']} front members, {doc['inserts']} "
-        f"inserts, {doc['restarts']} restarts"
-        + (f", run {doc['run_id']}" if doc["run_id"] else "")
-    )
+    params = _params(args, "workloads", "name", "scale", "images",
+                     "train", "evals", "seed", "out")
+    return _run_pipeline(params, _resolve_store(args.store), args.json)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -633,18 +581,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
     unknown = [e for e in engines if e not in known]
     if unknown:
         raise ValidationError(f"unknown --engines {unknown}; known: {known}")
+    if not engines:
+        raise ValidationError("--engines names no learning engine")
     if args.budget < 1:
         raise ValidationError("--budget must be >= 1")
-    doc = _run_search(
-        args.workload, args.scale, args.images, args.train,
-        args.test, args.budget, args.seed, engines,
-        _resolve_store(args.store),
-    )
-    if args.json:
-        _emit_json({"search": doc})
-    else:
-        _print_search_result(doc)
-    return 0
+    params = _params(args, "search", "workload", "scale", "images",
+                     "train", "test", "budget", "seed")
+    params["engines"] = engines
+    return _run_pipeline(params, _resolve_store(args.store), args.json)
 
 
 # -- runs (experiment-store ledger) -----------------------------------------
@@ -762,54 +706,18 @@ def _cmd_runs_resume(args: argparse.Namespace) -> int:
     store, ledger = _runs_ledger(args)
     manifest = ledger.get(args.run_id)
     params = manifest.get("params") or {}
-    command = params.get("command")
-    if command == "workloads":
-        _, result = _run_workload_pipeline(
-            params["name"], params.get("scale"), params["images"],
-            params["train"], params["evals"], params["seed"],
-            store, out=params.get("out"),
+    if "strategies" in params:
+        raise StoreError(
+            f"run {args.run_id!r} is a portfolio search; the "
+            "portfolio runner is retired, so it cannot be resumed "
+            "(start a new 'repro search' instead)"
         )
-        label_key, label = "workload", params["name"]
-    elif command == "run":
-        result = _run_accelerator_pipeline(
-            params["accelerator"], params.get("library"),
-            params["scale"], params["images"], params["train"],
-            params["evals"], params["seed"], store,
-            out=params.get("out"),
-        )
-        label_key, label = "accelerator", params["accelerator"]
-    elif command == "search":
-        if "strategies" in params:
-            raise StoreError(
-                f"run {args.run_id!r} is a portfolio search; the "
-                "portfolio runner is retired, so it cannot be resumed "
-                "(start a new 'repro search' instead)"
-            )
-        doc = _run_search(
-            params["workload"], params.get("scale"), params["images"],
-            params["train"], params["test"], params["budget"],
-            params["seed"], list(params["engines"]), store,
-        )
-        doc["resumed_from"] = args.run_id
-        if args.json:
-            _emit_json({"search": doc})
-        else:
-            print(f"resumed {args.run_id} -> {doc['run_id']}")
-            _print_search_result(doc)
-        return 0
-    else:
+    if params.get("command") not in ("run", "workloads", "search"):
         raise StoreError(
             f"run {args.run_id!r} (kind {manifest.get('kind')!r}) has "
-            f"no resumable params (command={command!r})"
+            f"no resumable params (command={params.get('command')!r})"
         )
-    if args.json:
-        doc = _result_doc(result, label_key, label)
-        doc["resumed_from"] = args.run_id
-        _emit_json(doc)
-    else:
-        print(f"resumed {args.run_id} -> {result.run_id}")
-        _print_pipeline_result(result, None)
-    return 0
+    return _run_pipeline(params, store, args.json, resumed_from=args.run_id)
 
 
 def _cmd_runs_gc(args: argparse.Namespace) -> int:

@@ -61,6 +61,7 @@ from repro.core.modeling import (
 )
 from repro.core.pareto import pareto_front_indices
 from repro.core.preprocessing import reduce_library
+from repro.errors import ValidationError
 from repro.library.component import ComponentRecord
 from repro.library.library import ComponentLibrary
 from repro.telemetry import complete_event, get_metrics
@@ -94,9 +95,9 @@ class AutoAxConfig:
 
     def __post_init__(self):
         if self.n_train < 2 or self.n_test < 2:
-            raise ValueError("need at least two train and test samples")
+            raise ValidationError("need at least two train and test samples")
         if not self.engines:
-            raise ValueError("at least one learning engine is required")
+            raise ValidationError("at least one learning engine is required")
 
     def cache_payload(self) -> Dict[str, object]:
         """The hashable identity of this config."""
@@ -300,7 +301,14 @@ class AutoAx:
 
     # -- full pipeline ------------------------------------------------------
 
-    def run(self) -> AutoAxResult:
+    def run(self, final_analysis: bool = True) -> AutoAxResult:
+        """Execute the stages in order; return everything they produced.
+
+        ``final_analysis=False`` stops after ``pseudo_pareto``: stage 5
+        is neither run nor recorded, and the result's real-evaluated
+        fields are empty.  This is ``repro search``.  The choice is no
+        part of :class:`AutoAxConfig`, so it enters no stage key.
+        """
         cfg = self.config
         store = self.store
         timings: Dict[str, float] = {}
@@ -566,47 +574,50 @@ class AutoAx:
         )
 
         # ---- stage 5: real evaluation of the pseudo Pareto set -----------
-        start = time.perf_counter()
-        final_key = key_of(
-            {
-                "stage": "final",
-                "space": space_hash,
-                "accelerator": base.get("accelerator"),
-                "images": base.get("images"),
-                "scenarios": base.get("scenarios"),
-                "configs": [list(c) for c in pseudo.configs],
-            }
-        )
-        real = None
-        if store is not None:
-            real = store.get("evaluations", final_key)
-            if real is not None and len(real) != len(pseudo.configs):
-                real = None
-        if real is None:
-            real = self.engine().evaluate_many(space, pseudo.configs)
+        real: List[EvaluationResult] = []
+        if final_analysis:
+            start = time.perf_counter()
+            final_key = key_of(
+                {
+                    "stage": "final",
+                    "space": space_hash,
+                    "accelerator": base.get("accelerator"),
+                    "images": base.get("images"),
+                    "scenarios": base.get("scenarios"),
+                    "configs": [list(c) for c in pseudo.configs],
+                }
+            )
+            real = None
             if store is not None:
-                store.put("evaluations", final_key, real)
-            cache = "miss" if store is not None else "off"
-        else:
-            cache = "hit"
-        record_stage(
-            "final_analysis",
-            time.perf_counter() - start,
-            cache,
-            [] if store is None else [
-                {"kind": "evaluations", "key": final_key}
-            ],
-        )
+                real = store.get("evaluations", final_key)
+                if real is not None and len(real) != len(pseudo.configs):
+                    real = None
+            if real is None:
+                real = self.engine().evaluate_many(space, pseudo.configs)
+                if store is not None:
+                    store.put("evaluations", final_key, real)
+                cache = "miss" if store is not None else "off"
+            else:
+                cache = "hit"
+            record_stage(
+                "final_analysis",
+                time.perf_counter() - start,
+                cache,
+                [] if store is None else [
+                    {"kind": "evaluations", "key": final_key}
+                ],
+            )
 
         # ---- assemble result + manifest ----------------------------------
         qor = np.asarray([r.qor for r in real])
         area = np.asarray([r.area for r in real])
         energy = np.asarray([r.energy for r in real])
-
-        front2 = pareto_front_indices(np.stack([-qor, area], axis=1))
-        front3 = pareto_front_indices(
-            np.stack([-qor, area, energy], axis=1)
-        )
+        front2 = front3 = np.zeros(0, dtype=np.int64)
+        if real:
+            front2 = pareto_front_indices(np.stack([-qor, area], axis=1))
+            front3 = pareto_front_indices(
+                np.stack([-qor, area, energy], axis=1)
+            )
 
         engine_stats: Dict[str, object] = {
             "engine_built": self._engine is not None,

@@ -25,6 +25,7 @@ from repro.accelerators.profiler import profile_accelerator
 from repro.accelerators.sobel import SobelEdgeDetector
 from repro.core.configuration import ConfigurationSpace
 from repro.core.dse import heuristic_pareto_construction, random_sampling
+from repro.core.engine import EvaluationEngine
 from repro.core.modeling import (
     build_training_set,
     fit_engines,
@@ -33,7 +34,7 @@ from repro.core.modeling import (
 from repro.core.pareto import hypervolume_2d, pareto_front_indices
 from repro.core.preprocessing import reduce_library
 from repro.core.wmed import wmed_table
-from repro.experiments.setup import ExperimentSetup, build_engine
+from repro.experiments.setup import ExperimentSetup
 from repro.utils.rng import ensure_rng
 
 
@@ -43,7 +44,7 @@ def _sobel_space_and_evaluator(setup: ExperimentSetup):
         accelerator, setup.images, rng=setup.seed
     )
     space = reduce_library(accelerator, setup.library, profiles)
-    evaluator = build_engine(accelerator, setup.images)
+    evaluator = EvaluationEngine(accelerator, setup.images)
     return accelerator, profiles, space, evaluator
 
 

@@ -16,9 +16,10 @@ import numpy as np
 
 from repro.accelerators.profiler import profile_accelerator
 from repro.accelerators.sobel import SobelEdgeDetector
+from repro.core.engine import EvaluationEngine
 from repro.core.modeling import build_training_set, fit_engines
 from repro.core.preprocessing import reduce_library
-from repro.experiments.setup import ExperimentSetup, build_engine
+from repro.experiments.setup import ExperimentSetup
 
 #: Engines the paper highlights in the scatter plot.
 FIG4_ENGINES = ("Random Forest", "Bayesian Ridge", "Decision Tree")
@@ -47,7 +48,7 @@ def fig4_correlation(
         accelerator, setup.images, rng=setup.seed
     )
     space = reduce_library(accelerator, setup.library, profiles)
-    evaluator = build_engine(accelerator, setup.images)
+    evaluator = EvaluationEngine(accelerator, setup.images)
     train = build_training_set(space, evaluator, n_train, rng=setup.seed)
     test = build_training_set(
         space, evaluator, n_test, rng=setup.seed + 1

@@ -22,9 +22,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.dse import uniform_selection
+from repro.core.engine import EvaluationEngine
 from repro.core.pareto import hypervolume_2d, pareto_front_indices
 from repro.core.pipeline import AutoAx, AutoAxConfig
-from repro.experiments.setup import ExperimentSetup, build_engine
+from repro.experiments.setup import ExperimentSetup
 from repro.experiments.table5_space import default_cases
 
 
@@ -78,7 +79,7 @@ def fig5_fronts(
         )
         result = pipeline.run()
         space = result.space
-        evaluator = build_engine(accelerator, images, scenarios)
+        evaluator = EvaluationEngine(accelerator, images, scenarios=scenarios)
 
         fronts: Dict[str, FrontSeries] = {}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,11 +81,6 @@ KIND_REFERENCE = {
     )
     for kind in ("add", "sub", "mul")
 }
-
-
-def experiment_store() -> ArtifactStore:
-    """The shared experiment store (env-resolved root)."""
-    return open_store()
 
 
 def _plan_key(kind: str, plan: GenerationPlan, scale: float) -> str:
@@ -210,7 +205,7 @@ def workload_setup(
     operation signatures (e.g. ``gaussian5`` and ``box5``) share one
     characterised library on disk; misses build through the parallel
     pipeline.  The cache is ``store`` when given, else the shared
-    :func:`experiment_store`.
+    experiment store (:func:`~repro.store.open_store`).
     """
     if scale is None:
         scale = default_scale()
@@ -224,75 +219,13 @@ def workload_setup(
     if not use_cache:
         store = None
     elif store is None:
-        store = experiment_store()
+        store = open_store()
     library = _cached_library(
         store,
         _plan_key("workload-library", plan, scale),
         plan,
     )
     return WorkloadSetup(bundle=bundle, library=library, seed=seed)
-
-
-def run_workload_pipeline(
-    name: str,
-    scale: Optional[float] = None,
-    n_images: int = 4,
-    train: int = 150,
-    evals: int = 10_000,
-    seed: int = 0,
-    store: Optional[ArtifactStore] = None,
-    out: Optional[str] = None,
-    command: str = "workloads",
-):
-    """Run the full autoAx pipeline on a registered workload.
-
-    The one shared entry point of ``repro workloads run``, ``repro runs
-    resume`` and the serving layer: all three build the identical
-    :class:`~repro.core.pipeline.AutoAxConfig` from the same parameters,
-    so their results are byte-identical and they share the same
-    store-stage cache keys.  ``command`` only labels the run-ledger
-    manifest (``"workloads"`` keeps the run resumable by ``repro runs
-    resume``).  Returns ``(setup, result)``.
-    """
-    from repro.core.pipeline import AutoAx, AutoAxConfig
-
-    setup = workload_setup(
-        name, scale=scale, n_images=n_images, seed=seed, store=store,
-    )
-    config = AutoAxConfig(
-        n_train=train,
-        n_test=max(2, train // 2),
-        max_evaluations=evals,
-        seed=seed,
-    )
-    pipeline = AutoAx(
-        setup.accelerator,
-        setup.library,
-        setup.images,
-        scenarios=setup.scenarios,
-        config=config,
-        store=store,
-        run_kind="workload",
-        run_label=name,
-        run_params={
-            "command": command,
-            "name": name,
-            "scale": scale,
-            "images": n_images,
-            "train": train,
-            "evals": evals,
-            "seed": seed,
-            "out": out,
-        },
-    )
-    return setup, pipeline.run()
-
-
-def build_workload_engine(setup: WorkloadSetup) -> EvaluationEngine:
-    """The evaluation engine of a materialised workload setup."""
-    return build_engine(
-        setup.accelerator, setup.images, scenarios=setup.scenarios
-    )
 
 
 def fit_search_models(
@@ -303,12 +236,11 @@ def fit_search_models(
     engines: Sequence[str] = ("K-Neighbors",),
     seed: int = 0,
 ):
-    """Fit the (QoR, area) estimation models the search layer consumes.
+    """Fit the (QoR, area) estimation models a driver's search consumes.
 
-    One shared constructor for the CLI, benchmarks and experiment
-    drivers: the training and held-out sets follow the
-    ``rng=seed`` / ``seed + 1`` convention, engines are fidelity-ranked
-    per target, and the best model of each target is returned as
+    The training and held-out sets follow the ``rng=seed`` /
+    ``seed + 1`` convention, engines are fidelity-ranked per target,
+    and the best model of each target is returned as
     ``(qor_model, hw_model)``.
     """
     from repro.core.modeling import (
@@ -328,20 +260,6 @@ def fit_search_models(
                     engines=list(engines), seed=seed)
     ).model
     return qor_model, hw_model
-
-
-def build_engine(
-    accelerator: ImageAccelerator,
-    images: Sequence[np.ndarray],
-    scenarios: Optional[Sequence[Dict[str, int]]] = None,
-) -> EvaluationEngine:
-    """The experiment drivers' evaluation engine.
-
-    One shared constructor, so every driver (and benchmark) evaluates
-    through the same compiled engine; its batches fan out over the
-    runtime's worker count like every other parallel stage.
-    """
-    return EvaluationEngine(accelerator, images, scenarios=scenarios)
 
 
 def scaled_library(
@@ -375,7 +293,7 @@ def default_setup(
         scale = default_scale()
     if image_shape is None:
         image_shape = DEFAULT_SHAPE
-    store = experiment_store() if use_cache else None
+    store = open_store() if use_cache else None
     library = scaled_library(scale, seed=seed, store=store)
     images = benchmark_images(n_images, shape=image_shape)
     return ExperimentSetup(library=library, images=images, seed=seed)

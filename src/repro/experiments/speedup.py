@@ -19,9 +19,10 @@ from repro.accelerators.gaussian_generic import (
     kernel_sweep,
 )
 from repro.accelerators.profiler import profile_accelerator
+from repro.core.engine import EvaluationEngine
 from repro.core.modeling import build_training_set, fit_engines, select_best_model
 from repro.core.preprocessing import reduce_library
-from repro.experiments.setup import ExperimentSetup, build_engine
+from repro.experiments.setup import ExperimentSetup
 
 
 @dataclass
@@ -56,7 +57,7 @@ def estimation_speedup(
         accelerator, images, scenarios=scenarios, rng=setup.seed
     )
     space = reduce_library(accelerator, setup.library, profiles)
-    evaluator = build_engine(accelerator, images, scenarios)
+    evaluator = EvaluationEngine(accelerator, images, scenarios=scenarios)
 
     train = build_training_set(
         space, evaluator, n_train, rng=setup.seed

@@ -19,8 +19,9 @@ from repro.core.modeling import (
     build_training_set,
     fit_engines,
 )
+from repro.core.engine import EvaluationEngine
 from repro.core.preprocessing import reduce_library
-from repro.experiments.setup import ExperimentSetup, build_engine
+from repro.experiments.setup import ExperimentSetup
 
 
 @dataclass
@@ -47,7 +48,7 @@ def table3_fidelity(
         accelerator, setup.images, rng=setup.seed
     )
     space = reduce_library(accelerator, setup.library, profiles)
-    evaluator = build_engine(accelerator, setup.images)
+    evaluator = EvaluationEngine(accelerator, setup.images)
     train = build_training_set(space, evaluator, n_train, rng=setup.seed)
     test = build_training_set(
         space, evaluator, n_test, rng=setup.seed + 1

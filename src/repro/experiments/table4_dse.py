@@ -22,13 +22,10 @@ from repro.core.dse import (
     heuristic_pareto_construction,
     random_sampling,
 )
+from repro.core.engine import EvaluationEngine
 from repro.core.pareto import front_distances
 from repro.core.preprocessing import reduce_library
-from repro.experiments.setup import (
-    ExperimentSetup,
-    build_engine,
-    fit_search_models,
-)
+from repro.experiments.setup import ExperimentSetup, fit_search_models
 
 
 @dataclass
@@ -91,7 +88,7 @@ def table4_distances(
         space = reduce_library(
             accelerator, setup.library, profiles, per_op_cap=per_op_cap
         )
-    evaluator = build_engine(accelerator, setup.images)
+    evaluator = EvaluationEngine(accelerator, setup.images)
     qor_model, hw_model = fit_search_models(
         space, evaluator, n_train, n_test, engines=engines,
         seed=setup.seed,

@@ -1,9 +1,9 @@
 import pytest
 
+from repro.core.engine import EvaluationEngine
 from repro.errors import ValidationError
 from repro.experiments.setup import (
     ExperimentSetup,
-    build_workload_engine,
     default_setup,
     workload_plan,
     workload_setup,
@@ -85,7 +85,9 @@ class TestWorkloadSetup:
             for slot in setup.accelerator.op_slots()
         }
         assert set(setup.library.signatures()) == slot_sigs
-        engine = build_workload_engine(setup)
+        engine = EvaluationEngine(
+            setup.accelerator, setup.images, scenarios=setup.scenarios
+        )
         assert engine.run_count == 1  # one image, no scenarios
         # the library landed in the store at the configured directory
         assert len(_library_blobs(tmp_path)) == 1
@@ -114,5 +116,7 @@ class TestWorkloadSetup:
         setup = workload_setup(
             "box3_6b", scale=0.0005, n_images=2, image_shape=(16, 16)
         )
-        engine = build_workload_engine(setup)
+        engine = EvaluationEngine(
+            setup.accelerator, setup.images, scenarios=setup.scenarios
+        )
         assert engine.run_count == 2 * 2  # images x scenarios

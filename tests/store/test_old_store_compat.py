@@ -11,7 +11,8 @@ manifest's ``extra``.  No stage references any of these artifacts and
 none is a shared kind, so ``repro runs gc`` sweeps them, while the runs
 recorded next to them keep decoding and listing exactly as before.
 Resuming a portfolio run fails with one error line instead of silently
-running a different search.
+running a different search.  A plain ``search`` manifest from before
+search ran through the pipeline resumes through it.
 """
 
 import hashlib
@@ -150,3 +151,43 @@ def test_portfolio_run_refuses_to_resume(tmp_path, capsys):
         "20260101T000000Z-00000000", PORTFOLIO_RUN,
     ]
     assert {(ref.kind, ref.key) for ref in store.entries()} == before
+
+
+def test_old_search_manifest_shows_and_resumes(tmp_path, monkeypatch,
+                                               capsys):
+    """A ``search`` manifest written before search ran through the
+    pipeline (stages ``fit``/``dse``, no artifacts, ``scale: null``)
+    still renders, and resumes through the pipeline at the library
+    scale the environment gives, spending exactly its budget."""
+    root = tmp_path / "store"
+    monkeypatch.setenv("REPRO_SCALE", "0.0005")
+    params = {"command": "search", "workload": "sobel", "scale": None,
+              "images": 1, "train": 12, "test": 6, "budget": 120,
+              "seed": 0, "engines": ["K-Neighbors"]}
+    run_id = RunLedger.new_run_id()
+    RunLedger(ArtifactStore(root)).record(
+        run_id, kind="search", label="search:sobel", params=params,
+        config_hash=content_hash(params),
+        stages=[{"name": "fit", "seconds": 1.25, "cache": "miss"},
+                {"name": "dse", "seconds": 0.5, "cache": "miss",
+                 "evaluations": 120}],
+        seed=0,
+        extra={"front_size": 3, "evaluations": 120,
+               "max_evaluations": 120},
+    )
+    capsys.readouterr()
+    assert main(["runs", "show", run_id, "--store-dir", str(root)]) == 0
+    out = capsys.readouterr().out
+    assert "fit" in out and "dse" in out and "search:sobel" in out
+
+    resumed = _cli_json(capsys, "runs", "resume", run_id,
+                        "--store-dir", str(root), "--json")["search"]
+    assert resumed["resumed_from"] == run_id
+    assert resumed["evaluations"] == resumed["max_evaluations"] == 120
+    run = _cli_json(capsys, "runs", "show", resumed["run_id"],
+                    "--store-dir", str(root), "--json")["run"]
+    assert run["params"] == {**params, "scale": 0.0005}
+    assert [s["name"] for s in run["stages"]] == [
+        "preprocessing", "training_set", "model_construction",
+        "pseudo_pareto",
+    ]

@@ -334,6 +334,20 @@ class TestStoreCommands:
         assert "'Random Forest'" in line  # the known names
         assert not store_env.exists()
 
+    def test_search_rejects_empty_engine_list_before_any_work(
+        self, store_env, capsys
+    ):
+        assert main([
+            "search", "--workload", "sobel", "--scale", "0.0005",
+            "--engines", ",", "--json",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: --engines names no learning engine"
+        ]
+        assert not store_env.exists()
+
     def test_search_rejects_bad_budget_before_any_work(
         self, store_env, capsys
     ):
@@ -401,8 +415,9 @@ class TestStoreCommands:
         assert main(["runs", "list"]) == 0
         assert search["run_id"] in capsys.readouterr().out
 
-        # The manifest owns no artifact gc could lose: resuming after a
-        # gc re-executes the recorded params and reproduces the front.
+        # gc keeps every stage artifact the manifest references: the
+        # resume after it replays all four stages from the store and
+        # reports the recorded front.
         assert main(["runs", "gc"]) == 0
         capsys.readouterr()
         assert main(
@@ -413,6 +428,13 @@ class TestStoreCommands:
         assert resumed["run_id"] not in (None, search["run_id"])
         assert resumed["front"] == search["front"]
         assert resumed["evaluations"] == search["evaluations"]
+        assert main(["runs", "show", resumed["run_id"], "--json"]) == 0
+        stages = json.loads(capsys.readouterr().out)["run"]["stages"]
+        assert [s["name"] for s in stages] == [
+            "preprocessing", "training_set", "model_construction",
+            "pseudo_pareto",
+        ]
+        assert {s["cache"] for s in stages} == {"hit"}
 
     def test_search_without_store_has_no_run_id(self, store_env,
                                                 capsys):
@@ -506,6 +528,79 @@ class TestStoreCommands:
         )
         assert main(["runs", "list"]) == 1
         assert "no experiment store" in capsys.readouterr().err
+
+
+class TestSearchPipeline:
+    """``search`` is the pipeline stopped after ``pseudo_pareto``: it
+    profiles with the workload's scenarios, shares stage keys with
+    ``workloads run``, and every pipeline command records the library
+    scale it resolved."""
+
+    SIZES = ["--scale", "0.0005", "--images", "1", "--train", "12",
+             "--seed", "0"]
+
+    @staticmethod
+    def _json(capsys, argv):
+        assert main(argv + ["--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def _stages(self, capsys, run_id):
+        run = self._json(capsys, ["runs", "show", run_id])["run"]
+        return run, {s["name"]: s for s in run["stages"]}
+
+    def test_search_shares_workload_stages(self, store_env, capsys):
+        workload = self._json(capsys, [
+            "workloads", "run", "box3_6b", *self.SIZES, "--evals", "150",
+        ])
+        search = self._json(capsys, [
+            "search", "--workload", "box3_6b", *self.SIZES,
+            "--test", "6", "--engines", "Random Forest",
+            "--budget", "100",
+        ])["search"]
+        assert search["evaluations"] == 100
+        _, ran = self._stages(capsys, workload["run_id"])
+        run, searched = self._stages(capsys, search["run_id"])
+        assert (run["kind"], run["label"]) == ("search", "search:box3_6b")
+        assert list(searched) == [
+            "preprocessing", "training_set", "model_construction",
+            "pseudo_pareto",
+        ]
+
+        def space_key(stage):
+            [key] = [a["key"] for a in stage["artifacts"]
+                     if a["kind"] == "space"]
+            return key
+
+        # One reduced space: both profiled with the two scenarios.
+        assert space_key(searched["preprocessing"]) == space_key(
+            ran["preprocessing"]
+        )
+        for name in ("preprocessing", "training_set",
+                     "model_construction"):
+            assert searched[name]["cache"] == "hit", name
+            assert searched[name]["artifacts"] == ran[name]["artifacts"]
+
+    @pytest.mark.parametrize("command", ["workloads", "search"])
+    def test_resume_keeps_the_recorded_scale(self, command, store_env,
+                                             monkeypatch, capsys):
+        argv = {
+            "workloads": ["workloads", "run", "sobel", "--evals", "150"],
+            "search": ["search", "--workload", "sobel", "--test", "6",
+                       "--budget", "100"],
+        }[command] + ["--images", "1", "--train", "12"]
+        monkeypatch.setenv("REPRO_SCALE", "0.0005")
+        doc = self._json(capsys, argv)
+        doc = doc.get("search", doc)
+        run, _ = self._stages(capsys, doc["run_id"])
+        assert run["params"]["scale"] == 0.0005
+
+        monkeypatch.setenv("REPRO_SCALE", "0.001")
+        resumed = self._json(capsys, ["runs", "resume", doc["run_id"]])
+        resumed = resumed.get("search", resumed)
+        assert resumed["front"] == doc["front"]
+        run, stages = self._stages(capsys, resumed["run_id"])
+        assert run["params"]["scale"] == 0.0005
+        assert {s["cache"] for s in stages.values()} == {"hit"}
 
 
 class TestPoolSynthCounters:
@@ -734,10 +829,24 @@ class TestDefaultWorkers:
         ]
 
     def _runs_resume(self, tmp_path, label, extra, capsys):
-        store = str(tmp_path / f"store-{label}")
-        # The recorded search runs in-process; the resume is what counts.
-        assert main(self.SEARCH + ["--store", store, "--workers", "1"]) == 0
+        from repro.store import ArtifactStore, RunLedger
+
+        # The search is recorded in-process on a store of its own, and
+        # only its manifest is copied to the resume's store: a resume
+        # on the recording store would replay every stage from cache
+        # and start no batch, so it would show nothing about the flag.
+        recorded = ArtifactStore(tmp_path / f"recorded-{label}")
+        assert main(
+            self.SEARCH + ["--store", str(recorded.root), "--workers", "1"]
+        ) == 0
         run_id = json.loads(capsys.readouterr().out)["search"]["run_id"]
+        manifest = RunLedger(recorded).get(run_id)
+        store = str(tmp_path / f"store-{label}")
+        RunLedger(ArtifactStore(store)).record(run_id, **{
+            key: manifest[key]
+            for key in ("kind", "label", "params", "config_hash",
+                        "stages", "seed")
+        })
         batches = self._batches([
             "runs", "resume", run_id, "--store-dir", store, "--json",
             *extra,
