@@ -21,7 +21,8 @@ Quick start::
 
 The public names below resolve on first access (PEP 562), so importing
 ``repro`` — or a submodule such as ``repro.cli`` — loads only what the
-caller uses; a warm ``repro run`` never imports scipy.
+caller uses.  No command imports scipy: image synthesis and SSIM share
+one numpy Gaussian window (:mod:`repro.imaging.gaussian`).
 """
 
 import importlib

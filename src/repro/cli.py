@@ -443,7 +443,7 @@ def _pipeline(params: Dict, store):
     name = params["workload"] if search else params["name"]
     setup = workload_setup(
         name, scale=params["scale"], n_images=params["images"],
-        seed=params["seed"], store=store,
+        seed=params["seed"], store=store, use_cache=store is not None,
     )
     return AutoAx(
         setup.accelerator, setup.library, setup.images,

@@ -14,7 +14,9 @@ analysis fast and scalable in four layered steps:
    ``(runs, pixels)`` input batch, so a configuration's QoR needs a
    single vectorised pass instead of ``runs`` re-interpretations, and
    SSIM is scored by a :class:`~repro.imaging.metrics.BatchedSsim` whose
-   golden-side window statistics are precomputed once;
+   golden-side window statistics are precomputed once and whose
+   test-side windows run image by image on the package's numpy
+   Gaussian (no scipy import in the engine or its pool workers);
 3. **route** — :meth:`evaluate_many` takes one route for every space:
    when the runtime's worker count
    (:func:`~repro.core.runtime.default_workers`) is 2 or more, the

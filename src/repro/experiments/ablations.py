@@ -17,7 +17,7 @@ measures its effect on the Sobel case study:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.core.modeling import (
     fit_engines,
     select_best_model,
 )
-from repro.core.pareto import hypervolume_2d, pareto_front_indices
+from repro.core.pareto import hypervolume_2d
 from repro.core.preprocessing import reduce_library
 from repro.core.wmed import wmed_table
 from repro.experiments.setup import ExperimentSetup

@@ -10,7 +10,7 @@ arrays plus Pearson correlation and relative RMSE.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 

@@ -17,7 +17,7 @@ better) in normalised (1 - SSIM, area) space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 

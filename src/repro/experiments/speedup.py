@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.accelerators.gaussian_generic import (
     GenericGaussianFilter,

@@ -14,11 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.accelerators.profiler import profile_accelerator
 from repro.accelerators.sobel import SobelEdgeDetector
-from repro.core.modeling import (
-    TrainingSet,
-    build_training_set,
-    fit_engines,
-)
+from repro.core.modeling import build_training_set, fit_engines
 from repro.core.engine import EvaluationEngine
 from repro.core.preprocessing import reduce_library
 from repro.experiments.setup import ExperimentSetup

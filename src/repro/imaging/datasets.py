@@ -9,9 +9,11 @@ blobs, polygonal regions, sinusoidal texture and low-pass-filtered noise to
 obtain scenes with that local-correlation structure, seeded per image index
 so the dataset is fully reproducible.
 
-The noise fields are low-pass filtered with :func:`_gaussian_filter`, a
-numpy transcription of ``scipy.ndimage.gaussian_filter(mode="reflect")``
-that reproduces it bit for bit, so building images never imports scipy.
+The noise fields are low-pass filtered with the package's numpy Gaussian
+(:func:`repro.imaging.gaussian.gaussian_filter`, ``truncate = 4.0``), which
+reproduces ``scipy.ndimage.gaussian_filter(mode="reflect")`` bit for bit,
+so the images are those scipy's filter built (``test_datasets.py`` pins
+their digests).
 """
 
 from __future__ import annotations
@@ -20,47 +22,10 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.imaging.gaussian import gaussian_filter
 from repro.utils.rng import ensure_rng
 
 DEFAULT_SHAPE: Tuple[int, int] = (256, 384)  # rows, cols — paper: 384x256 px
-
-
-def _gaussian_filter(field: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur, bit-identical to scipy's ``gaussian_filter``.
-
-    Mirrors ``scipy.ndimage.gaussian_filter(field, sigma, mode="reflect")``
-    step for step: the kernel is ``exp(-0.5 / sigma**2 * x**2)`` normalised
-    by its sum over ``x`` in ``[-radius, radius]`` with radius
-    ``int(4 * sigma + 0.5)``; every axis is padded half-sample
-    symmetrically (``np.pad`` mode ``"symmetric"`` reflects repeatedly when
-    the radius exceeds the axis length, as scipy does); and each output
-    sample is accumulated in ``correlate1d``'s order for symmetric
-    kernels — the centre tap first, then ``(left + right) * w_j`` from the
-    outermost pair inward — so every float64 rounding matches.
-    """
-    radius = int(4.0 * sigma + 0.5)
-    x = np.arange(-radius, radius + 1)
-    weights = np.exp(-0.5 / (sigma * sigma) * x**2)
-    weights = weights / weights.sum()
-    out = field
-    for axis in range(out.ndim):
-        length = out.shape[axis]
-        pad = [(0, 0)] * out.ndim
-        pad[axis] = (radius, radius)
-        padded = np.pad(out, pad, mode="symmetric")
-
-        def shifted(offset: int) -> np.ndarray:
-            index = [slice(None)] * out.ndim
-            index[axis] = slice(radius + offset, radius + offset + length)
-            return padded[tuple(index)]
-
-        out = shifted(0) * weights[radius]
-        pair = np.empty_like(out)
-        for j in range(radius, 0, -1):
-            np.add(shifted(-j), shifted(j), out=pair)
-            pair *= weights[radius - j]
-            out += pair
-    return out
 
 
 def _smooth_noise(
@@ -68,7 +33,7 @@ def _smooth_noise(
 ) -> np.ndarray:
     """Zero-mean unit-ish noise field low-pass filtered at scale ``sigma``."""
     field = rng.standard_normal(shape)
-    field = _gaussian_filter(field, sigma)
+    field = gaussian_filter(field, sigma)
     peak = np.abs(field).max()
     if peak > 0:
         field /= peak

@@ -6,10 +6,10 @@ from scipy import ndimage
 
 from repro.imaging.datasets import (
     DEFAULT_SHAPE,
-    _gaussian_filter,
     benchmark_images,
     synthetic_image,
 )
+from repro.imaging.gaussian import gaussian_filter
 
 
 class TestSyntheticImage:
@@ -64,7 +64,9 @@ class TestBenchmarkImages:
 
 
 class TestGaussianOracle:
-    """The numpy blur is bit-identical to scipy's ``gaussian_filter``."""
+    """The image blur (truncate 4.0) is bit-identical to scipy's
+    ``gaussian_filter``; ``test_gaussian_window.py`` covers the SSIM
+    window and per-axis sigmas."""
 
     @pytest.mark.parametrize("sigma", [24, 6, 1.2])
     @pytest.mark.parametrize(
@@ -76,12 +78,12 @@ class TestGaussianOracle:
     def test_matches_scipy_reflect(self, shape, sigma):
         field = np.random.default_rng(7).standard_normal(shape)
         expected = ndimage.gaussian_filter(field, sigma=sigma, mode="reflect")
-        assert np.array_equal(_gaussian_filter(field, sigma), expected)
+        assert np.array_equal(gaussian_filter(field, sigma), expected)
 
     def test_leaves_input_untouched(self):
         field = np.random.default_rng(1).standard_normal((8, 12))
         before = field.copy()
-        _gaussian_filter(field, 6)
+        gaussian_filter(field, 6)
         assert np.array_equal(field, before)
 
 

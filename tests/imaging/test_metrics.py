@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,17 @@ class TestBatchedSsim:
         scorer = BatchedSsim(reference)
         assert np.allclose(scorer(test), ssim_batch(reference, test))
         assert np.allclose(scorer(reference), 1.0)
+
+    def test_pickles_after_use(self, stacks):
+        """A used scorer (its scoring buffers made) still pickles, as
+        the engine does for pool workers, and its copy scores the same
+        with buffers of its own."""
+        reference, test = stacks
+        scorer = BatchedSsim(reference)
+        scores = scorer(test)
+        copy = pickle.loads(pickle.dumps(scorer))
+        assert np.array_equal(copy(test), scores)
+        assert np.array_equal(scorer(test), scores)
 
     def test_shape_validation(self, stacks):
         reference, _ = stacks

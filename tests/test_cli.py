@@ -365,6 +365,22 @@ class TestStoreCommands:
         assert set(doc["stage_cache"].values()) == {"off"}
         assert doc["run_id"] is None
 
+    @pytest.mark.parametrize("command", [
+        WORKLOAD_RUN,
+        ["search", "--workload", "sobel", "--scale", "0.0005",
+         "--images", "1", "--train", "12", "--test", "6",
+         "--budget", "60"],
+    ], ids=["workloads-run", "search"])
+    def test_no_store_writes_no_store(self, command, store_env, tmp_path,
+                                      monkeypatch, capsys):
+        """``--no-store`` reaches the workload library: neither the
+        ``REPRO_STORE_DIR`` store nor ``./.repro-store`` is created."""
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--no-store"]) == 0
+        capsys.readouterr()
+        assert not store_env.exists()
+        assert not (tmp_path / ".repro-store").exists()
+
     def test_runs_list_show_and_json(self, store_env, capsys):
         run_id = self._run_json(capsys)["run_id"]
         assert main(["runs", "list"]) == 0
