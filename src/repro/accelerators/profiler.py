@@ -12,11 +12,17 @@ stacked into one batch and captured in a single vectorised pass.  The
 captured stack is then consumed run-major in the same order as the old
 per-run loop, so subsampling draws the identical RNG stream and profiles
 are bit-for-bit reproducible across both paths.
+
+Profiles are cached in the experiment store as ``profiles`` pickles.
+:class:`OperandProfile` pickles its mostly-zero PMF sparsely (support
+indices plus values) and its samples in the narrowest unsigned dtype,
+and unpickles to the identical dense ``float64``/``int64`` arrays;
+dense pickles written before that still load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,6 +58,50 @@ class OperandProfile:
             )
         size = 1 << self.width
         return self.pmf.reshape(size, size)
+
+    def __getstate__(self) -> Dict:
+        """Compact pickled form (the ``profiles`` store blobs).
+
+        A profiled PMF is mostly zero bins (Sobel's 10-bit ``sub``
+        fills 61,521 of its 2**20), so it pickles as its ``uint32``
+        support plus the ``float64`` values there; the operand samples
+        pickle in the narrowest unsigned dtype that holds them.
+        :meth:`__setstate__` rebuilds the identical dense arrays.
+        """
+        state = dict(self.__dict__)
+        pmf = state.pop("pmf")
+        if pmf is not None:
+            support = np.flatnonzero(pmf)
+            state["pmf_sparse"] = (
+                pmf.size, support.astype(np.uint32), pmf[support]
+            )
+        else:
+            state["pmf_sparse"] = None
+        for name in ("sample_a", "sample_b"):
+            sample = state[name]
+            narrow = sample
+            if (sample.size and sample.dtype.kind in "iu"
+                    and sample.min() >= 0):
+                narrow = sample.astype(np.min_scalar_type(sample.max()))
+            state[name] = (str(sample.dtype), narrow)
+        return state
+
+    def __setstate__(self, state: Dict) -> None:
+        """Rebuild a profile from its compact form or, for blobs stored
+        before it, from the dense attribute dict."""
+        state = dict(state)
+        if "pmf_sparse" in state:
+            sparse = state.pop("pmf_sparse")
+            pmf = None
+            if sparse is not None:
+                size, support, values = sparse
+                pmf = np.zeros(size, dtype=values.dtype)
+                pmf[support] = values
+            state["pmf"] = pmf
+            for name in ("sample_a", "sample_b"):
+                dtype, sample = state[name]
+                state[name] = sample.astype(dtype)
+        self.__dict__.update({f.name: state[f.name] for f in fields(self)})
 
 
 #: Memory bound of batched profiling: elements per captured operand

@@ -229,7 +229,9 @@ def _cmd_generate_library(args: argparse.Namespace) -> int:
     library, stats = result.library, result.stats
     if store is not None:
         # Whole-library blob under the shared experiment-setup key, so
-        # `repro run --store` and default_setup() get a one-read hit.
+        # default_setup() gets a one-read hit.  `repro run --store`
+        # builds only its accelerator's signatures, under its own key:
+        # every one of its components is a per-component memo hit.
         store.put(
             "library",
             default_library_key(plan, args.scale),
@@ -399,10 +401,14 @@ def _pipeline(params: Dict, store):
     ``run``, ``workloads run``, ``search`` and ``runs resume`` all build
     their pipeline here, so a command and its resume get the identical
     :class:`~repro.core.pipeline.AutoAxConfig` and share stage-cache
-    keys.  ``run`` uses the Table 2 library at ``scale``; ``workloads``
-    and ``search`` use the library covering the workload's signatures
-    and its scenarios.  A missing scale resolves from ``REPRO_SCALE``
-    and is recorded, so a resume runs on the same library.
+    keys.  ``run`` uses the Table 2 library at ``scale`` restricted to
+    the accelerator's signatures (the only candidates Step 1 draws
+    from), unless ``--library`` names a file; ``workloads`` and
+    ``search`` use the library covering the workload's signatures and
+    its scenarios.  With a store, the library and the benchmark images
+    are read from it (built and written on a miss).  A missing scale
+    resolves from ``REPRO_SCALE`` and is recorded, so a resume runs on
+    the same library.
     """
     from repro.core.pipeline import AutoAx, AutoAxConfig
     from repro.experiments.setup import default_scale
@@ -426,15 +432,18 @@ def _pipeline(params: Dict, store):
         from repro.library.io import load_library
 
         name = params["accelerator"]
+        accelerator = ACCELERATORS[name]()
         if params.get("library"):
             library = load_library(params["library"])
         else:
             library = scaled_library(
-                params["scale"], seed=params["seed"], store=store
+                params["scale"], seed=params["seed"], store=store,
+                signatures=accelerator.op_inventory(),
             )
         return AutoAx(
-            ACCELERATORS[name](), library,
-            benchmark_images(params["images"]), config=config,
+            accelerator, library,
+            benchmark_images(params["images"], store=store),
+            config=config,
             store=store, run_kind="run", run_label=name,
             run_params=params,
         ), None
@@ -496,9 +505,16 @@ def _run_pipeline(
     resume reports like its command, adds ``resumed_from`` and writes
     no ``--out`` file.
     """
+    from repro.telemetry import get_metrics
+
+    # The manifest's metrics window opens before the builder, so it
+    # counts the library build (``library.*``) the run paid for.
+    metrics_mark = get_metrics().mark()
     pipeline, bundle = _pipeline(params, store)
     command = params["command"]
-    result = pipeline.run(final_analysis=command != "search")
+    result = pipeline.run(
+        final_analysis=command != "search", metrics_since=metrics_mark
+    )
     if resumed_from and not as_json:
         print(f"resumed {resumed_from} -> {result.run_id}")
     if command == "search":

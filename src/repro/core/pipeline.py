@@ -301,13 +301,20 @@ class AutoAx:
 
     # -- full pipeline ------------------------------------------------------
 
-    def run(self, final_analysis: bool = True) -> AutoAxResult:
+    def run(
+        self,
+        final_analysis: bool = True,
+        metrics_since: Optional[Dict] = None,
+    ) -> AutoAxResult:
         """Execute the stages in order; return everything they produced.
 
         ``final_analysis=False`` stops after ``pseudo_pareto``: stage 5
         is neither run nor recorded, and the result's real-evaluated
         fields are empty.  This is ``repro search``.  The choice is no
         part of :class:`AutoAxConfig`, so it enters no stage key.
+        ``metrics_since`` (a :meth:`MetricsRegistry.mark`) opens the
+        manifest's metrics window earlier than this call, e.g. before
+        the caller built the library; by default it opens here.
         """
         cfg = self.config
         store = self.store
@@ -316,7 +323,9 @@ class AutoAx:
         stage_records: List[Dict] = []
         fits_before = fit_count()
         metrics = get_metrics()
-        metrics_mark = metrics.mark()
+        metrics_mark = (
+            metrics.mark() if metrics_since is None else metrics_since
+        )
         metrics.inc("pipeline.runs")
 
         # Independent per-stage RNG streams: skipping a cached stage

@@ -6,25 +6,26 @@ default setup caches it in the persistent experiment store
 model versions, under ``REPRO_STORE_DIR`` (else ``.repro-store``).
 ``REPRO_SCALE`` overrides the library scale: 1.0 regenerates the
 paper-size Table 2 library (tens of thousands of components — expect a
-long build).
+long build).  :func:`workload_setup` keeps its benchmark images in the
+same store (``images`` artifacts, see
+:func:`~repro.imaging.datasets.benchmark_images`).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.accelerators.base import ImageAccelerator
 from repro.core.engine import EvaluationEngine
 from repro.imaging.datasets import benchmark_images
-from repro.library.component import FAMILY_REGISTRY
+from repro.library.component import FAMILY_REGISTRY, OpSignature
 from repro.library.generation import (
     PAPER_COUNTS,
     GenerationPlan,
-    generate_library,
     scaled_plan,
 )
 from repro.library.library import ComponentLibrary
@@ -83,25 +84,35 @@ KIND_REFERENCE = {
 }
 
 
-def _plan_key(kind: str, plan: GenerationPlan, scale: float) -> str:
+def _plan_key(
+    kind: str,
+    plan: GenerationPlan,
+    scale: float,
+    signatures: Optional[List[OpSignature]] = None,
+) -> str:
     """Content key of a generated library: everything that shapes it,
-    including the behavioural model version of every circuit family."""
-    return content_hash(
-        {
-            "kind": kind,
-            "models": {
-                family: klass.model_version
-                for family, klass in FAMILY_REGISTRY.items()
-            },
-            "counts": [
-                [k, w, count]
-                for (k, w), count in sorted(plan.counts.items())
-            ],
-            "seed": plan.seed,
-            "sample_size": plan.sample_size,
-            "scale": scale,
-        }
-    )
+    including the behavioural model version of every circuit family.
+
+    ``signatures`` names the subset of a restricted library; it enters
+    the payload only then, so whole-plan keys never change.
+    """
+    payload = {
+        "kind": kind,
+        "models": {
+            family: klass.model_version
+            for family, klass in FAMILY_REGISTRY.items()
+        },
+        "counts": [
+            [k, w, count]
+            for (k, w), count in sorted(plan.counts.items())
+        ],
+        "seed": plan.seed,
+        "sample_size": plan.sample_size,
+        "scale": scale,
+    }
+    if signatures is not None:
+        payload["signatures"] = [list(sig) for sig in signatures]
+    return content_hash(payload)
 
 
 def default_library_key(plan: GenerationPlan, scale: float) -> str:
@@ -118,32 +129,36 @@ def _cached_library(
     store: Optional[ArtifactStore],
     key: str,
     plan: GenerationPlan,
+    signatures: Optional[List[OpSignature]] = None,
 ) -> ComponentLibrary:
     """Load the library from the store, else build it.
 
     Misses build through the parallel construction pipeline
-    (:func:`repro.library.pipeline.build_library`): the runtime's
-    worker processes and per-component memoisation in ``store``, so
-    even a whole-library miss only recomputes components no previous
-    plan characterised.  With ``store=None`` (``use_cache=False``)
-    nothing is read or written — the library is always regenerated.
+    (:func:`repro.library.pipeline.build_library`), restricted to
+    ``signatures`` when given: the runtime's worker processes and
+    per-component memoisation in ``store``, so even a whole-library
+    miss only recomputes components no previous plan characterised.
+    With ``store=None`` (``use_cache=False``) nothing is read or
+    written — the library is always regenerated.
     """
-    if store is None:
-        return generate_library(plan)
-    library = store.get("library", key)
-    if library is not None:
-        return library
-    # record_run=False: this build is a sub-step of the calling
-    # pipeline run, which records its own manifest — the ledger lists
-    # runs, not stages.
     from repro.library.pipeline import build_library
 
-    library = build_library(plan, store=store, record_run=False).library
-    store.put(
-        "library", key,
-        library,
-        meta={"components": len(library)},
-    )
+    if store is not None:
+        library = store.get("library", key)
+        if library is not None:
+            return library
+    # record_run=False: this build is a sub-step of the calling
+    # pipeline run, whose manifest counts it (``library.*`` counters)
+    # — the ledger lists runs, not stages.
+    library = build_library(
+        plan, store=store, record_run=False, signatures=signatures
+    ).library
+    if store is not None:
+        store.put(
+            "library", key,
+            library,
+            meta={"components": len(library)},
+        )
     return library
 
 
@@ -205,21 +220,22 @@ def workload_setup(
     operation signatures (e.g. ``gaussian5`` and ``box5``) share one
     characterised library on disk; misses build through the parallel
     pipeline.  The cache is ``store`` when given, else the shared
-    experiment store (:func:`~repro.store.open_store`).
+    experiment store (:func:`~repro.store.open_store`); the bundle's
+    benchmark images are read from (or written to) the same store.
     """
     if scale is None:
         scale = default_scale()
     if image_shape is None:
         image_shape = DEFAULT_SHAPE
-    bundle = build_bundle(
-        name, n_images=n_images, image_shape=image_shape,
-        registry=registry,
-    )
-    plan = workload_plan(bundle.accelerator, scale, seed=seed)
     if not use_cache:
         store = None
     elif store is None:
         store = open_store()
+    bundle = build_bundle(
+        name, n_images=n_images, image_shape=image_shape,
+        registry=registry, store=store,
+    )
+    plan = workload_plan(bundle.accelerator, scale, seed=seed)
     library = _cached_library(
         store,
         _plan_key("workload-library", plan, scale),
@@ -266,18 +282,30 @@ def scaled_library(
     scale: float,
     seed: int = 0,
     store: Optional[ArtifactStore] = None,
+    signatures: Optional[Iterable[OpSignature]] = None,
 ) -> ComponentLibrary:
     """The Table 2 library at ``scale``, store-cached when asked.
 
-    Shares cache keys with :func:`default_setup`, so the CLI's ``run
-    --store`` and the experiment drivers reuse one characterised
-    library.
+    ``signatures`` (an accelerator's ``op_inventory()``) keeps only the
+    components of those operation signatures, the only candidates
+    autoAx's Step 1 considers: the Table 2 plan is enumerated as a
+    whole (same per-signature RNG streams, same records) and only the
+    kept signatures are characterised.  A restricted library is stored
+    under its own key; without a restriction (or one covering every
+    plan signature) the key is :func:`default_library_key`, shared
+    with :func:`default_setup` and ``generate-library --store``.
     """
     plan = scaled_plan(scale, seed=seed)
+    kept = None
+    if signatures is not None:
+        kept = sorted({tuple(sig) for sig in signatures} & set(plan.counts))
+        if kept == sorted(plan.counts):
+            kept = None
     return _cached_library(
         store,
-        default_library_key(plan, scale),
+        _plan_key("default-library", plan, scale, kept),
         plan,
+        signatures=kept,
     )
 
 

@@ -27,6 +27,13 @@ from repro.utils.rng import ensure_rng
 
 DEFAULT_SHAPE: Tuple[int, int] = (256, 384)  # rows, cols — paper: 384x256 px
 
+#: Artifact kind of benchmark images kept in the experiment store.
+IMAGE_KIND = "images"
+
+#: Bump whenever :func:`synthetic_image` changes its output, so images
+#: stored by an older generator are never read back.
+IMAGES_VERSION = 1
+
 
 def _smooth_noise(
     rng: np.random.Generator, shape: Tuple[int, int], sigma: float
@@ -127,10 +134,47 @@ def synthetic_image(
     return np.clip(np.round(base * 255.0), 0, 255).astype(np.uint8)
 
 
+def image_key(index: int, shape: Tuple[int, int]) -> str:
+    """Store key of benchmark image ``index`` at ``shape``."""
+    from repro.store.hashing import content_hash
+
+    return content_hash(
+        {
+            "image": int(index),
+            "shape": [int(n) for n in shape],
+            "version": IMAGES_VERSION,
+        }
+    )
+
+
 def benchmark_images(
-    count: int = 24, shape: Tuple[int, int] = DEFAULT_SHAPE
+    count: int = 24,
+    shape: Tuple[int, int] = DEFAULT_SHAPE,
+    store=None,
 ) -> List[np.ndarray]:
-    """Return the first ``count`` benchmark images (paper uses 24)."""
+    """Return the first ``count`` benchmark images (paper uses 24).
+
+    With an experiment ``store`` each image is an ``images`` artifact
+    keyed by (index, shape, :data:`IMAGES_VERSION`): stored images are
+    read back (same dtype, shape, bytes, writeable) and the missing
+    ones synthesised and written.  Without one every image is
+    synthesised.
+    """
     if count <= 0:
         raise ValueError("count must be positive")
-    return [synthetic_image(i, shape) for i in range(count)]
+    if store is None:
+        return [synthetic_image(i, shape) for i in range(count)]
+    keys = [image_key(i, shape) for i in range(count)]
+    images = [store.get(IMAGE_KIND, key) for key in keys]
+    missing = [i for i, image in enumerate(images) if image is None]
+    for i in missing:
+        images[i] = synthetic_image(i, shape)
+    if missing:
+        store.put_many(
+            IMAGE_KIND,
+            [
+                (keys[i], images[i], {"index": i})
+                for i in missing
+            ],
+        )
+    return images

@@ -22,6 +22,12 @@ Chunk boundaries are fixed (independent of the worker count) and no
 worker consumes shared RNG state, so the built library is
 **bit-identical for any worker count**.
 
+``signatures`` scopes a build to the operation signatures one
+accelerator uses (``repro run`` passes its ``op_inventory()``): the
+plan is enumerated whole, then only the matching inventory entries are
+chunked and characterised, so the result is the full library filtered
+to those signatures, record for record.
+
 With a ``store``, every component is memoised individually in the
 experiment store under the ``component`` artifact kind, keyed by a
 content hash of (family, model version, width, params[, sample
@@ -38,12 +44,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.circuits.luts import MAX_LUT_WIDTH
 from repro.library.component import (
     FAMILY_REGISTRY,
     ComponentRecord,
+    OpSignature,
     records_from_circuits,
 )
 from repro.library.generation import GenerationPlan, enumerate_plan
@@ -179,11 +186,18 @@ def build_library(
     progress: Optional[Callable[[str], None]] = None,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     record_run: bool = True,
+    signatures: Optional[Iterable[OpSignature]] = None,
 ) -> LibraryBuildResult:
     """Build the characterised library of ``plan`` through the pipeline.
 
     Chunks fan out over the runtime's worker count; the result does
-    not depend on it.  ``store`` enables per-component memoisation
+    not depend on it.  ``signatures`` restricts the build to the plan's
+    components of those operation signatures (an accelerator's
+    :meth:`~repro.accelerators.base.ImageAccelerator.op_inventory`):
+    the whole plan is still enumerated, so each signature keeps the
+    child RNG of its position in the full plan and the result equals
+    the full library filtered to ``signatures``, record for record.
+    ``store`` enables per-component memoisation
     (and a ``library-build`` ledger manifest unless ``record_run`` is
     off).  ``progress`` receives one human-readable
     line per completed chunk; by default those lines go to the
@@ -200,6 +214,9 @@ def build_library(
 
     start = time.perf_counter()
     inventory = enumerate_plan(plan)
+    if signatures is not None:
+        signatures = sorted({tuple(sig) for sig in signatures})
+        inventory = [item for item in inventory if item[0] in signatures]
     specs = [
         (type(circuit).__name__, circuit.width, circuit.params())
         for _, circuit in inventory
@@ -257,7 +274,8 @@ def build_library(
     run_id = None
     if store is not None and record_run:
         run_id = _record_build(
-            store, plan, stats, metrics_mark=metrics_mark
+            store, plan, stats, metrics_mark=metrics_mark,
+            signatures=signatures,
         )
     return LibraryBuildResult(
         library=library, stats=stats, run_id=run_id
@@ -269,8 +287,14 @@ def _record_build(
     plan: GenerationPlan,
     stats: LibraryBuildStats,
     metrics_mark: Optional[Dict] = None,
+    signatures: Optional[List[OpSignature]] = None,
 ) -> str:
-    """Write the ledger manifest of one store-backed build."""
+    """Write the ledger manifest of one store-backed build.
+
+    A build restricted to ``signatures`` lists the counts of those
+    signatures only and records the restriction in its params and
+    config hash.
+    """
     from repro.store import RunLedger
     from repro.store.hashing import content_hash
 
@@ -283,22 +307,29 @@ def _record_build(
     counts = [
         [kind, width, count]
         for (kind, width), count in sorted(plan.counts.items())
+        if signatures is None or (kind, width) in signatures
     ]
+    restriction = (
+        {} if signatures is None
+        else {"signatures": [list(sig) for sig in signatures]}
+    )
     RunLedger(store).record(
         run_id,
         kind="library-build",
         label="library:" + "-".join(
-            f"{kind}{width}" for kind, width in sorted(plan.counts)
+            f"{kind}{width}" for kind, width, _ in counts
         ),
         params={
             "counts": counts,
             "sample_size": plan.sample_size,
+            **restriction,
         },
         config_hash=content_hash(
             {
                 "counts": counts,
                 "seed": plan.seed,
                 "sample_size": plan.sample_size,
+                **restriction,
             }
         ),
         stages=[

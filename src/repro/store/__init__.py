@@ -12,7 +12,8 @@ persistent and shareable:
   training-set hash — see :mod:`~repro.store.hashing`), written via
   atomic rename so concurrent readers and writers never observe a torn
   blob, and read back through typed codecs (libraries, synthesis
-  reports, QoR evaluation matrices, fitted models, operand profiles).
+  reports, QoR evaluation matrices, benchmark images, fitted models,
+  sparsely pickled operand profiles).
   Corrupt or stale entries are evicted and recomputed, never raised.
 * :class:`~repro.store.ledger.RunLedger` — one JSON manifest per
   pipeline invocation (params, seed, config hash, per-stage timings and

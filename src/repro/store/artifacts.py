@@ -22,8 +22,10 @@ raced) is adopted back into the index on first read.
 
 Typed codecs translate domain objects to blob bytes per *kind*:
 libraries share the JSON format of :mod:`repro.library.io`, synthesis
-reports and QoR evaluation matrices are canonical JSON, fitted models
-and operand profiles are pickles (stdlib, local trusted cache).
+reports and QoR evaluation matrices are canonical JSON, benchmark
+images are ``.npy`` arrays, fitted models and operand profiles are
+pickles (stdlib, local trusted cache; an operand profile pickles its
+PMF sparsely, see :class:`~repro.accelerators.profiler.OperandProfile`).
 
 Every surface that takes a store location (``--store``,
 ``--store-dir``, ``REPRO_STORE_DIR``) goes through :func:`open_store`,
@@ -215,6 +217,24 @@ def _evaluations_decode(data: bytes):
     return [EvaluationResult(**entry) for entry in _json_decode(data)]
 
 
+def _array_encode(array) -> bytes:
+    import io
+
+    import numpy as np
+
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=False)
+    return buffer.getvalue()
+
+
+def _array_decode(data: bytes):
+    import io
+
+    import numpy as np
+
+    return np.load(io.BytesIO(data), allow_pickle=False)
+
+
 def _pickle_encode(obj) -> bytes:
     return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
 
@@ -235,6 +255,8 @@ CODECS: Dict[str, Codec] = {
     "space": Codec(_json_encode, _json_decode, "json"),
     "dse": Codec(_json_encode, _json_decode, "json"),
     "profiles": Codec(_pickle_encode, _pickle_decode, "pkl"),
+    # Benchmark images: one .npy array per image (no pickle).
+    "images": Codec(_array_encode, _array_decode, "npy"),
     "models": Codec(_pickle_encode, _pickle_decode, "pkl"),
 }
 
@@ -475,8 +497,9 @@ class ArtifactStore:
     #: them: content-shared pools (one blob serves many runs), not
     #: run-owned stage outputs.  Per-component memo entries live here
     #: too — thousands of them serve every future library build, so
-    #: manifests deliberately do not enumerate them.
-    SHARED_KINDS = ("synthesis", "library", "component")
+    #: manifests deliberately do not enumerate them — and so do the
+    #: benchmark images every run of a geometry reads.
+    SHARED_KINDS = ("synthesis", "library", "component", "images")
 
     def gc(
         self,
@@ -489,8 +512,8 @@ class ArtifactStore:
         ``referenced`` lists the ``(kind, key)`` pairs to keep (typically
         the union of all run-ledger manifests' artifact refs).  Kinds in
         ``keep_kinds`` (default :data:`SHARED_KINDS`) survive without a
-        reference — synthesis reports and libraries are shared across
-        runs rather than owned by one manifest.  With ``dry_run``
+        reference — synthesis reports, libraries and benchmark images
+        are shared across runs rather than owned by one manifest.  With ``dry_run``
         nothing is deleted; the statistics describe what a real pass
         would remove.  Returns removal statistics
         (``removed``/``freed_bytes``/``kept``) including per-kind

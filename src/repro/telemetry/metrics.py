@@ -165,7 +165,12 @@ class MetricsRegistry:
             return dict(self._counters)
 
     def snapshot(self, since: Optional[dict] = None) -> dict:
-        """Everything, JSON-ready; ``since`` diffs the counters."""
+        """Everything, JSON-ready; ``since`` diffs the counters.
+
+        A diffed snapshot keeps the counters that moved since the mark
+        and those first touched after it, even by zero (a build that
+        found no store hit still reports ``library.store_hits``).
+        """
         with self._lock:
             counters = dict(self._counters)
             gauges = dict(self._gauges)
@@ -177,7 +182,7 @@ class MetricsRegistry:
             counters = {
                 name: value - since.get(name, 0)
                 for name, value in counters.items()
-                if value - since.get(name, 0)
+                if value - since.get(name, 0) or name not in since
             }
         return {
             "counters": counters,

@@ -137,13 +137,19 @@ def build_bundle(
     n_images: int = DEFAULT_IMAGES,
     image_shape: Tuple[int, int] = DEFAULT_IMAGE_SHAPE,
     registry: Optional[WorkloadRegistry] = None,
+    store=None,
 ) -> WorkloadBundle:
-    """Materialise workload ``name`` into an engine-ready bundle."""
+    """Materialise workload ``name`` into an engine-ready bundle.
+
+    With an experiment ``store`` the benchmark images are read from
+    (and on a miss written to) it; see
+    :func:`~repro.imaging.datasets.benchmark_images`.
+    """
     registry = registry if registry is not None else WORKLOADS
     workload = registry.get(name)
     return WorkloadBundle(
         workload=workload,
         accelerator=workload.build_accelerator(),
-        images=benchmark_images(n_images, shape=image_shape),
+        images=benchmark_images(n_images, shape=image_shape, store=store),
         scenarios=workload.build_scenarios(),
     )

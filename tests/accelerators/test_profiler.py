@@ -1,8 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.accelerators.gaussian_generic import GenericGaussianFilter, kernel_sweep
-from repro.accelerators.profiler import profile_accelerator
+from repro.accelerators.profiler import OperandProfile, profile_accelerator
 from repro.accelerators.sobel import SobelEdgeDetector
 from repro.imaging.datasets import benchmark_images
 
@@ -211,3 +213,87 @@ class TestProfileGenericGF:
             acc, small_images[:1], scenarios=scenarios, rng=0
         )
         assert profiles["mul0"].total_count == 3 * small_images[0].size
+
+
+def assert_same_array(expected, array):
+    assert array.dtype == expected.dtype
+    assert array.shape == expected.shape
+    assert array.tobytes() == expected.tobytes()
+    assert array.flags.writeable and array.flags.c_contiguous
+
+
+def assert_same_profiles(expected, profiles):
+    assert list(profiles) == list(expected)
+    for name, profile in expected.items():
+        clone = profiles[name]
+        assert list(vars(clone)) == list(vars(profile))
+        assert clone.op_name == profile.op_name
+        assert clone.signature == profile.signature
+        assert clone.total_count == profile.total_count
+        if profile.pmf is None:
+            assert clone.pmf is None
+        else:
+            assert_same_array(profile.pmf, clone.pmf)
+        assert_same_array(profile.sample_a, clone.sample_a)
+        assert_same_array(profile.sample_b, clone.sample_b)
+
+
+class TestCompactPickle:
+    """Profiles pickle sparsely and unpickle to identical arrays."""
+
+    @pytest.fixture(scope="class")
+    def generic_profiles(self, small_images):
+        acc = GenericGaussianFilter()
+        scenarios = [acc.kernel_extra(w) for w in kernel_sweep(2)]
+        return profile_accelerator(
+            acc, small_images[:1], scenarios=scenarios, rng=0
+        )
+
+    def test_dense_pmfs_round_trip(self, sobel_profiles):
+        assert_same_profiles(
+            sobel_profiles, pickle.loads(pickle.dumps(sobel_profiles))
+        )
+
+    def test_sampled_profiles_round_trip(self, generic_profiles):
+        assert any(p.pmf is None for p in generic_profiles.values())
+        assert_same_profiles(
+            generic_profiles, pickle.loads(pickle.dumps(generic_profiles))
+        )
+
+    def test_blob_stores_support_and_narrow_samples(self, sobel_profiles):
+        profile = sobel_profiles["sub"]
+        state = profile.__getstate__()
+        size, support, values = state["pmf_sparse"]
+        assert size == profile.pmf.size
+        assert support.dtype == np.uint32
+        assert values.dtype == np.float64
+        assert support.size == np.count_nonzero(profile.pmf)
+        dtype, sample = state["sample_a"]
+        assert dtype == str(profile.sample_a.dtype)
+        assert sample.dtype == np.uint16  # 10-bit operands
+        dense = len(pickle.dumps(dict(vars(profile))))
+        assert len(pickle.dumps(profile)) * 4 < dense
+
+    def test_dense_state_still_loads(self, sobel_profiles,
+                                     generic_profiles, monkeypatch):
+        """Blobs pickled before the compact form held the attribute
+        dict; they decode to equal profiles."""
+        monkeypatch.delattr(OperandProfile, "__getstate__")
+        old = {
+            "sobel": pickle.dumps(sobel_profiles),
+            "generic": pickle.dumps(generic_profiles),
+        }
+        monkeypatch.undo()
+        assert_same_profiles(sobel_profiles, pickle.loads(old["sobel"]))
+        assert_same_profiles(
+            generic_profiles, pickle.loads(old["generic"])
+        )
+
+    def test_negative_samples_keep_their_dtype(self):
+        profile = OperandProfile(
+            op_name="x", signature=("add", 4), total_count=3, pmf=None,
+            sample_a=np.array([-1, 0, 5], dtype=np.int64),
+            sample_b=np.array([], dtype=np.int64),
+        )
+        assert_same_profiles({"x": profile},
+                             pickle.loads(pickle.dumps({"x": profile})))

@@ -1,13 +1,17 @@
 import pytest
 
+from repro.accelerators.sobel import SobelEdgeDetector
 from repro.core.engine import EvaluationEngine
 from repro.errors import ValidationError
 from repro.experiments.setup import (
     ExperimentSetup,
+    default_library_key,
     default_setup,
+    scaled_library,
     workload_plan,
     workload_setup,
 )
+from repro.library.generation import PAPER_SIGNATURES, scaled_plan
 from repro.store import ArtifactStore
 from repro.workloads import WORKLOADS
 
@@ -120,3 +124,60 @@ class TestWorkloadSetup:
             setup.accelerator, setup.images, scenarios=setup.scenarios
         )
         assert engine.run_count == 2 * 2  # images x scenarios
+
+
+class TestScaledLibraryScope:
+    """``scaled_library(signatures=...)``: a restricted library gets its
+    own store key; the whole-plan key stays what it always was."""
+
+    #: default_library_key(scaled_plan(0.005, seed=0), 0.005), as
+    #: written by ``generate-library --store`` and read by
+    #: default_setup() in earlier stores.
+    DEFAULT_KEY = (
+        "5a2f635f2a91dc9d53a1e1a8697ae2e98dbcd83841be7ca8dcce934f8f00588a"
+    )
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        import repro.library.pipeline as library_pipeline
+        from repro.library.library import ComponentLibrary
+
+        calls = []
+
+        def fake_build_library(plan, **kwargs):
+            calls.append(kwargs.get("signatures"))
+            return library_pipeline.LibraryBuildResult(
+                ComponentLibrary(), library_pipeline.LibraryBuildStats()
+            )
+
+        monkeypatch.setattr(
+            library_pipeline, "build_library", fake_build_library
+        )
+        return calls
+
+    def test_default_key_unchanged(self):
+        plan = scaled_plan(0.005, seed=0)
+        assert default_library_key(plan, 0.005) == self.DEFAULT_KEY
+
+    def test_restricted_library_has_its_own_key(self, tmp_path, builds):
+        store = ArtifactStore(tmp_path)
+        inventory = SobelEdgeDetector().op_inventory()
+        scaled_library(0.005, seed=0, store=store, signatures=inventory)
+        assert builds == [[("add", 8), ("add", 9), ("sub", 10)]]
+        [(key, _)] = _library_blobs(tmp_path)
+        assert key != self.DEFAULT_KEY
+        # warm: one read, no build
+        scaled_library(0.005, seed=0, store=store, signatures=inventory)
+        assert len(builds) == 1
+
+    def test_covering_every_signature_is_the_whole_library(
+        self, tmp_path, builds
+    ):
+        store = ArtifactStore(tmp_path)
+        # every Table 2 signature plus one the plan does not have
+        scaled_library(0.005, seed=0, store=store,
+                       signatures=[*PAPER_SIGNATURES, ("add", 14)])
+        assert builds == [None]
+        assert [key for key, _ in _library_blobs(tmp_path)] == [
+            self.DEFAULT_KEY
+        ]

@@ -11,6 +11,7 @@ import json
 import pytest
 
 from repro.circuits.characterization import characterization_count
+from repro.cli import ACCELERATORS
 from repro.library.component import ComponentRecord
 from repro.library.generation import (
     GenerationPlan,
@@ -20,6 +21,7 @@ from repro.library.generation import (
     generate_library,
     generate_multipliers,
     generate_subtractors,
+    scaled_plan,
 )
 from repro.library.io import library_payload
 from repro.library.library import ComponentLibrary
@@ -267,6 +269,49 @@ class TestStoreRoundTrip:
         for record in result.library:
             clone = ComponentRecord.from_dict(record.to_dict())
             assert clone.errors == record.errors
+
+
+class TestSignatureScope:
+    """``signatures=`` builds the full plan's records of those
+    signatures: same circuits, same RNG streams, same order."""
+
+    @pytest.fixture(scope="class", params=[0, 1], ids=["seed0", "seed1"])
+    def full(self, request):
+        scaled = scaled_plan(0.0005, seed=request.param, floor=8)
+        plan = GenerationPlan(
+            scaled.counts, seed=scaled.seed, sample_size=1 << 8
+        )
+        return plan, build_library(plan).library
+
+    @pytest.mark.parametrize("accelerator", sorted(ACCELERATORS))
+    def test_equals_full_plan_filtered(self, full, accelerator):
+        plan, library = full
+        signatures = ACCELERATORS[accelerator]().op_inventory()
+        scoped = build_library(plan, signatures=signatures)
+        expected = [
+            record.to_dict() for record in library
+            if record.signature in signatures
+        ]
+        assert [r.to_dict() for r in scoped.library] == expected
+        assert scoped.stats.components == len(expected)
+        assert set(scoped.stats.per_signature) == {
+            f"{kind}{width}" for kind, width in signatures
+        }
+
+    def test_manifest_records_the_restriction(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        full = build_library(PLAN, store=store)
+        scoped = build_library(PLAN, store=store, signatures=[("sub", 4)])
+        assert scoped.stats.characterized == 0
+        assert scoped.stats.store_hits == PLAN.counts[("sub", 4)]
+        ledger = RunLedger(store)
+        whole = ledger.get(full.run_id)
+        manifest = ledger.get(scoped.run_id)
+        assert "signatures" not in whole["params"]
+        assert manifest["params"]["signatures"] == [["sub", 4]]
+        assert manifest["params"]["counts"] == [["sub", 4, 12]]
+        assert manifest["label"] == "library:sub4"
+        assert manifest["config_hash"] != whole["config_hash"]
 
 
 class TestValidation:

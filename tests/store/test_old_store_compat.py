@@ -191,3 +191,38 @@ def test_old_search_manifest_shows_and_resumes(tmp_path, monkeypatch,
         "preprocessing", "training_set", "model_construction",
         "pseudo_pareto",
     ]
+
+
+def test_dense_profiles_blob_still_hits(tmp_path, monkeypatch, sobel,
+                                        tiny_library, small_images):
+    """A ``profiles`` blob pickled densely (before profiles pickled
+    their PMF sparsely) decodes to equal profiles, and the
+    ``preprocessing`` stage it belongs to stays a hit."""
+    from repro.accelerators.profiler import OperandProfile
+    from repro.core.pipeline import AutoAx, AutoAxConfig
+
+    store = ArtifactStore(tmp_path / "store")
+    config = AutoAxConfig(n_train=12, n_test=6, engines=("K-Neighbors",),
+                          max_evaluations=150, seed=0)
+
+    def run():
+        return AutoAx(sobel, tiny_library, small_images[:1],
+                      config=config, store=store).run()
+
+    monkeypatch.delattr(OperandProfile, "__getstate__")
+    cold = run()
+    monkeypatch.undo()
+    [ref] = store.entries("profiles")
+    assert b"pmf_sparse" not in ref.path.read_bytes()
+
+    warm = run()
+    assert set(warm.stage_cache.values()) == {"hit"}
+    assert list(warm.profiles) == list(cold.profiles)
+    for name, profile in cold.profiles.items():
+        clone = warm.profiles[name]
+        assert clone.total_count == profile.total_count
+        for field in ("pmf", "sample_a", "sample_b"):
+            expected, array = getattr(profile, field), getattr(clone, field)
+            assert array.dtype == expected.dtype
+            assert array.tobytes() == expected.tobytes()
+    assert warm.final_points.tolist() == cold.final_points.tolist()

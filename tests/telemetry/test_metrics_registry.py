@@ -85,6 +85,13 @@ class TestSnapshotsAndDeltas:
         snap = registry.snapshot(since=mark)
         assert snap["counters"] == {"a": 2, "b": 1}
 
+    def test_mark_keeps_counters_first_touched_at_zero(self, registry):
+        registry.inc("seen", 0)
+        mark = registry.mark()
+        registry.inc("seen", 0)
+        registry.inc("new", 0)
+        assert registry.snapshot(since=mark)["counters"] == {"new": 0}
+
     def test_export_delta_drains(self, registry):
         registry.inc("x")
         registry.observe("y", 1.5)

@@ -546,6 +546,75 @@ class TestStoreCommands:
         assert "no experiment store" in capsys.readouterr().err
 
 
+SOBEL_RUN = [
+    "run", "--accelerator", "sobel", "--images", "1", "--train", "12",
+    "--evals", "150", "--seed", "0",
+]
+
+
+class TestRunScope:
+    """``run`` builds, stores and reloads only what its accelerator
+    uses: the library of its signatures, its benchmark images."""
+
+    @staticmethod
+    def _run(capsys, *extra):
+        assert main(SOBEL_RUN + ["--json", *extra]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @staticmethod
+    def _counters(store, run_id):
+        from repro.store import RunLedger, open_store
+
+        manifest = RunLedger(open_store(str(store))).get(run_id)
+        return manifest["extra"]["metrics"]["counters"]
+
+    def test_manifest_counts_the_library_build(self, tmp_path, capsys):
+        from repro.store import open_store
+        from repro.telemetry import reset_metrics
+
+        store = tmp_path / "store"
+        reset_metrics()  # a fresh process's registry
+        cold = self._run(capsys, "--scale", "0.005", "--store", str(store))
+        counters = self._counters(store, cold["run_id"])
+        # Sobel's add8, add9 and sub10 pools at the floor of 64, not
+        # the 470 components of the whole scaled Table 2 library
+        assert counters["library.components_built"] == 192
+        assert counters["library.store_hits"] == 0
+
+        warm = self._run(capsys, "--scale", "0.005", "--store", str(store))
+        assert set(warm["stage_cache"].values()) == {"hit"}
+        assert warm["front"] == cold["front"]
+        assert not [
+            name for name in self._counters(store, warm["run_id"])
+            if name.startswith("library.")
+        ]
+
+        assert main(["runs", "gc", "--store-dir", str(store)]) == 0
+        capsys.readouterr()
+        assert len(open_store(str(store)).entries("images")) == 1
+
+    def test_generate_library_store_keeps_run_warm(self, tmp_path,
+                                                   monkeypatch, capsys):
+        from repro.telemetry import reset_metrics
+
+        monkeypatch.chdir(tmp_path)
+        store = tmp_path / "store"
+        assert main(["generate-library", "--scale", "0.0005",
+                     "--seed", "0", "--store", str(store)]) == 0
+        capsys.readouterr()
+        reset_metrics()
+        stored = self._run(capsys, "--scale", "0.0005",
+                           "--store", str(store))
+        counters = self._counters(store, stored["run_id"])
+        assert counters["library.components_built"] == 0
+        assert counters["library.store_hits"] == 192
+
+        plain = self._run(capsys, "--scale", "0.0005", "--no-store")
+        assert plain["front"] == stored["front"]
+        assert plain["run_id"] is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+
+
 class TestSearchPipeline:
     """``search`` is the pipeline stopped after ``pseudo_pareto``: it
     profiles with the workload's scenarios, shares stage keys with
