@@ -28,9 +28,16 @@ Commands
 * ``export-verilog`` — lower an accelerator with exact components and
   write structural Verilog.
 
-``run``, ``workloads run``, ``search`` and ``runs resume`` build their
-pipeline from the same params through one builder, and the pipeline
-writes every manifest.
+``run``, ``workloads run``, ``search`` and ``runs resume`` go through
+one front door (``_run_pipeline``).  It first names the command's
+inputs by keys that already fix them, without building anything.  With
+a store it then looks up the ``result`` artifact an identical earlier
+run recorded: a full hit (checksum good, every referenced stage
+artifact present, the recording manifest still there) prints the
+recorded output, counts itself on that manifest (``replays``) and
+writes no manifest of its own.  Any miss, and every resume, runs the
+stages through one builder; the pipeline writes that run's manifest
+and the command records the result for the next replay.
 
 Store-aware commands accept ``--store [URI]``/``--no-store`` to enable
 the persistent stage cache (default: on when ``REPRO_STORE_DIR`` is
@@ -48,7 +55,8 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.accelerators.gaussian_fixed import FixedGaussianFilter
 from repro.accelerators.gaussian_generic import GenericGaussianFilter
@@ -334,83 +342,93 @@ def _result_doc(result, label_key: str, label: str) -> Dict:
     }
 
 
-def _write_front_csv(result, out: str) -> None:
+def _write_front_csv(front: List[List[float]], out: str) -> None:
     """Write the final Pareto front as ``ssim,area`` CSV rows."""
-    order = result.final_points[:, 1].argsort()
     with open(out, "w") as handle:
         handle.write("ssim,area\n")
-        for s, a in result.final_points[order]:
+        for s, a in front:
             handle.write(f"{s},{a}\n")
 
 
-def _emit_pipeline_json(result, doc: Dict, out: Optional[str]) -> None:
-    """``--json`` output of a pipeline run: pure JSON on stdout.
-
-    ``--out`` still writes the CSV front; the confirmation goes to
-    stderr so stdout stays machine-parseable.
-    """
-    if out:
-        _write_front_csv(result, out)
-        get_logger("cli").info(
-            "front written", extra={"data": {"file": out}}
-        )
-    _emit_json(doc)
-
-
-def _print_pipeline_result(result, out: Optional[str]) -> None:
-    """Shared result reporting of the ``run`` commands."""
-    sizes = result.summary_row()
+def _print_pipeline_result(doc: Dict, out: Optional[str]) -> None:
+    """Human-readable report of a ``run``/``workloads run`` document."""
+    sizes = doc["space"]
     print(
         f"space: {sizes['all_possible']:.3g} -> "
         f"{sizes['after_preprocessing']:.3g} -> "
         f"{int(sizes['pseudo_pareto'])} pseudo -> "
         f"{int(sizes['final_pareto'])} final"
     )
+    qor, hw = doc["models"]["qor"], doc["models"]["hw"]
     print(
-        f"models: QoR={result.qor_model.name} "
-        f"({result.qor_model.fidelity_test:.1%}), "
-        f"HW={result.hw_model.name} "
-        f"({result.hw_model.fidelity_test:.1%})"
+        f"models: QoR={qor['name']} ({qor['fidelity_test']:.1%}), "
+        f"HW={hw['name']} ({hw['fidelity_test']:.1%})"
     )
-    if result.run_id is not None:
-        hits = sum(
-            1 for v in result.stage_cache.values() if v == "hit"
-        )
+    if doc["run_id"] is not None:
+        cache = doc["stage_cache"]
+        hits = sum(1 for v in cache.values() if v == "hit")
         print(
-            f"run {result.run_id}: {hits}/{len(result.stage_cache)} "
-            f"stages from cache"
+            f"run {doc['run_id']}: {hits}/{len(cache)} stages from cache"
         )
-    order = result.final_points[:, 1].argsort()
     print(format_table(
         ["SSIM", "area (um^2)"],
-        [[f"{s:.4f}", f"{a:.1f}"]
-         for s, a in result.final_points[order]],
+        [[f"{s:.4f}", f"{a:.1f}"] for s, a in doc["front"]],
     ))
     if out:
-        _write_front_csv(result, out)
+        _write_front_csv(doc["front"], out)
         print(f"front written to {out}")
 
 
-def _pipeline(params: Dict, store):
-    """The one builder: a command's recorded params -> an ``AutoAx``.
+@dataclass
+class _Identity:
+    """A pipeline command named by the keys of its inputs, before any
+    of them is built.
 
-    Returns ``(pipeline, bundle)``; ``bundle`` is the materialised
-    :class:`~repro.workloads.WorkloadBundle` for ``workloads run`` and
-    ``search``, ``None`` for ``run``.
+    ``inputs`` and ``result_key`` are set only with a store: ``inputs``
+    are the stage-key identities handed to ``AutoAx``, ``result_key``
+    addresses the ``result`` artifact that records the run's outcome.
+    """
 
-    ``run``, ``workloads run``, ``search`` and ``runs resume`` all build
-    their pipeline here, so a command and its resume get the identical
-    :class:`~repro.core.pipeline.AutoAxConfig` and share stage-cache
+    params: Dict
+    config: object
+    kind: str
+    label: str
+    accelerator: object
+    scenarios: Optional[List[Dict[str, int]]]
+    load_library: Callable
+    image_count: int
+    image_shape: Tuple[int, int]
+    inputs: Optional[Dict[str, str]] = None
+    result_key: Optional[str] = None
+
+
+def _identify(params: Dict, store) -> _Identity:
+    """The cheap identity step: a command's recorded params -> its
+    :class:`_Identity`.
+
+    ``run``, ``workloads run``, ``search`` and ``runs resume`` all start
+    here, so a command and its resume get the identical
+    :class:`~repro.core.identity.AutoAxConfig` and share stage-cache
     keys.  ``run`` uses the Table 2 library at ``scale`` restricted to
     the accelerator's signatures (the only candidates Step 1 draws
     from), unless ``--library`` names a file; ``workloads`` and
     ``search`` use the library covering the workload's signatures and
-    its scenarios.  With a store, the library and the benchmark images
-    are read from it (built and written on a miss).  A missing scale
-    resolves from ``REPRO_SCALE`` and is recorded, so a resume runs on
-    the same library.
+    its scenarios.  A missing scale resolves from ``REPRO_SCALE`` and
+    is recorded, so a resume runs on the same library.
+
+    Nothing is built or read here but the accelerator (and a
+    ``--library`` file).  With a store the inputs are named by keys
+    that already fix them: the generated library by its store key
+    (which carries every circuit family's model version), the images by
+    their ``image_key`` (index, shape), the accelerator by its
+    fingerprint; a ``--library`` file keeps its content fingerprint.
     """
-    from repro.core.pipeline import AutoAx, AutoAxConfig
+    from repro.core.identity import (
+        AutoAxConfig,
+        config_hash,
+        result_key,
+        stage_inputs,
+    )
     from repro.experiments.setup import default_scale
 
     params = dict(params)
@@ -426,51 +444,168 @@ def _pipeline(params: Dict, store):
         max_evaluations=params["budget"] if search else params["evals"],
         seed=params["seed"],
     )
+    library_id = None
     if command == "run":
-        from repro.experiments.setup import scaled_library
-        from repro.imaging.datasets import benchmark_images
-        from repro.library.io import load_library
+        from repro.imaging.datasets import DEFAULT_SHAPE as shape
 
-        name = params["accelerator"]
-        accelerator = ACCELERATORS[name]()
+        kind, label = "run", params["accelerator"]
+        accelerator = ACCELERATORS[label]()
+        scenarios = None
         if params.get("library"):
-            library = load_library(params["library"])
+            from repro.library.io import load_library as read_library
+
+            library = read_library(params["library"])
+
+            def load_library(store):
+                return library
+
+            if store is not None:
+                from repro.store import content_hash, library_fingerprint
+
+                library_id = content_hash(library_fingerprint(library))
         else:
-            library = scaled_library(
-                params["scale"], seed=params["seed"], store=store,
+            from repro.experiments.setup import scaled_library_request
+
+            request = scaled_library_request(
+                params["scale"], seed=params["seed"],
                 signatures=accelerator.op_inventory(),
             )
-        return AutoAx(
-            accelerator, library,
-            benchmark_images(params["images"], store=store),
-            config=config,
-            store=store, run_kind="run", run_label=name,
-            run_params=params,
-        ), None
-    from repro.experiments.setup import workload_setup
+            load_library, library_id = request.load, request.key
+    else:
+        from repro.experiments.setup import DEFAULT_SHAPE as shape
+        from repro.experiments.setup import workload_library_request
+        from repro.workloads import WORKLOADS
 
-    name = params["workload"] if search else params["name"]
-    setup = workload_setup(
-        name, scale=params["scale"], n_images=params["images"],
-        seed=params["seed"], store=store, use_cache=store is not None,
+        name = params["workload"] if search else params["name"]
+        kind = "search" if search else "workload"
+        label = f"search:{name}" if search else name
+        workload = WORKLOADS.get(name)
+        accelerator = workload.build_accelerator()
+        scenarios = workload.build_scenarios()
+        request = workload_library_request(
+            accelerator, params["scale"], seed=params["seed"]
+        )
+        load_library, library_id = request.load, request.key
+    identity = _Identity(
+        params=params, config=config, kind=kind, label=label,
+        accelerator=accelerator, scenarios=scenarios,
+        load_library=load_library, image_count=params["images"],
+        image_shape=shape,
     )
+    if store is not None:
+        from repro.imaging.datasets import image_key
+        from repro.store import accelerator_fingerprint, content_hash
+
+        identity.inputs = {
+            "accelerator": content_hash(
+                accelerator_fingerprint(accelerator)
+            ),
+            "library": library_id,
+            "images": content_hash(
+                [image_key(i, shape) for i in range(params["images"])]
+            ),
+        }
+        identity.result_key = result_key(
+            config_hash(stage_inputs(**identity.inputs,
+                                     scenarios=scenarios), config),
+            "pseudo_pareto" if search else "final_analysis",
+            kind, label,
+        )
+    return identity
+
+
+def _pipeline(identity: _Identity, store):
+    """The materialise step: an :class:`_Identity` -> an ``AutoAx``.
+
+    With a store, the library and the benchmark images are read from
+    it (built and written on a miss); the stage keys use the
+    identity's ``inputs``.
+    """
+    from repro.core.pipeline import AutoAx
+    from repro.imaging.datasets import benchmark_images
+
     return AutoAx(
-        setup.accelerator, setup.library, setup.images,
-        scenarios=setup.scenarios, config=config, store=store,
-        run_kind="search" if search else "workload",
-        run_label=f"search:{name}" if search else name,
-        run_params=params,
-    ), setup.bundle
+        identity.accelerator,
+        identity.load_library(store),
+        benchmark_images(
+            identity.image_count, shape=identity.image_shape, store=store
+        ),
+        scenarios=identity.scenarios,
+        config=identity.config,
+        store=store,
+        run_kind=identity.kind,
+        run_label=identity.label,
+        run_params=identity.params,
+        inputs=identity.inputs,
+    )
 
 
-def _search_doc(result, params: Dict,
-                resumed_from: Optional[str]) -> Dict:
+def _replayed(store, identity: _Identity) -> Optional[Dict]:
+    """The recorded document of a finished identical run, or ``None``.
+
+    A hit needs the ``result`` blob to pass its checksum, every stage
+    artifact it references to have an index row and a blob on disk,
+    and the manifest of the run that recorded it to still exist; the
+    replay is then counted on that manifest, and no other is written.
+    The document is served as the stages would have reported it: every
+    stage a hit that took no time, and no engine work.
+    """
+    from repro.core.identity import idle_engine_stats
+    from repro.store import RunLedger
+
+    recorded = store.get("result", identity.result_key, verified=True)
+    if recorded is None:
+        return None
+    refs = [(a["kind"], a["key"]) for a in recorded["artifacts"]]
+    if not store.present(refs):
+        return None
+    if RunLedger(store).record_replay(recorded["run_id"]) is None:
+        return None
+    doc = recorded["doc"]
+    if "stage_cache" in doc:
+        doc["stage_cache"] = {name: "hit" for name in doc["stage_cache"]}
+        doc["timings"] = {name: 0.0 for name in doc["timings"]}
+        doc["engine_stats"] = idle_engine_stats()
+    return doc
+
+
+def _executed(identity: _Identity, store, metrics_mark) -> Dict:
+    """Run the stages and return the output document.
+
+    With a store the outcome is recorded as the ``result`` artifact the
+    next identical command is served from.
+    """
+    params = identity.params
+    search = params["command"] == "search"
+    result = _pipeline(identity, store).run(
+        final_analysis=not search, metrics_since=metrics_mark,
+        result_key=identity.result_key,
+    )
+    if search:
+        doc = _search_doc(result, params)
+    elif params["command"] == "run":
+        doc = _result_doc(result, "accelerator", params["accelerator"])
+    else:
+        doc = _result_doc(result, "workload", params["name"])
+        doc["runs_per_config"] = identity.image_count * len(
+            identity.scenarios or [None]
+        )
+    if identity.result_key is not None:
+        store.put("result", identity.result_key, {
+            "run_id": result.run_id,
+            "doc": doc,
+            "artifacts": result.artifacts,
+        })
+    return doc
+
+
+def _search_doc(result, params: Dict) -> Dict:
     """The ``--json`` ``search`` object: the pseudo-Pareto front."""
     pseudo = result.pseudo_pareto
     return {
         "workload": params["workload"],
         "run_id": result.run_id,
-        "resumed_from": resumed_from,
+        "resumed_from": None,
         "evaluations": pseudo.evaluations,
         "max_evaluations": params["budget"],
         "inserts": pseudo.inserts,
@@ -499,26 +634,35 @@ def _run_pipeline(
     as_json: bool,
     resumed_from: Optional[str] = None,
 ) -> int:
-    """Build, run and report one pipeline command or its resume.
+    """The one front door of ``run``, ``workloads run``, ``search`` and
+    ``runs resume``: identify, look up, else run; then report.
 
-    ``search`` is the same pipeline stopped after ``pseudo_pareto``.  A
-    resume reports like its command, adds ``resumed_from`` and writes
-    no ``--out`` file.
+    With a store the command is first named (:func:`_identify`) and its
+    recorded ``result`` looked up (:func:`_replayed`): a full hit is
+    served from it, reading no library, image or stage artifact.  Any miss
+    falls through to the stages (:func:`_executed`), which record the
+    result again.  A resume always re-executes through the stages and
+    records a new manifest.  ``search`` is the pipeline stopped after
+    ``pseudo_pareto``.  A resume reports like its command, adds
+    ``resumed_from`` and writes no ``--out`` file.
     """
     from repro.telemetry import get_metrics
 
     # The manifest's metrics window opens before the builder, so it
     # counts the library build (``library.*``) the run paid for.
     metrics_mark = get_metrics().mark()
-    pipeline, bundle = _pipeline(params, store)
-    command = params["command"]
-    result = pipeline.run(
-        final_analysis=command != "search", metrics_since=metrics_mark
-    )
+    identity = _identify(params, store)
+    params = identity.params
+    doc = None
+    if identity.result_key is not None and resumed_from is None:
+        doc = _replayed(store, identity)
+    if doc is None:
+        doc = _executed(identity, store, metrics_mark)
     if resumed_from and not as_json:
-        print(f"resumed {resumed_from} -> {result.run_id}")
+        print(f"resumed {resumed_from} -> {doc['run_id']}")
+    command = params["command"]
     if command == "search":
-        doc = _search_doc(result, params, resumed_from)
+        doc["resumed_from"] = resumed_from
         if as_json:
             _emit_json({"search": doc})
         else:
@@ -526,23 +670,24 @@ def _run_pipeline(
         return 0
 
     out = None if resumed_from else params.get("out")
-    if command == "run":
-        doc = _result_doc(result, "accelerator", params["accelerator"])
-    else:
-        doc = _result_doc(result, "workload", params["name"])
-        doc["runs_per_config"] = bundle.run_count
-        if not as_json:
-            print(
-                f"workload {params['name']}: {bundle.run_count} "
-                f"runs/config ({len(bundle.images)} images x "
-                f"{len(bundle.scenarios or [None])} scenarios)"
-            )
+    if command == "workloads" and not as_json:
+        runs = doc["runs_per_config"]
+        print(
+            f"workload {params['name']}: {runs} "
+            f"runs/config ({params['images']} images x "
+            f"{runs // params['images']} scenarios)"
+        )
     if resumed_from:
         doc["resumed_from"] = resumed_from
-    if as_json:
-        _emit_pipeline_json(result, doc, out)
-    else:
-        _print_pipeline_result(result, out)
+    if not as_json:
+        _print_pipeline_result(doc, out)
+        return 0
+    if out:
+        _write_front_csv(doc["front"], out)
+        get_logger("cli").info(
+            "front written", extra={"data": {"file": out}}
+        )
+    _emit_json(doc)
     return 0
 
 
@@ -637,6 +782,7 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
             m.get("status", "?"),
             _stage_hits(m),
             f"{m.get('total_seconds', 0.0):.2f}",
+            m.get("replays", 0),
             m.get("created_at", ""),
         ]
         for m in manifests
@@ -644,7 +790,7 @@ def _cmd_runs_list(args: argparse.Namespace) -> int:
     print(
         format_table(
             ["run", "kind", "label", "status", "cache", "seconds",
-             "created (UTC)"],
+             "replays", "created (UTC)"],
             rows,
         )
     )
@@ -660,6 +806,9 @@ def _cmd_runs_show(args: argparse.Namespace) -> int:
     for key in ("run_id", "kind", "label", "status", "created_at",
                 "seed", "config_hash", "total_seconds"):
         print(f"{key}: {manifest.get(key)}")
+    print(f"replays: {manifest.get('replays', 0)}"
+          + (f" (last {manifest['last_replayed_at']})"
+             if manifest.get("last_replayed_at") else ""))
     print(f"params: {json.dumps(manifest.get('params', {}), sort_keys=True)}")
     stages = manifest.get("stages", [])
     total = sum(s.get("seconds", 0.0) for s in stages) or 1.0

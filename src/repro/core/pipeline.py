@@ -14,8 +14,9 @@ decomposes into five cache-aware stages —
                    -> pseudo_pareto -> final_analysis
 
 — each keyed by the content hash of its exact inputs (accelerator
-dataflow graph, library fingerprint, benchmark images, stage
-parameters, upstream artifact keys).  A stage whose key is already in
+dataflow graph, library, benchmark images, stage parameters, upstream
+artifact keys; :mod:`repro.core.identity` names the first three, by
+content or by store keys that fix it).  A stage whose key is already in
 the store is *skipped*: its artifact is decoded instead of recomputed,
 so a repeated run with a warm store performs no profiling, no synthesis,
 no model fitting and no DSE.  Each stage draws from its own seeded RNG
@@ -35,20 +36,23 @@ count gives the same artifacts.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.accelerators.base import ImageAccelerator
 from repro.accelerators.profiler import OperandProfile, profile_accelerator
-from repro.core.configuration import (
-    HW_FEATURES,
-    Configuration,
-    ConfigurationSpace,
-)
+from repro.core.configuration import Configuration, ConfigurationSpace
 from repro.core.dse import DSEResult, heuristic_pareto_construction
 from repro.core.engine import EvaluationEngine, EvaluationResult
+from repro.core.identity import (  # config and stages re-exported here
+    PIPELINE_STAGES,
+    AutoAxConfig,
+    config_hash,
+    idle_engine_stats,
+    stage_inputs,
+)
 from repro.core.modeling import (
     EngineReport,
     TrainingSet,
@@ -61,50 +65,10 @@ from repro.core.modeling import (
 )
 from repro.core.pareto import pareto_front_indices
 from repro.core.preprocessing import reduce_library
-from repro.errors import ValidationError
 from repro.library.component import ComponentRecord
 from repro.library.library import ComponentLibrary
 from repro.telemetry import complete_event, get_metrics
 from repro.utils.rng import spawn_rngs
-
-#: Ledger stage names, in execution order.  The heavy stages a warm
-#: store is expected to skip entirely.
-PIPELINE_STAGES = (
-    "preprocessing",
-    "training_set",
-    "model_construction",
-    "pseudo_pareto",
-    "final_analysis",
-)
-
-
-@dataclass(frozen=True)
-class AutoAxConfig:
-    """Tunables of the pipeline; defaults are laptop-scale."""
-
-    n_train: int = 400
-    n_test: int = 200
-    engines: Tuple[str, ...] = ("Random Forest",)
-    include_naive: bool = True
-    hw_features: Tuple[str, ...] = HW_FEATURES
-    max_evaluations: int = 20_000
-    stagnation_limit: int = 50
-    per_op_cap: Optional[int] = None
-    max_samples: int = 1 << 16
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_train < 2 or self.n_test < 2:
-            raise ValidationError("need at least two train and test samples")
-        if not self.engines:
-            raise ValidationError("at least one learning engine is required")
-
-    def cache_payload(self) -> Dict[str, object]:
-        """The hashable identity of this config."""
-        payload = asdict(self)
-        payload["engines"] = list(self.engines)
-        payload["hw_features"] = list(self.hw_features)
-        return payload
 
 
 @dataclass
@@ -132,6 +96,8 @@ class AutoAxResult:
     run_id: Optional[str] = None
     #: synthesis/fit counters of this run (zeros when fully cached)
     engine_stats: Dict[str, object] = field(default_factory=dict)
+    #: ``{kind, key}`` of every store artifact the stages read or wrote
+    artifacts: List[Dict[str, str]] = field(default_factory=list)
 
     def summary_row(self) -> Dict[str, float]:
         """The Table 5 row of this run."""
@@ -150,6 +116,12 @@ class AutoAx:
     to one at the store root) records the run manifest.  ``run_kind``,
     ``run_label`` and ``run_params`` annotate the manifest so ``repro
     runs resume`` can re-execute the invocation.
+
+    ``inputs`` names the ``accelerator``, ``library`` and ``images``
+    parts of the stage keys by identities that already fix them (the
+    CLI passes the library's and the images' store keys); a part it
+    leaves out is fingerprinted from content, as
+    :mod:`repro.store.hashing` describes.
     """
 
     def __init__(
@@ -164,6 +136,7 @@ class AutoAx:
         run_kind: str = "autoax",
         run_label: Optional[str] = None,
         run_params: Optional[Dict] = None,
+        inputs: Optional[Dict[str, str]] = None,
     ):
         self.accelerator = accelerator
         self.library = library
@@ -179,8 +152,9 @@ class AutoAx:
         self.run_kind = run_kind
         self.run_label = run_label or accelerator.name
         self.run_params = dict(run_params or {})
+        self.inputs = dict(inputs or {})
         self._engine: Optional[EvaluationEngine] = None
-        self._acc_hash: Optional[str] = None
+        self._acc_hash: Optional[str] = self.inputs.get("accelerator")
 
     # -- individual steps ---------------------------------------------------
 
@@ -247,6 +221,24 @@ class AutoAx:
             )
         return self._acc_hash
 
+    def _stage_inputs(self) -> Dict[str, object]:
+        """The input part of every stage key (see :attr:`inputs`)."""
+        from repro.store import (
+            content_hash,
+            images_fingerprint,
+            library_fingerprint,
+        )
+
+        library = self.inputs.get("library")
+        if library is None:
+            library = content_hash(library_fingerprint(self.library))
+        images = self.inputs.get("images")
+        if images is None:
+            images = content_hash(images_fingerprint(self.images))
+        return stage_inputs(
+            self._accelerator_hash(), library, images, self.scenarios
+        )
+
     # -- stage payloads -----------------------------------------------------
 
     def _space_payload(self, space: ConfigurationSpace) -> Dict:
@@ -305,6 +297,7 @@ class AutoAx:
         self,
         final_analysis: bool = True,
         metrics_since: Optional[Dict] = None,
+        result_key: Optional[str] = None,
     ) -> AutoAxResult:
         """Execute the stages in order; return everything they produced.
 
@@ -315,6 +308,9 @@ class AutoAx:
         ``metrics_since`` (a :meth:`MetricsRegistry.mark`) opens the
         manifest's metrics window earlier than this call, e.g. before
         the caller built the library; by default it opens here.
+        ``result_key`` names the ``result`` artifact under which the
+        caller records this run's outcome; the manifest references it,
+        so ``repro runs gc`` keeps it.
         """
         cfg = self.config
         store = self.store
@@ -333,31 +329,10 @@ class AutoAx:
         rng_train, rng_test, rng_dse = spawn_rngs(cfg.seed, 3)
 
         base: Dict[str, object] = {}
-        config_hash = None
+        run_hash = None
         if store is not None:
-            from repro.store import (
-                content_hash,
-                images_fingerprint,
-                library_fingerprint,
-            )
-
-            base = {
-                "accelerator": self._accelerator_hash(),
-                "library": content_hash(
-                    library_fingerprint(self.library)
-                ),
-                "images": content_hash(
-                    images_fingerprint(self.images)
-                ),
-                "scenarios": (
-                    [dict(s) for s in self.scenarios]
-                    if self.scenarios
-                    else None
-                ),
-            }
-            config_hash = content_hash(
-                {"inputs": base, "config": cfg.cache_payload()}
-            )
+            base = self._stage_inputs()
+            run_hash = config_hash(base, cfg)
 
         def key_of(payload: Dict) -> Optional[str]:
             if store is None:
@@ -628,13 +603,9 @@ class AutoAx:
                 np.stack([-qor, area, energy], axis=1)
             )
 
-        engine_stats: Dict[str, object] = {
-            "engine_built": self._engine is not None,
-            "model_fits": fit_count() - fits_before,
-            "synth_hits": 0,
-            "synth_store_hits": 0,
-            "synth_misses": 0,
-        }
+        engine_stats = idle_engine_stats()
+        engine_stats["engine_built"] = self._engine is not None
+        engine_stats["model_fits"] = fit_count() - fits_before
         if self._engine is not None:
             engine_stats.update(self._engine.synth_stats())
 
@@ -646,13 +617,14 @@ class AutoAx:
                 kind=self.run_kind,
                 label=self.run_label,
                 params=self.run_params,
-                config_hash=config_hash or "",
+                config_hash=run_hash or "",
                 stages=stage_records,
                 seed=cfg.seed,
                 extra={
                     "engine_stats": engine_stats,
                     "metrics": metrics.snapshot(since=metrics_mark),
                 },
+                result_key=result_key,
             )
 
         return AutoAxResult(
@@ -676,4 +648,9 @@ class AutoAx:
             stage_cache=stage_cache,
             run_id=run_id,
             engine_stats=engine_stats,
+            artifacts=[
+                artifact
+                for stage in stage_records
+                for artifact in stage["artifacts"]
+            ],
         )

@@ -14,14 +14,16 @@ off-support terms are ``0 * x = 0`` either way).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.accelerators.profiler import OperandProfile
 from repro.circuits.luts import build_exact_lut
-from repro.library.component import ComponentRecord
 from repro.utils.bitops import bit_mask
+
+if TYPE_CHECKING:
+    from repro.accelerators.profiler import OperandProfile
+    from repro.library.component import ComponentRecord
 
 
 def wmed(record: ComponentRecord, profile: OperandProfile) -> float:

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.accelerators.base import ImageAccelerator
-from repro.core.engine import EvaluationEngine
 from repro.imaging.datasets import benchmark_images
 from repro.library.component import FAMILY_REGISTRY, OpSignature
 from repro.library.generation import (
@@ -30,7 +29,10 @@ from repro.library.generation import (
 )
 from repro.library.library import ComponentLibrary
 from repro.store import ArtifactStore, content_hash, open_store
-from repro.workloads import WorkloadBundle, WorkloadRegistry, build_bundle
+
+if TYPE_CHECKING:
+    from repro.core.engine import EvaluationEngine
+    from repro.workloads import WorkloadBundle, WorkloadRegistry
 
 #: Default library scale relative to Table 2 (0.02 => ~800 components).
 DEFAULT_SCALE = 0.02
@@ -125,6 +127,24 @@ def default_library_key(plan: GenerationPlan, scale: float) -> str:
     return _plan_key("default-library", plan, scale)
 
 
+@dataclass(frozen=True)
+class LibraryRequest:
+    """A generated library, named by its store key before it is built.
+
+    The key fixes the content (plan, scale, circuit model versions,
+    signature subset), so it is the library's identity in stage keys;
+    :meth:`load` materialises it.
+    """
+
+    key: str
+    plan: GenerationPlan
+    signatures: Optional[List[OpSignature]] = None
+
+    def load(self, store: Optional[ArtifactStore]) -> ComponentLibrary:
+        """Read the library from ``store``, else build (and store) it."""
+        return _cached_library(store, self.key, self.plan, self.signatures)
+
+
 def _cached_library(
     store: Optional[ArtifactStore],
     key: str,
@@ -183,6 +203,15 @@ def workload_plan(
     return GenerationPlan(counts, seed=seed)
 
 
+def workload_library_request(
+    accelerator: ImageAccelerator, scale: float, seed: int = 0
+) -> LibraryRequest:
+    """The library covering ``accelerator``'s signatures (see
+    :func:`workload_plan`), cached per signature set."""
+    plan = workload_plan(accelerator, scale, seed=seed)
+    return LibraryRequest(_plan_key("workload-library", plan, scale), plan)
+
+
 @dataclass
 class WorkloadSetup:
     """A materialised workload plus the library covering its signatures."""
@@ -223,6 +252,8 @@ def workload_setup(
     experiment store (:func:`~repro.store.open_store`); the bundle's
     benchmark images are read from (or written to) the same store.
     """
+    from repro.workloads import build_bundle
+
     if scale is None:
         scale = default_scale()
     if image_shape is None:
@@ -235,12 +266,9 @@ def workload_setup(
         name, n_images=n_images, image_shape=image_shape,
         registry=registry, store=store,
     )
-    plan = workload_plan(bundle.accelerator, scale, seed=seed)
-    library = _cached_library(
-        store,
-        _plan_key("workload-library", plan, scale),
-        plan,
-    )
+    library = workload_library_request(
+        bundle.accelerator, scale, seed=seed
+    ).load(store)
     return WorkloadSetup(bundle=bundle, library=library, seed=seed)
 
 
@@ -286,6 +314,18 @@ def scaled_library(
 ) -> ComponentLibrary:
     """The Table 2 library at ``scale``, store-cached when asked.
 
+    See :func:`scaled_library_request` for ``signatures`` and the key.
+    """
+    return scaled_library_request(scale, seed, signatures).load(store)
+
+
+def scaled_library_request(
+    scale: float,
+    seed: int = 0,
+    signatures: Optional[Iterable[OpSignature]] = None,
+) -> LibraryRequest:
+    """The Table 2 library at ``scale``, named before it is built.
+
     ``signatures`` (an accelerator's ``op_inventory()``) keeps only the
     components of those operation signatures, the only candidates
     autoAx's Step 1 considers: the Table 2 plan is enumerated as a
@@ -301,11 +341,8 @@ def scaled_library(
         kept = sorted({tuple(sig) for sig in signatures} & set(plan.counts))
         if kept == sorted(plan.counts):
             kept = None
-    return _cached_library(
-        store,
-        _plan_key("default-library", plan, scale, kept),
-        plan,
-        signatures=kept,
+    return LibraryRequest(
+        _plan_key("default-library", plan, scale, kept), plan, kept
     )
 
 

@@ -23,7 +23,8 @@ raced) is adopted back into the index on first read.
 Typed codecs translate domain objects to blob bytes per *kind*:
 libraries share the JSON format of :mod:`repro.library.io`, synthesis
 reports and QoR evaluation matrices are canonical JSON, benchmark
-images are ``.npy`` arrays, fitted models and operand profiles are
+images are ``.npy`` arrays, a run's recorded ``result`` is JSON,
+fitted models and operand profiles are
 pickles (stdlib, local trusted cache; an operand profile pickles its
 PMF sparsely, see :class:`~repro.accelerators.profiler.OperandProfile`).
 
@@ -257,6 +258,10 @@ CODECS: Dict[str, Codec] = {
     "profiles": Codec(_pickle_encode, _pickle_decode, "pkl"),
     # Benchmark images: one .npy array per image (no pickle).
     "images": Codec(_array_encode, _array_decode, "npy"),
+    # The recorded outcome of a pipeline run (output document, run id,
+    # stage artifact refs), read with ``verified=True`` to serve a
+    # replay.
+    "result": Codec(_json_encode, _json_decode, "json"),
     "models": Codec(_pickle_encode, _pickle_decode, "pkl"),
 }
 
@@ -372,11 +377,14 @@ class ArtifactStore:
                 (kind, key),
             )
 
-    def _get_bytes(self, kind: str, key: str) -> Optional[bytes]:
+    def _get_bytes(
+        self, kind: str, key: str, verified: bool = False
+    ) -> Optional[bytes]:
         """The blob bytes at ``(kind, key)``, or ``None`` on a miss.
 
         Reads self-heal: stale index rows are evicted, orphan blobs
-        adopted, checksum drift re-indexed.
+        adopted, checksum drift re-indexed — or, with ``verified``,
+        evicted as a miss.
         """
         row = self._row(kind, key)
         path = self._blob_path(kind, key, self._codec(kind).ext)
@@ -391,6 +399,10 @@ class ArtifactStore:
             return None
         digest = hashlib.sha256(data).hexdigest()
         if row is None or digest != row[1]:
+            if verified:
+                self.delete(kind, key)
+                get_metrics().inc("store.evictions")
+                return None
             # A blob without an index row (a writer died between
             # rename and insert) is adopted; a checksum mismatch with
             # surviving bytes (two writers raced; the last rename won)
@@ -438,7 +450,7 @@ class ArtifactStore:
             for kind, key, path, digest, size, _ in entries
         ]
 
-    def get(self, kind: str, key: str):
+    def get(self, kind: str, key: str, verified: bool = False):
         """Decode the artifact at ``(kind, key)``; ``None`` on any miss.
 
         Corruption (truncated or undecodable blob) and staleness (index
@@ -446,9 +458,12 @@ class ArtifactStore:
         and the caller recomputes.  The blob is the source of truth and
         the index only a cache of it — reads adopt orphan blobs and
         re-index checksum drift, while decode failures are evicted.
+        With ``verified`` the blob must also match the checksum of its
+        index row: a blob without a row or with other bytes is evicted
+        as a miss.
         """
         metrics = get_metrics()
-        data = self._get_bytes(kind, key)
+        data = self._get_bytes(kind, key, verified)
         if data is None:
             metrics.inc("store.misses")
             return None
@@ -462,6 +477,20 @@ class ArtifactStore:
         metrics.inc("store.hits")
         metrics.inc("store.bytes_read", len(data))
         return obj
+
+    def present(self, refs: Iterable[Tuple[str, str]]) -> bool:
+        """Whether every ``(kind, key)`` has an index row and a blob on
+        disk; reads no blob."""
+        with self._lock, self._connect() as conn:
+            for kind, key in refs:
+                row = conn.execute(
+                    "SELECT filename FROM artifacts "
+                    "WHERE kind = ? AND key = ?",
+                    (kind, key),
+                ).fetchone()
+                if row is None or not (self._root / row[0]).is_file():
+                    return False
+        return True
 
     def delete(self, kind: str, key: str) -> None:
         """Drop ``(kind, key)``; missing entries are a no-op."""

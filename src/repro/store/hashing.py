@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 import numpy as np
 
-from repro.accelerators.base import ImageAccelerator
-from repro.library.library import ComponentLibrary
+if TYPE_CHECKING:
+    from repro.accelerators.base import ImageAccelerator
+    from repro.library.library import ComponentLibrary
 
 #: Bump when the canonicalisation scheme changes: old keys must not
 #: alias new ones.

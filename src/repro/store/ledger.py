@@ -8,6 +8,11 @@ store artifacts it produced or reused.  Manifests make runs enumerable
 the warm store (``resume``) and the root set for garbage collection
 (``gc`` keeps exactly the artifacts some manifest references).
 
+A pipeline manifest also references its run's ``result`` artifact, the
+recorded output a later identical command is served from.  Such a
+replay writes no manifest of its own: it counts itself on the manifest
+it was served from (``replays``, ``last_replayed_at``).
+
 Manifests are ``<root>/runs/<run_id>.json`` files next to the
 artifact index; construct the ledger from an
 :class:`~repro.store.artifacts.ArtifactStore` or its bare root path —
@@ -64,8 +69,13 @@ class RunLedger:
         seed: Optional[int] = None,
         status: str = "complete",
         extra: Optional[Dict] = None,
+        result_key: Optional[str] = None,
     ) -> Dict:
-        """Write (atomically) and return the manifest of one run."""
+        """Write (atomically) and return the manifest of one run.
+
+        ``result_key`` is the key of the ``result`` artifact that
+        records the run's outcome, if the caller keeps one.
+        """
         now = time.time()
         manifest = {
             "version": MANIFEST_VERSION,
@@ -85,8 +95,32 @@ class RunLedger:
         }
         if extra:
             manifest["extra"] = extra
+        if result_key is not None:
+            manifest["result"] = {"kind": "result", "key": result_key}
+        self._write(manifest)
+        return manifest
+
+    def _write(self, manifest: Dict) -> None:
         data = json.dumps(manifest, sort_keys=True, indent=2)
-        atomic_write_bytes(self._path(run_id), data.encode("utf-8"))
+        atomic_write_bytes(
+            self._path(manifest["run_id"]), data.encode("utf-8")
+        )
+
+    def record_replay(self, run_id: str) -> Optional[Dict]:
+        """Count one replay served from ``run_id``'s recorded result.
+
+        Bumps the manifest's ``replays`` and stamps
+        ``last_replayed_at``, rewriting the file atomically; returns
+        the updated manifest, or ``None`` when it is gone.  Two
+        replays racing may count once.
+        """
+        try:
+            manifest = json.loads(self._path(run_id).read_text())
+        except (OSError, json.JSONDecodeError):
+            return None
+        manifest["replays"] = manifest.get("replays", 0) + 1
+        manifest["last_replayed_at"] = _iso(time.time())
+        self._write(manifest)
         return manifest
 
     # -- enumeration --------------------------------------------------------
@@ -132,6 +166,9 @@ class RunLedger:
             for stage in manifest.get("stages", ()):
                 for artifact in stage.get("artifacts", ()):
                     refs.add((artifact["kind"], artifact["key"]))
+            result = manifest.get("result")
+            if result:
+                refs.add((result["kind"], result["key"]))
         return refs
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -13,7 +13,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-RngLike = Union[None, int, np.random.Generator]
+RngLike = Union[None, int, "np.random.Generator"]
 
 
 def ensure_rng(rng: RngLike = None) -> np.random.Generator:

@@ -226,3 +226,59 @@ def test_dense_profiles_blob_still_hits(tmp_path, monkeypatch, sobel,
             assert array.dtype == expected.dtype
             assert array.tobytes() == expected.tobytes()
     assert warm.final_points.tolist() == cold.final_points.tolist()
+
+
+def test_run_store_from_before_input_keys_replays_after_one_miss(
+    tmp_path, capsys
+):
+    """A ``run`` store filled before runs were named by input keys,
+    when the stage keys fingerprinted the library's records and the
+    images' bytes and no ``result`` was recorded.  Its stages miss once
+    (the key move), the library is read from its stored blob (no
+    component characterised), the front is the same, and the next run
+    is served through the result lookup."""
+    from repro.accelerators.sobel import SobelEdgeDetector
+    from repro.core.pipeline import AutoAx, AutoAxConfig
+    from repro.experiments.setup import scaled_library
+    from repro.imaging.datasets import benchmark_images
+    from repro.telemetry import reset_metrics
+
+    root = tmp_path / "store"
+    store = ArtifactStore(root)
+    params = {"command": "run", "accelerator": "sobel", "library": None,
+              "scale": 0.0005, "images": 1, "train": 6, "evals": 60,
+              "seed": 0, "out": None}
+    argv = ["run", "--accelerator", "sobel", "--scale", "0.0005",
+            "--images", "1", "--train", "6", "--evals", "60", "--seed",
+            "0", "--store", str(root), "--json"]
+    # What ``repro run --store`` recorded before: the same library and
+    # images, through the direct API that still keys by content.
+    accelerator = SobelEdgeDetector()
+    old = AutoAx(
+        accelerator,
+        scaled_library(0.0005, seed=0, store=store,
+                       signatures=accelerator.op_inventory()),
+        benchmark_images(1, store=store),
+        config=AutoAxConfig(n_train=6, n_test=3, max_evaluations=60),
+        store=store, run_kind="run", run_label="sobel", run_params=params,
+    ).run()
+    assert store.entries("result") == []
+
+    reset_metrics()
+    cold = _cli_json(capsys, *argv)
+    assert set(cold["stage_cache"].values()) == {"miss"}
+    order = old.final_points[:, 1].argsort()
+    assert cold["front"] == [
+        [float(s), float(a)] for s, a in old.final_points[order]
+    ]
+    manifest = RunLedger(store).get(cold["run_id"])
+    counters = manifest["extra"]["metrics"]["counters"]
+    assert counters.get("library.components_built", 0) == 0
+    assert manifest["result"]["kind"] == "result"
+
+    replay = _cli_json(capsys, *argv)
+    assert replay["run_id"] == cold["run_id"]
+    assert set(replay["stage_cache"].values()) == {"hit"}
+    assert replay["front"] == cold["front"]
+    assert RunLedger(store).get(cold["run_id"])["replays"] == 1
+    assert len(RunLedger(store).runs()) == 2

@@ -569,8 +569,8 @@ class TestRunScope:
         return manifest["extra"]["metrics"]["counters"]
 
     def test_manifest_counts_the_library_build(self, tmp_path, capsys):
-        from repro.store import open_store
-        from repro.telemetry import reset_metrics
+        from repro.store import RunLedger, open_store
+        from repro.telemetry import get_metrics, reset_metrics
 
         store = tmp_path / "store"
         reset_metrics()  # a fresh process's registry
@@ -581,11 +581,18 @@ class TestRunScope:
         assert counters["library.components_built"] == 192
         assert counters["library.store_hits"] == 0
 
+        # The replay is served from the cold run's recorded result: it
+        # is counted on that manifest and neither builds nor reads the
+        # library.
+        reset_metrics()
         warm = self._run(capsys, "--scale", "0.005", "--store", str(store))
         assert set(warm["stage_cache"].values()) == {"hit"}
         assert warm["front"] == cold["front"]
+        assert warm["run_id"] == cold["run_id"]
+        assert RunLedger(open_store(str(store))).get(
+            cold["run_id"])["replays"] == 1
         assert not [
-            name for name in self._counters(store, warm["run_id"])
+            name for name in get_metrics().snapshot()["counters"]
             if name.startswith("library.")
         ]
 

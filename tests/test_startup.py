@@ -1,12 +1,14 @@
 """Start-up reach: a command loads only the subsystems it runs.
 
-``repro`` and ``repro.experiments`` resolve their public names on first
-access, and both image synthesis and SSIM blur with the package's numpy
-Gaussian window (:mod:`repro.imaging.gaussian`).  So importing the CLI
-and the pipeline pulls in none of the paper drivers, and no command —
-a warm ``repro run`` served from the store, or a cold ``repro run`` or
+``repro``, ``repro.experiments`` and the ``core``, ``accelerators``,
+``library`` and ``imaging`` packages resolve their public names on
+first access, and both image synthesis and SSIM blur with the package's
+numpy Gaussian window (:mod:`repro.imaging.gaussian`).  So importing the
+CLI and the pipeline pulls in none of the paper drivers, and no command
+— a warm ``repro run`` served from the store, or a cold ``repro run`` or
 ``workloads run`` that scores every image — ever imports scipy, which
-stays a test-only oracle.
+stays a test-only oracle.  A warm replay, served from its run's recorded
+result, loads neither the pipeline nor the engines.
 """
 
 import ast
@@ -65,16 +67,55 @@ def test_imports_load_no_scipy(tmp_path):
     assert "repro.experiments.table4_dse" not in modules
 
 
-def test_warm_run_loads_no_scipy(tmp_path):
+#: Pipeline modules a full-hit replay must not load: it is served from
+#: the run's recorded result, so nothing is built, fit or scored.
+PIPELINE_MODULES = (
+    "repro.ml",
+    "repro.core.engine",
+    "repro.core.modeling",
+    "repro.core.dse",
+    "repro.core.pipeline",
+    "repro.imaging.metrics",
+)
+
+
+def _warm_replay_modules(tmp_path: Path) -> list:
+    """Fill a store with a cold run, then replay it in a fresh
+    interpreter, which asserts that all five stages hit."""
     store = tmp_path / "store"
     argv = SMOKE_RUN + ["--store", str(store), "--json"]
     assert main(argv) == 0  # cold: fills the store
-    modules = _modules_after(
-        f"from repro.cli import main\nassert main({argv!r}) == 0",
+    return _modules_after(
+        "import contextlib, io, json\n"
+        "from repro.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    assert main({argv!r}) == 0\n"
+        "cache = json.loads(out.getvalue())['stage_cache']\n"
+        "assert len(cache) == 5, cache\n"
+        "assert set(cache.values()) == {'hit'}, cache",
         tmp_path,
     )
-    assert "repro.core.pipeline" in modules  # the pipeline did run
+
+
+def test_warm_run_loads_no_scipy(tmp_path):
+    modules = _warm_replay_modules(tmp_path)
+    assert "repro.cli" in modules  # the replay ran (5/5 hits asserted)
     assert _reached(modules, "scipy") == []
+
+
+def test_warm_replay_loads_no_pipeline(tmp_path):
+    modules = _warm_replay_modules(tmp_path)
+    assert "repro.store.ledger" in modules  # the lookup ran
+    for prefix in PIPELINE_MODULES:
+        assert _reached(modules, prefix) == [], prefix
+
+
+def test_runtime_import_loads_no_learning_engines(tmp_path):
+    modules = _modules_after("import repro.core.runtime", tmp_path)
+    assert "repro.core.runtime" in modules
+    assert _reached(modules, "repro.ml") == []
+    assert "repro.core.pipeline" not in modules
 
 
 def test_cold_runs_and_ssim_load_no_scipy(tmp_path):
