@@ -29,15 +29,17 @@ Commands
   write structural Verilog.
 
 ``run``, ``workloads run``, ``search`` and ``runs resume`` go through
-one front door (``_run_pipeline``).  It first names the command's
-inputs by keys that already fix them, without building anything.  With
-a store it then looks up the ``result`` artifact an identical earlier
-run recorded: a full hit (checksum good, every referenced stage
-artifact present, the recording manifest still there) prints the
+one front door (``_run_pipeline``).  With a store it first looks up the
+``result`` artifact an identical earlier command recorded, keyed by the
+command's params, a digest of the package source and the bytes of a
+``--library`` file (:mod:`repro.store.replay`), before numpy or any
+accelerator is imported: a full hit (checksum good, every referenced
+stage artifact present, the recording manifest still there) prints the
 recorded output, counts itself on that manifest (``replays``) and
-writes no manifest of its own.  Any miss, and every resume, runs the
-stages through one builder; the pipeline writes that run's manifest
-and the command records the result for the next replay.
+writes no manifest of its own.  Any miss, and every resume, names the
+command's inputs by keys that already fix them and runs the stages
+through one builder; the pipeline writes that run's manifest and the
+command records the result for the next replay.
 
 Store-aware commands accept ``--store [URI]``/``--no-store`` to enable
 the persistent stage cache (default: on when ``REPRO_STORE_DIR`` is
@@ -53,22 +55,34 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.accelerators.gaussian_fixed import FixedGaussianFilter
-from repro.accelerators.gaussian_generic import GenericGaussianFilter
-from repro.accelerators.sobel import SobelEdgeDetector
 from repro.errors import ReproError, ValidationError
 from repro.telemetry import get_logger, setup_logging
 from repro.utils.tabulate import format_table
 
+
+def _accelerator(module: str, name: str) -> Callable[[], object]:
+    """A constructor that imports its accelerator class when called."""
+    def build():
+        return getattr(importlib.import_module(module), name)()
+    return build
+
+
+#: Accelerator name -> constructor.  A class is imported only when a
+#: command builds it, so a served replay loads no accelerator.
 ACCELERATORS = {
-    "sobel": SobelEdgeDetector,
-    "fixed_gf": FixedGaussianFilter,
-    "generic_gf": GenericGaussianFilter,
+    "sobel": _accelerator("repro.accelerators.sobel", "SobelEdgeDetector"),
+    "fixed_gf": _accelerator(
+        "repro.accelerators.gaussian_fixed", "FixedGaussianFilter"
+    ),
+    "generic_gf": _accelerator(
+        "repro.accelerators.gaussian_generic", "GenericGaussianFilter"
+    ),
 }
 
 #: Version of every ``--json`` document this CLI emits.
@@ -136,9 +150,9 @@ def _workers_arg(text: str) -> int:
     verbatim — an explicit ``--workers 1`` must reach the runtime as 1
     (forcing in-process execution) rather than collapsing to the
     ``REPRO_WORKERS`` fallback; :func:`main` applies it for the
-    command through :func:`repro.core.runtime.use_workers`.
+    command through :func:`repro.settings.use_workers`.
     """
-    from repro.core.runtime import validate_workers
+    from repro.settings import validate_workers
 
     try:
         validate_workers(text, source="--workers")
@@ -384,9 +398,8 @@ class _Identity:
     """A pipeline command named by the keys of its inputs, before any
     of them is built.
 
-    ``inputs`` and ``result_key`` are set only with a store: ``inputs``
-    are the stage-key identities handed to ``AutoAx``, ``result_key``
-    addresses the ``result`` artifact that records the run's outcome.
+    ``inputs`` is set only with a store: the stage-key identities handed
+    to ``AutoAx``.
     """
 
     params: Dict
@@ -399,12 +412,11 @@ class _Identity:
     image_count: int
     image_shape: Tuple[int, int]
     inputs: Optional[Dict[str, str]] = None
-    result_key: Optional[str] = None
 
 
 def _identify(params: Dict, store) -> _Identity:
-    """The cheap identity step: a command's recorded params -> its
-    :class:`_Identity`.
+    """The cheap identity step: a command's recorded params (``scale``
+    resolved) -> its :class:`_Identity`.
 
     ``run``, ``workloads run``, ``search`` and ``runs resume`` all start
     here, so a command and its resume get the identical
@@ -413,8 +425,7 @@ def _identify(params: Dict, store) -> _Identity:
     the accelerator's signatures (the only candidates Step 1 draws
     from), unless ``--library`` names a file; ``workloads`` and
     ``search`` use the library covering the workload's signatures and
-    its scenarios.  A missing scale resolves from ``REPRO_SCALE`` and
-    is recorded, so a resume runs on the same library.
+    its scenarios.
 
     Nothing is built or read here but the accelerator (and a
     ``--library`` file).  With a store the inputs are named by keys
@@ -423,17 +434,8 @@ def _identify(params: Dict, store) -> _Identity:
     their ``image_key`` (index, shape), the accelerator by its
     fingerprint; a ``--library`` file keeps its content fingerprint.
     """
-    from repro.core.identity import (
-        AutoAxConfig,
-        config_hash,
-        result_key,
-        stage_inputs,
-    )
-    from repro.experiments.setup import default_scale
+    from repro.core.identity import AutoAxConfig
 
-    params = dict(params)
-    if params.get("scale") is None:
-        params["scale"] = default_scale()
     command = params["command"]
     search = command == "search"
     config = AutoAxConfig(
@@ -505,12 +507,6 @@ def _identify(params: Dict, store) -> _Identity:
                 [image_key(i, shape) for i in range(params["images"])]
             ),
         }
-        identity.result_key = result_key(
-            config_hash(stage_inputs(**identity.inputs,
-                                     scenarios=scenarios), config),
-            "pseudo_pareto" if search else "final_analysis",
-            kind, label,
-        )
     return identity
 
 
@@ -540,46 +536,18 @@ def _pipeline(identity: _Identity, store):
     )
 
 
-def _replayed(store, identity: _Identity) -> Optional[Dict]:
-    """The recorded document of a finished identical run, or ``None``.
-
-    A hit needs the ``result`` blob to pass its checksum, every stage
-    artifact it references to have an index row and a blob on disk,
-    and the manifest of the run that recorded it to still exist; the
-    replay is then counted on that manifest, and no other is written.
-    The document is served as the stages would have reported it: every
-    stage a hit that took no time, and no engine work.
-    """
-    from repro.core.identity import idle_engine_stats
-    from repro.store import RunLedger
-
-    recorded = store.get("result", identity.result_key, verified=True)
-    if recorded is None:
-        return None
-    refs = [(a["kind"], a["key"]) for a in recorded["artifacts"]]
-    if not store.present(refs):
-        return None
-    if RunLedger(store).record_replay(recorded["run_id"]) is None:
-        return None
-    doc = recorded["doc"]
-    if "stage_cache" in doc:
-        doc["stage_cache"] = {name: "hit" for name in doc["stage_cache"]}
-        doc["timings"] = {name: 0.0 for name in doc["timings"]}
-        doc["engine_stats"] = idle_engine_stats()
-    return doc
-
-
-def _executed(identity: _Identity, store, metrics_mark) -> Dict:
+def _executed(identity: _Identity, store, metrics_mark,
+              key: Optional[str]) -> Dict:
     """Run the stages and return the output document.
 
-    With a store the outcome is recorded as the ``result`` artifact the
-    next identical command is served from.
+    With a store the outcome is recorded as the ``result`` artifact
+    ``key`` names, which the next identical command is served from.
     """
     params = identity.params
     search = params["command"] == "search"
     result = _pipeline(identity, store).run(
         final_analysis=not search, metrics_since=metrics_mark,
-        result_key=identity.result_key,
+        result_key=key,
     )
     if search:
         doc = _search_doc(result, params)
@@ -590,12 +558,10 @@ def _executed(identity: _Identity, store, metrics_mark) -> Dict:
         doc["runs_per_config"] = identity.image_count * len(
             identity.scenarios or [None]
         )
-    if identity.result_key is not None:
-        store.put("result", identity.result_key, {
-            "run_id": result.run_id,
-            "doc": doc,
-            "artifacts": result.artifacts,
-        })
+    if key is not None:
+        from repro.store.replay import record
+
+        record(store, key, result.run_id, doc, result.artifacts)
     return doc
 
 
@@ -635,29 +601,39 @@ def _run_pipeline(
     resumed_from: Optional[str] = None,
 ) -> int:
     """The one front door of ``run``, ``workloads run``, ``search`` and
-    ``runs resume``: identify, look up, else run; then report.
+    ``runs resume``: look up, else identify and run; then report.
 
-    With a store the command is first named (:func:`_identify`) and its
-    recorded ``result`` looked up (:func:`_replayed`): a full hit is
-    served from it, reading no library, image or stage artifact.  Any miss
-    falls through to the stages (:func:`_executed`), which record the
-    result again.  A resume always re-executes through the stages and
-    records a new manifest.  ``search`` is the pipeline stopped after
-    ``pseudo_pareto``.  A resume reports like its command, adds
-    ``resumed_from`` and writes no ``--out`` file.
+    A missing scale resolves from ``REPRO_SCALE`` and is recorded, so a
+    resume runs on the same library.  With a store the command's
+    recorded ``result`` is looked up first, under the
+    :func:`~repro.store.replay.replay_key` of its params (a
+    ``--library`` file by its bytes) and the package source: a full hit
+    is served before numpy, an accelerator or the pipeline is imported.
+    Any miss names the inputs (:func:`_identify`) and runs the stages
+    (:func:`_executed`), which record the result again.  A resume
+    always re-executes through the stages and records a new manifest.
+    ``search`` is the pipeline stopped after ``pseudo_pareto``.  A
+    resume reports like its command, adds ``resumed_from`` and writes
+    no ``--out`` file.
     """
+    from repro.settings import default_scale
     from repro.telemetry import get_metrics
 
     # The manifest's metrics window opens before the builder, so it
     # counts the library build (``library.*``) the run paid for.
     metrics_mark = get_metrics().mark()
-    identity = _identify(params, store)
-    params = identity.params
-    doc = None
-    if identity.result_key is not None and resumed_from is None:
-        doc = _replayed(store, identity)
+    params = dict(params)
+    if params.get("scale") is None:
+        params["scale"] = default_scale()
+    key = doc = None
+    if store is not None:
+        from repro.store.replay import lookup, replay_key
+
+        key = replay_key(params)
+        if resumed_from is None:
+            doc = lookup(store, key)
     if doc is None:
-        doc = _executed(identity, store, metrics_mark)
+        doc = _executed(_identify(params, store), store, metrics_mark, key)
     if resumed_from and not as_json:
         print(f"resumed {resumed_from} -> {doc['run_id']}")
     command = params["command"]
@@ -703,9 +679,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_workloads(args: argparse.Namespace) -> int:
-    from repro.workloads import WORKLOADS
-
     if args.workloads_command == "list":
+        from repro.workloads import WORKLOADS
+
         rows = []
         for workload in WORKLOADS:
             accelerator = workload.build_accelerator()
@@ -735,10 +711,10 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    from repro.ml.registry import default_engines
+    from repro.settings import ENGINE_NAMES
 
     engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    known = default_engines()
+    known = list(ENGINE_NAMES)
     unknown = [e for e in engines if e not in known]
     if unknown:
         raise ValidationError(f"unknown --engines {unknown}; known: {known}")
@@ -1113,7 +1089,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     ``error: ...`` line on stderr and no traceback: exit 2 for a
     :class:`~repro.errors.ValidationError` (a bad setting), else 1.
     """
-    from repro.core.runtime import use_workers
+    from repro.settings import use_workers
 
     args = build_parser().parse_args(argv)
     setup_logging()

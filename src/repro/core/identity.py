@@ -4,11 +4,10 @@ Every stage key of :meth:`repro.core.pipeline.AutoAx.run` hashes the
 run's *inputs* — the accelerator, the library, the benchmark images and
 the scenarios — together with its :class:`AutoAxConfig`.  This module
 holds that identity and nothing heavy, so a caller can name a run (its
-config hash, the key of its recorded result) from keys that already fix
-the inputs, without loading the pipeline, the evaluation engine or the
-learning engines.  The CLI does exactly that to serve a finished run
-from the store; ``AutoAx.run`` derives its stage keys from the same
-functions.
+config hash) from keys that already fix the inputs, without loading the
+pipeline, the evaluation engine or the learning engines.  The CLI does
+exactly that before it materialises a run; ``AutoAx.run`` derives its
+stage keys from the same functions.
 """
 
 from __future__ import annotations
@@ -60,18 +59,6 @@ class AutoAxConfig:
         return payload
 
 
-def idle_engine_stats() -> Dict[str, object]:
-    """The engine counters of a run that built no engine and fit
-    nothing."""
-    return {
-        "engine_built": False,
-        "model_fits": 0,
-        "synth_hits": 0,
-        "synth_store_hits": 0,
-        "synth_misses": 0,
-    }
-
-
 def stage_inputs(
     accelerator: str,
     library: str,
@@ -95,14 +82,3 @@ def config_hash(inputs: Dict[str, object], config: AutoAxConfig) -> str:
     """The manifest's ``config_hash``: the inputs plus the config."""
     return content_hash({"inputs": inputs, "config": config.cache_payload()})
 
-
-def result_key(config_hash: str, stop: str, kind: str, label: str) -> str:
-    """Store key of the recorded outcome of a run.
-
-    The config hash fixes every stage; ``stop`` is the last stage run
-    (``search`` stops after ``pseudo_pareto``), and the manifest kind
-    and label name the output document the outcome holds.
-    """
-    return content_hash(
-        {"result": config_hash, "stop": stop, "kind": kind, "label": label}
-    )

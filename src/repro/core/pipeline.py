@@ -50,7 +50,6 @@ from repro.core.identity import (  # config and stages re-exported here
     PIPELINE_STAGES,
     AutoAxConfig,
     config_hash,
-    idle_engine_stats,
     stage_inputs,
 )
 from repro.core.modeling import (
@@ -67,6 +66,7 @@ from repro.core.pareto import pareto_front_indices
 from repro.core.preprocessing import reduce_library
 from repro.library.component import ComponentRecord
 from repro.library.library import ComponentLibrary
+from repro.store.replay import idle_engine_stats
 from repro.telemetry import complete_event, get_metrics
 from repro.utils.rng import spawn_rngs
 

@@ -52,7 +52,6 @@ Environment knobs
 from __future__ import annotations
 
 import atexit
-import contextlib
 import io
 import os
 import pickle
@@ -62,6 +61,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+# The --workers count is validated and applied in the numpy-free
+# settings module (the CLI does so before it imports anything heavy);
+# re-exported here next to default_workers, which reads it.
+from repro.settings import applied_workers, use_workers, validate_workers
 from repro.telemetry import (
     absorb_worker_delta,
     collect_worker_delta,
@@ -91,64 +94,6 @@ MIN_SHARED_ARRAY_BYTES = 1 << 14
 # The worker count (resolved here and nowhere else).
 # ---------------------------------------------------------------------------
 
-def validate_workers(value, source: str = "workers") -> Optional[int]:
-    """Normalise a worker-count setting to ``None`` (serial) or ``>= 2``.
-
-    Accepts ``None``, integers and integer-valued strings; 0 and 1 mean
-    in-process evaluation.  Non-integer or negative values raise a
-    :class:`~repro.errors.ValidationError` (a ``ValueError`` subclass)
-    naming ``source`` (the knob the value came from) — silently falling
-    back to serial evaluation would hide the misconfiguration for the
-    entire (expensive) run.
-    """
-    from repro.errors import ValidationError
-
-    if value is None:
-        return None
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValidationError(
-            f"{source} must be an integer worker count, got {value!r}"
-        )
-    try:
-        count = int(str(value).strip())
-    except ValueError:
-        raise ValidationError(
-            f"{source} must be an integer worker count, got {value!r}"
-        ) from None
-    if count < 0:
-        raise ValidationError(
-            f"{source} must be >= 0 (0 or 1 run in-process), "
-            f"got {count}"
-        )
-    return count if count > 1 else None
-
-
-#: The ``--workers`` count applied for the running command (``None``:
-#: not given).  Set only through :func:`use_workers`.
-_APPLIED_WORKERS: Optional[int] = None
-
-
-@contextlib.contextmanager
-def use_workers(count: Optional[int]) -> Iterator[None]:
-    """Apply a validated ``--workers`` count while the block runs.
-
-    ``repro.cli.main`` wraps each command in this; ``None`` (no flag)
-    changes nothing.  The previous value is restored on exit, so
-    in-process callers that run several commands do not leak one
-    command's count into the next.
-    """
-    global _APPLIED_WORKERS
-    if count is None:
-        yield
-        return
-    previous = _APPLIED_WORKERS
-    _APPLIED_WORKERS = count
-    try:
-        yield
-    finally:
-        _APPLIED_WORKERS = previous
-
-
 def default_workers() -> Optional[int]:
     """The process-wide worker count: ``None`` (in-process) or ``>= 2``.
 
@@ -156,8 +101,9 @@ def default_workers() -> Optional[int]:
     ``REPRO_WORKERS``, else every usable core.  Values <= 1 (and a
     one-core host) mean in-process.
     """
-    if _APPLIED_WORKERS is not None:
-        return _APPLIED_WORKERS if _APPLIED_WORKERS > 1 else None
+    applied = applied_workers()
+    if applied is not None:
+        return applied if applied > 1 else None
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if not raw:
         return validate_workers(usable_cores())

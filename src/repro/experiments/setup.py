@@ -13,7 +13,6 @@ same store (``images`` artifacts, see
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
@@ -28,32 +27,16 @@ from repro.library.generation import (
     scaled_plan,
 )
 from repro.library.library import ComponentLibrary
+from repro.settings import (  # the scale knob, re-exported here
+    DEFAULT_SCALE,
+    SCALE_ENV,
+    default_scale,
+)
 from repro.store import ArtifactStore, content_hash, open_store
 
 if TYPE_CHECKING:
     from repro.core.engine import EvaluationEngine
     from repro.workloads import WorkloadBundle, WorkloadRegistry
-
-#: Default library scale relative to Table 2 (0.02 => ~800 components).
-DEFAULT_SCALE = 0.02
-
-#: Environment knob overriding the default library scale.
-SCALE_ENV = "REPRO_SCALE"
-
-
-def default_scale() -> float:
-    """Library scale from ``REPRO_SCALE`` (validated), else the default.
-
-    Blank or non-numeric values raise a
-    :class:`~repro.errors.ValidationError` naming the knob instead of a
-    raw ``float()`` traceback mid-setup.
-    """
-    raw = os.environ.get(SCALE_ENV)
-    if raw is None:
-        return DEFAULT_SCALE
-    from repro.utils.validation import check_env_float
-
-    return check_env_float(raw, source=SCALE_ENV, minimum=0.0)
 
 #: Default benchmark image geometry (rows, cols).  The paper uses
 #: 384x256 px; benches default to quarter-size for turnaround and accept

@@ -40,23 +40,33 @@ Local disk layout — everything under ``REPRO_STORE_DIR``, else
     runs/<run_id>.json                  run-ledger manifests
 """
 
-from repro.store.artifacts import (
-    DEFAULT_STORE_DIR,
-    STORE_ENV,
-    ArtifactRef,
-    ArtifactStore,
-    open_store,
-    require_store,
-)
-from repro.store.hashing import (
-    accelerator_fingerprint,
-    canonical_json,
-    content_hash,
-    images_fingerprint,
-    library_fingerprint,
-)
-from repro.store.ledger import MANIFEST_VERSION, RunLedger
-from repro.store.synth_cache import StoreSynthCache, synth_cache_for
+import importlib
+
+# Submodule -> the public names it defines, imported on first access
+# (PEP 562): the replay lookup reads the index and the ledger without
+# loading the hashing helpers' numpy or the synthesis memo.
+_EXPORTS = {
+    "artifacts": (
+        "ArtifactRef",
+        "ArtifactStore",
+        "DEFAULT_STORE_DIR",
+        "STORE_ENV",
+        "open_store",
+        "require_store",
+    ),
+    "hashing": (
+        "accelerator_fingerprint",
+        "canonical_json",
+        "content_hash",
+        "images_fingerprint",
+        "library_fingerprint",
+    ),
+    "ledger": ("MANIFEST_VERSION", "RunLedger"),
+    "synth_cache": ("StoreSynthCache", "synth_cache_for"),
+}
+_ORIGIN = {
+    name: module for module, names in _EXPORTS.items() for name in names
+}
 
 __all__ = [
     "ArtifactRef",
@@ -75,3 +85,16 @@ __all__ = [
     "require_store",
     "synth_cache_for",
 ]
+
+
+def __getattr__(name):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
-import numpy as np
-
 if TYPE_CHECKING:
+    import numpy as np
+
     from repro.accelerators.base import ImageAccelerator
     from repro.library.library import ComponentLibrary
 
@@ -37,21 +38,25 @@ def _canonize(obj):
         return out
     if isinstance(obj, (list, tuple)):
         return [_canonize(item) for item in obj]
-    if isinstance(obj, np.ndarray):
-        data = np.ascontiguousarray(obj)
-        return {
-            "__ndarray__": {
-                "dtype": str(data.dtype),
-                "shape": list(data.shape),
-                "sha256": hashlib.sha256(data.tobytes()).hexdigest(),
+    # No numpy object can exist before numpy is imported, so the replay
+    # lookup hashes plain values without loading it.
+    np = sys.modules.get("numpy")
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            data = np.ascontiguousarray(obj)
+            return {
+                "__ndarray__": {
+                    "dtype": str(data.dtype),
+                    "shape": list(data.shape),
+                    "sha256": hashlib.sha256(data.tobytes()).hexdigest(),
+                }
             }
-        }
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     raise TypeError(
@@ -113,4 +118,6 @@ def library_fingerprint(library: ComponentLibrary) -> Dict:
 
 def images_fingerprint(images: Sequence[np.ndarray]) -> List:
     """Identity of a benchmark-image set (order matters)."""
+    import numpy as np
+
     return [_canonize(np.asarray(img)) for img in images]

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import numbers
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def check_env_dir(value: object, source: str) -> str:
@@ -99,6 +100,8 @@ def check_in_range(
 
 def check_probability_vector(p: np.ndarray, name: str = "p") -> None:
     """Raise ``ValueError`` unless ``p`` is non-negative and sums to ~1."""
+    import numpy as np
+
     p = np.asarray(p, dtype=float)
     if p.ndim == 0:
         raise ValueError(f"{name} must be array-like")

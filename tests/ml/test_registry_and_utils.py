@@ -15,6 +15,13 @@ class TestRegistry:
         assert names[0] == "Random Forest"
         assert "Stochastic Gradient Descent" in names
 
+    def test_cli_engine_names_match_the_registry(self):
+        """``search --engines`` validates against the numpy-free name
+        list; it must be the registry's, in the same order."""
+        from repro.settings import ENGINE_NAMES
+
+        assert list(ENGINE_NAMES) == default_engines()
+
     def test_all_instantiable_and_fittable(self):
         rng = np.random.default_rng(0)
         X = rng.uniform(0, 1, (40, 3))

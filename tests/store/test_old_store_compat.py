@@ -282,3 +282,52 @@ def test_run_store_from_before_input_keys_replays_after_one_miss(
     assert replay["front"] == cold["front"]
     assert RunLedger(store).get(cold["run_id"])["replays"] == 1
     assert len(RunLedger(store).runs()) == 2
+
+
+def test_result_under_identity_key_re_executes_once(tmp_path, capsys):
+    """A store whose ``result`` is keyed the way it was before results
+    were keyed by command and package source: by the run's config hash,
+    its stop stage and the manifest kind and label.  That result is
+    never looked up: the command re-executes once through its recorded
+    stages (no component characterised, the same front), records a
+    result under the new key, and the next run is served from it."""
+    from repro.telemetry import reset_metrics
+
+    root = tmp_path / "store"
+    store = ArtifactStore(root)
+    argv = ["run", "--accelerator", "sobel", "--scale", "0.0005",
+            "--images", "1", "--train", "6", "--evals", "60", "--seed",
+            "0", "--store", str(root), "--json"]
+    recorded = _cli_json(capsys, *argv)
+    # Re-key the recorded result as the older code did, and point the
+    # manifest at it.
+    [ref] = store.entries("result")
+    result = store.get("result", ref.key)
+    ledger = RunLedger(store)
+    manifest = ledger.get(recorded["run_id"])
+    old_key = content_hash({"result": manifest["config_hash"],
+                            "stop": "final_analysis", "kind": "run",
+                            "label": "sobel"})
+    store.delete("result", ref.key)
+    store.put("result", old_key, result)
+    manifest["result"] = {"kind": "result", "key": old_key}
+    (root / "runs" / f"{recorded['run_id']}.json").write_text(
+        json.dumps(manifest)
+    )
+    assert [r.key for r in store.entries("result")] == [old_key]
+
+    reset_metrics()
+    cold = _cli_json(capsys, *argv)
+    assert cold["run_id"] != recorded["run_id"]
+    assert set(cold["stage_cache"].values()) == {"hit"}
+    assert cold["front"] == recorded["front"]
+    counters = ledger.get(cold["run_id"])["extra"]["metrics"]["counters"]
+    assert counters.get("library.components_built", 0) == 0
+    assert len(store.entries("result")) == 2
+
+    replay = _cli_json(capsys, *argv)
+    assert replay["run_id"] == cold["run_id"]
+    assert set(replay["stage_cache"].values()) == {"hit"}
+    assert replay["front"] == recorded["front"]
+    assert ledger.get(cold["run_id"])["replays"] == 1
+    assert ledger.get(recorded["run_id"]).get("replays", 0) == 0

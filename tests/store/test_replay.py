@@ -5,8 +5,11 @@ from that run's ``result`` artifact: the recorded output document, all
 stages reported as hits, nothing built or decoded, and no new manifest
 (the replay is counted on the manifest it was served from).  Any failed
 check falls back to the stage path, which gives the same front and
-records the result again.  ``--no-store``, ``run --library FILE`` and
-the direct ``AutoAx.run`` API keep their behaviour.
+records the result again.  The result is keyed by the command's params
+(without ``--out``), a digest of the package source and a ``--library``
+file's bytes, so an edit to either re-executes once through the stored
+stages.  ``--no-store``, ``run --library FILE`` and the direct
+``AutoAx.run`` API keep their behaviour.
 """
 
 import json
@@ -199,6 +202,44 @@ class TestLedgerGrowth:
         assert "resumed_from" not in replay
 
 
+class TestReplayKey:
+    """The result is keyed by the command and the package source;
+    ``--out`` is no part of it.  (An edited ``--library`` file:
+    ``TestUnchanged.test_library_file_keeps_its_content_fingerprint``.)"""
+
+    def test_source_change_re_executes_through_the_stages(
+        self, store, cold, monkeypatch, capsys
+    ):
+        from repro.store import replay
+
+        monkeypatch.setattr(replay, "source_digest", lambda: "0" * 64)
+        doc = _replay(store, capsys)
+        assert doc["run_id"] != cold["run_id"]
+        assert doc["stage_cache"] == {
+            name: "hit" for name in cold["stage_cache"]
+        }
+        assert doc["front"] == cold["front"]
+        assert len(RunLedger(store).runs()) == 2
+        assert len(store.entries("result")) == 2
+        # the edited source's result serves its next replay
+        again = _replay(store, capsys)
+        assert again["run_id"] == doc["run_id"]
+        assert len(RunLedger(store).runs()) == 2
+
+    def test_out_is_not_in_the_key(self, tmp_path):
+        """Where the CSV goes changes no result (the CLI side is
+        ``TestServed.test_human_replay_and_csv``: a cold run without
+        ``--out`` serves a replay with one)."""
+        from repro.store.replay import replay_key
+
+        params = {"command": "run", "accelerator": "sobel", "scale": 0.5,
+                  "out": None}
+        assert replay_key(params) == replay_key(
+            {**params, "out": str(tmp_path / "front.csv")}
+        )
+        assert replay_key(params) != replay_key({**params, "scale": 0.6})
+
+
 class TestUnchanged:
     def test_no_store(self, store, cold, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -237,6 +278,14 @@ class TestUnchanged:
         replay = _json(capsys, argv)
         assert replay["run_id"] == cold["run_id"]
         assert set(replay["stage_cache"].values()) == {"hit"}
+        # Other bytes, same components: the result misses, every stage
+        # hits.
+        with path.open("a") as handle:
+            handle.write("\n")
+        edited = _json(capsys, argv)
+        assert edited["run_id"] != cold["run_id"]
+        assert set(edited["stage_cache"].values()) == {"hit"}
+        assert edited["front"] == cold["front"]
 
     def test_direct_api_keys_by_content(self, sobel, tiny_library,
                                         small_images, store):

@@ -8,10 +8,13 @@ CLI and the pipeline pulls in none of the paper drivers, and no command
 — a warm ``repro run`` served from the store, or a cold ``repro run`` or
 ``workloads run`` that scores every image — ever imports scipy, which
 stays a test-only oracle.  A warm replay, served from its run's recorded
-result, loads neither the pipeline nor the engines.
+result, loads neither the pipeline nor the engines, and no numpy: the
+lookup runs before either is imported.
 """
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -79,34 +82,70 @@ PIPELINE_MODULES = (
 )
 
 
-def _warm_replay_modules(tmp_path: Path) -> list:
+#: One small command of each replayable kind.
+REPLAYED = {
+    "run": SMOKE_RUN,
+    "workloads-run": [
+        "workloads", "run", "box3_6b", "--scale", "0.0005", "--images",
+        "1", "--train", "6", "--evals", "60", "--seed", "0",
+    ],
+    "search": [
+        "search", "--workload", "box3_6b", "--scale", "0.0005",
+        "--images", "1", "--train", "6", "--test", "3", "--budget", "60",
+        "--seed", "0",
+    ],
+}
+
+
+def _warm_replay_modules(tmp_path: Path, command: str = "run") -> list:
     """Fill a store with a cold run, then replay it in a fresh
-    interpreter, which asserts that all five stages hit."""
-    store = tmp_path / "store"
-    argv = SMOKE_RUN + ["--store", str(store), "--json"]
-    assert main(argv) == 0  # cold: fills the store
+    interpreter, which asserts that it was served: the cold run's run
+    id, counted as a replay on its manifest, and (``search`` reports no
+    stages) all five stages a hit."""
+    argv = REPLAYED[command] + ["--store", str(tmp_path / "store"),
+                                "--json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0  # cold: fills the store
+    cold = json.loads(out.getvalue())
+    run_id = cold.get("search", cold)["run_id"]
     return _modules_after(
-        "import contextlib, io, json\n"
+        "import contextlib, io, json, pathlib\n"
         "from repro.cli import main\n"
         "out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
         f"    assert main({argv!r}) == 0\n"
-        "cache = json.loads(out.getvalue())['stage_cache']\n"
-        "assert len(cache) == 5, cache\n"
-        "assert set(cache.values()) == {'hit'}, cache",
+        "doc = json.loads(out.getvalue())\n"
+        f"assert doc.get('search', doc)['run_id'] == {run_id!r}\n"
+        f"[run] = pathlib.Path({argv[-2]!r}, 'runs').glob('*.json')\n"
+        "assert json.loads(run.read_text())['replays'] == 1, run\n"
+        "if 'search' not in doc:\n"
+        "    cache = doc['stage_cache']\n"
+        "    assert list(cache.values()) == ['hit'] * 5, cache",
         tmp_path,
     )
 
 
 def test_warm_run_loads_no_scipy(tmp_path):
     modules = _warm_replay_modules(tmp_path)
-    assert "repro.cli" in modules  # the replay ran (5/5 hits asserted)
+    assert "repro.cli" in modules  # the replay ran (served, asserted)
     assert _reached(modules, "scipy") == []
 
 
 def test_warm_replay_loads_no_pipeline(tmp_path):
     modules = _warm_replay_modules(tmp_path)
     assert "repro.store.ledger" in modules  # the lookup ran
+    for prefix in PIPELINE_MODULES:
+        assert _reached(modules, prefix) == [], prefix
+
+
+@pytest.mark.parametrize("command", sorted(REPLAYED))
+def test_full_hit_replay_loads_no_numpy(command, tmp_path):
+    """A served ``run``, ``workloads run`` and ``search`` replay loads
+    neither numpy nor any pipeline module."""
+    modules = _warm_replay_modules(tmp_path, command)
+    assert "repro.store.replay" in modules  # the lookup ran
+    assert _reached(modules, "numpy") == []
     for prefix in PIPELINE_MODULES:
         assert _reached(modules, prefix) == [], prefix
 
