@@ -36,10 +36,11 @@ command's params, a digest of the package source and the bytes of a
 accelerator is imported: a full hit (checksum good, every referenced
 stage artifact present, the recording manifest still there) prints the
 recorded output, counts itself on that manifest (``replays``) and
-writes no manifest of its own.  Any miss, and every resume, names the
-command's inputs by keys that already fix them and runs the stages
-through one builder; the pipeline writes that run's manifest and the
-command records the result for the next replay.
+writes no manifest of its own.  Any miss, and every resume, builds the
+accelerator, the library and the images and runs the stages through
+one builder, whose stage keys fingerprint that content exactly as the
+direct ``AutoAx`` API does; the pipeline writes that run's manifest and
+the command records the result for the next replay.
 
 Store-aware commands accept ``--store [URI]``/``--no-store`` to enable
 the persistent stage cache (default: on when ``REPRO_STORE_DIR`` is
@@ -58,8 +59,7 @@ import contextlib
 import importlib
 import json
 import sys
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import ReproError, ValidationError
 from repro.telemetry import get_logger, setup_logging
@@ -393,48 +393,21 @@ def _print_pipeline_result(doc: Dict, out: Optional[str]) -> None:
         print(f"front written to {out}")
 
 
-@dataclass
-class _Identity:
-    """A pipeline command named by the keys of its inputs, before any
-    of them is built.
+def _pipeline(params: Dict, store):
+    """A command's recorded params (``scale`` resolved) -> its ``AutoAx``.
 
-    ``inputs`` is set only with a store: the stage-key identities handed
-    to ``AutoAx``.
-    """
-
-    params: Dict
-    config: object
-    kind: str
-    label: str
-    accelerator: object
-    scenarios: Optional[List[Dict[str, int]]]
-    load_library: Callable
-    image_count: int
-    image_shape: Tuple[int, int]
-    inputs: Optional[Dict[str, str]] = None
-
-
-def _identify(params: Dict, store) -> _Identity:
-    """The cheap identity step: a command's recorded params (``scale``
-    resolved) -> its :class:`_Identity`.
-
-    ``run``, ``workloads run``, ``search`` and ``runs resume`` all start
+    ``run``, ``workloads run``, ``search`` and ``runs resume`` all build
     here, so a command and its resume get the identical
-    :class:`~repro.core.identity.AutoAxConfig` and share stage-cache
+    :class:`~repro.core.pipeline.AutoAxConfig` and share stage-cache
     keys.  ``run`` uses the Table 2 library at ``scale`` restricted to
     the accelerator's signatures (the only candidates Step 1 draws
     from), unless ``--library`` names a file; ``workloads`` and
     ``search`` use the library covering the workload's signatures and
-    its scenarios.
-
-    Nothing is built or read here but the accelerator (and a
-    ``--library`` file).  With a store the inputs are named by keys
-    that already fix them: the generated library by its store key
-    (which carries every circuit family's model version), the images by
-    their ``image_key`` (index, shape), the accelerator by its
-    fingerprint; a ``--library`` file keeps its content fingerprint.
+    its scenarios.  With a store, the library and the benchmark images
+    are read from it (built and written on a miss).
     """
-    from repro.core.identity import AutoAxConfig
+    from repro.core.pipeline import AutoAx, AutoAxConfig
+    from repro.imaging.datasets import benchmark_images
 
     command = params["command"]
     search = command == "search"
@@ -446,7 +419,6 @@ def _identify(params: Dict, store) -> _Identity:
         max_evaluations=params["budget"] if search else params["evals"],
         seed=params["seed"],
     )
-    library_id = None
     if command == "run":
         from repro.imaging.datasets import DEFAULT_SHAPE as shape
 
@@ -454,28 +426,19 @@ def _identify(params: Dict, store) -> _Identity:
         accelerator = ACCELERATORS[label]()
         scenarios = None
         if params.get("library"):
-            from repro.library.io import load_library as read_library
+            from repro.library.io import load_library
 
-            library = read_library(params["library"])
-
-            def load_library(store):
-                return library
-
-            if store is not None:
-                from repro.store import content_hash, library_fingerprint
-
-                library_id = content_hash(library_fingerprint(library))
+            library = load_library(params["library"])
         else:
-            from repro.experiments.setup import scaled_library_request
+            from repro.experiments.setup import scaled_library
 
-            request = scaled_library_request(
-                params["scale"], seed=params["seed"],
+            library = scaled_library(
+                params["scale"], seed=params["seed"], store=store,
                 signatures=accelerator.op_inventory(),
             )
-            load_library, library_id = request.load, request.key
     else:
         from repro.experiments.setup import DEFAULT_SHAPE as shape
-        from repro.experiments.setup import workload_library_request
+        from repro.experiments.setup import workload_library
         from repro.workloads import WORKLOADS
 
         name = params["workload"] if search else params["name"]
@@ -484,68 +447,32 @@ def _identify(params: Dict, store) -> _Identity:
         workload = WORKLOADS.get(name)
         accelerator = workload.build_accelerator()
         scenarios = workload.build_scenarios()
-        request = workload_library_request(
-            accelerator, params["scale"], seed=params["seed"]
+        library = workload_library(
+            accelerator, params["scale"], params["seed"], store
         )
-        load_library, library_id = request.load, request.key
-    identity = _Identity(
-        params=params, config=config, kind=kind, label=label,
-        accelerator=accelerator, scenarios=scenarios,
-        load_library=load_library, image_count=params["images"],
-        image_shape=shape,
-    )
-    if store is not None:
-        from repro.imaging.datasets import image_key
-        from repro.store import accelerator_fingerprint, content_hash
-
-        identity.inputs = {
-            "accelerator": content_hash(
-                accelerator_fingerprint(accelerator)
-            ),
-            "library": library_id,
-            "images": content_hash(
-                [image_key(i, shape) for i in range(params["images"])]
-            ),
-        }
-    return identity
-
-
-def _pipeline(identity: _Identity, store):
-    """The materialise step: an :class:`_Identity` -> an ``AutoAx``.
-
-    With a store, the library and the benchmark images are read from
-    it (built and written on a miss); the stage keys use the
-    identity's ``inputs``.
-    """
-    from repro.core.pipeline import AutoAx
-    from repro.imaging.datasets import benchmark_images
-
     return AutoAx(
-        identity.accelerator,
-        identity.load_library(store),
-        benchmark_images(
-            identity.image_count, shape=identity.image_shape, store=store
-        ),
-        scenarios=identity.scenarios,
-        config=identity.config,
+        accelerator,
+        library,
+        benchmark_images(params["images"], shape=shape, store=store),
+        scenarios=scenarios,
+        config=config,
         store=store,
-        run_kind=identity.kind,
-        run_label=identity.label,
-        run_params=identity.params,
-        inputs=identity.inputs,
+        run_kind=kind,
+        run_label=label,
+        run_params=params,
     )
 
 
-def _executed(identity: _Identity, store, metrics_mark,
+def _executed(params: Dict, store, metrics_mark,
               key: Optional[str]) -> Dict:
     """Run the stages and return the output document.
 
     With a store the outcome is recorded as the ``result`` artifact
     ``key`` names, which the next identical command is served from.
     """
-    params = identity.params
     search = params["command"] == "search"
-    result = _pipeline(identity, store).run(
+    pipeline = _pipeline(params, store)
+    result = pipeline.run(
         final_analysis=not search, metrics_since=metrics_mark,
         result_key=key,
     )
@@ -555,8 +482,8 @@ def _executed(identity: _Identity, store, metrics_mark,
         doc = _result_doc(result, "accelerator", params["accelerator"])
     else:
         doc = _result_doc(result, "workload", params["name"])
-        doc["runs_per_config"] = identity.image_count * len(
-            identity.scenarios or [None]
+        doc["runs_per_config"] = len(pipeline.images) * len(
+            pipeline.scenarios or [None]
         )
     if key is not None:
         from repro.store.replay import record
@@ -601,7 +528,7 @@ def _run_pipeline(
     resumed_from: Optional[str] = None,
 ) -> int:
     """The one front door of ``run``, ``workloads run``, ``search`` and
-    ``runs resume``: look up, else identify and run; then report.
+    ``runs resume``: look up, else build and run; then report.
 
     A missing scale resolves from ``REPRO_SCALE`` and is recorded, so a
     resume runs on the same library.  With a store the command's
@@ -609,7 +536,7 @@ def _run_pipeline(
     :func:`~repro.store.replay.replay_key` of its params (a
     ``--library`` file by its bytes) and the package source: a full hit
     is served before numpy, an accelerator or the pipeline is imported.
-    Any miss names the inputs (:func:`_identify`) and runs the stages
+    Any miss builds the pipeline and runs its stages
     (:func:`_executed`), which record the result again.  A resume
     always re-executes through the stages and records a new manifest.
     ``search`` is the pipeline stopped after ``pseudo_pareto``.  A
@@ -633,7 +560,7 @@ def _run_pipeline(
         if resumed_from is None:
             doc = lookup(store, key)
     if doc is None:
-        doc = _executed(_identify(params, store), store, metrics_mark, key)
+        doc = _executed(params, store, metrics_mark, key)
     if resumed_from and not as_json:
         print(f"resumed {resumed_from} -> {doc['run_id']}")
     command = params["command"]

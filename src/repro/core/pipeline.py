@@ -13,16 +13,18 @@ decomposes into five cache-aware stages —
     preprocessing  -> training_set -> model_construction
                    -> pseudo_pareto -> final_analysis
 
-— each keyed by the content hash of its exact inputs (accelerator
-dataflow graph, library, benchmark images, stage parameters, upstream
-artifact keys; :mod:`repro.core.identity` names the first three, by
-content or by store keys that fix it).  A stage whose key is already in
-the store is *skipped*: its artifact is decoded instead of recomputed,
-so a repeated run with a warm store performs no profiling, no synthesis,
-no model fitting and no DSE.  Each stage draws from its own seeded RNG
-stream (derived from ``config.seed``), so a resumed run that skips some
-stages produces bit-identical downstream results to a cold run.  Every
-invocation is recorded in the :class:`~repro.store.RunLedger` as a
+— each keyed by the content hash of its exact inputs: the fingerprints
+of the accelerator's dataflow graph, the library's records and the
+benchmark images' pixels (:mod:`repro.store.hashing`), the stage
+parameters and the upstream artifact keys.  The CLI and the direct API
+name a run's inputs the same way, so they share every stage artifact.
+A stage whose key is already in the store is *skipped*: its artifact is
+decoded instead of recomputed, so a repeated run with a warm store
+performs no profiling, no synthesis, no model fitting and no DSE.  Each
+stage draws from its own seeded RNG stream (derived from
+``config.seed``), so a resumed run that skips some stages produces
+bit-identical downstream results to a cold run.  Every invocation is
+recorded in the :class:`~repro.store.RunLedger` as a
 manifest (params, config hash, per-stage timing and cache outcome,
 artifact refs) — the basis of ``repro runs list|show|resume|gc``.
 
@@ -36,22 +38,20 @@ count gives the same artifacts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.accelerators.base import ImageAccelerator
 from repro.accelerators.profiler import OperandProfile, profile_accelerator
-from repro.core.configuration import Configuration, ConfigurationSpace
+from repro.core.configuration import (
+    HW_FEATURES,
+    Configuration,
+    ConfigurationSpace,
+)
 from repro.core.dse import DSEResult, heuristic_pareto_construction
 from repro.core.engine import EvaluationEngine, EvaluationResult
-from repro.core.identity import (  # config and stages re-exported here
-    PIPELINE_STAGES,
-    AutoAxConfig,
-    config_hash,
-    stage_inputs,
-)
 from repro.core.modeling import (
     EngineReport,
     TrainingSet,
@@ -64,11 +64,51 @@ from repro.core.modeling import (
 )
 from repro.core.pareto import pareto_front_indices
 from repro.core.preprocessing import reduce_library
+from repro.errors import ValidationError
 from repro.library.component import ComponentRecord
 from repro.library.library import ComponentLibrary
 from repro.store.replay import idle_engine_stats
 from repro.telemetry import complete_event, get_metrics
 from repro.utils.rng import spawn_rngs
+
+#: Ledger stage names, in execution order.  The heavy stages a warm
+#: store is expected to skip entirely.
+PIPELINE_STAGES = (
+    "preprocessing",
+    "training_set",
+    "model_construction",
+    "pseudo_pareto",
+    "final_analysis",
+)
+
+
+@dataclass(frozen=True)
+class AutoAxConfig:
+    """Tunables of the pipeline; defaults are laptop-scale."""
+
+    n_train: int = 400
+    n_test: int = 200
+    engines: Tuple[str, ...] = ("Random Forest",)
+    include_naive: bool = True
+    hw_features: Tuple[str, ...] = HW_FEATURES
+    max_evaluations: int = 20_000
+    stagnation_limit: int = 50
+    per_op_cap: Optional[int] = None
+    max_samples: int = 1 << 16
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.n_train < 2 or self.n_test < 2:
+            raise ValidationError("need at least two train and test samples")
+        if not self.engines:
+            raise ValidationError("at least one learning engine is required")
+
+    def cache_payload(self) -> Dict[str, object]:
+        """The hashable identity of this config."""
+        payload = asdict(self)
+        payload["engines"] = list(self.engines)
+        payload["hw_features"] = list(self.hw_features)
+        return payload
 
 
 @dataclass
@@ -116,12 +156,6 @@ class AutoAx:
     to one at the store root) records the run manifest.  ``run_kind``,
     ``run_label`` and ``run_params`` annotate the manifest so ``repro
     runs resume`` can re-execute the invocation.
-
-    ``inputs`` names the ``accelerator``, ``library`` and ``images``
-    parts of the stage keys by identities that already fix them (the
-    CLI passes the library's and the images' store keys); a part it
-    leaves out is fingerprinted from content, as
-    :mod:`repro.store.hashing` describes.
     """
 
     def __init__(
@@ -136,7 +170,6 @@ class AutoAx:
         run_kind: str = "autoax",
         run_label: Optional[str] = None,
         run_params: Optional[Dict] = None,
-        inputs: Optional[Dict[str, str]] = None,
     ):
         self.accelerator = accelerator
         self.library = library
@@ -152,9 +185,8 @@ class AutoAx:
         self.run_kind = run_kind
         self.run_label = run_label or accelerator.name
         self.run_params = dict(run_params or {})
-        self.inputs = dict(inputs or {})
         self._engine: Optional[EvaluationEngine] = None
-        self._acc_hash: Optional[str] = self.inputs.get("accelerator")
+        self._acc_hash: Optional[str] = None
 
     # -- individual steps ---------------------------------------------------
 
@@ -222,22 +254,20 @@ class AutoAx:
         return self._acc_hash
 
     def _stage_inputs(self) -> Dict[str, object]:
-        """The input part of every stage key (see :attr:`inputs`)."""
+        """The input part of every stage key: content fingerprints."""
         from repro.store import (
             content_hash,
             images_fingerprint,
             library_fingerprint,
         )
 
-        library = self.inputs.get("library")
-        if library is None:
-            library = content_hash(library_fingerprint(self.library))
-        images = self.inputs.get("images")
-        if images is None:
-            images = content_hash(images_fingerprint(self.images))
-        return stage_inputs(
-            self._accelerator_hash(), library, images, self.scenarios
-        )
+        return {
+            "accelerator": self._accelerator_hash(),
+            "library": content_hash(library_fingerprint(self.library)),
+            "images": content_hash(images_fingerprint(self.images)),
+            "scenarios": [dict(s) for s in self.scenarios]
+            if self.scenarios else None,
+        }
 
     # -- stage payloads -----------------------------------------------------
 
@@ -328,18 +358,17 @@ class AutoAx:
         # must not shift the randomness of the stages that still run.
         rng_train, rng_test, rng_dse = spawn_rngs(cfg.seed, 3)
 
-        base: Dict[str, object] = {}
-        run_hash = None
-        if store is not None:
-            base = self._stage_inputs()
-            run_hash = config_hash(base, cfg)
-
         def key_of(payload: Dict) -> Optional[str]:
             if store is None:
                 return None
             from repro.store import content_hash
 
             return content_hash(payload)
+
+        base: Dict[str, object] = {}
+        if store is not None:
+            base = self._stage_inputs()
+        run_hash = key_of({"inputs": base, "config": cfg.cache_payload()})
 
         def record_stage(name: str, seconds: float, cache: str,
                          artifacts: List[Dict]) -> None:

@@ -8,7 +8,12 @@ model versions, under ``REPRO_STORE_DIR`` (else ``.repro-store``).
 paper-size Table 2 library (tens of thousands of components — expect a
 long build).  :func:`workload_setup` keeps its benchmark images in the
 same store (``images`` artifacts, see
-:func:`~repro.imaging.datasets.benchmark_images`).
+:func:`~repro.imaging.datasets.benchmark_images`).  The CLI reads its
+libraries through :func:`scaled_library` (``run``) and
+:func:`workload_library` (``workloads run``, ``search``).  Each library
+is stored under its plan key (plan, scale, signature subset, circuit
+model versions); the pipeline's stage keys fingerprint its records, as
+they do for any library.
 """
 
 from __future__ import annotations
@@ -110,24 +115,6 @@ def default_library_key(plan: GenerationPlan, scale: float) -> str:
     return _plan_key("default-library", plan, scale)
 
 
-@dataclass(frozen=True)
-class LibraryRequest:
-    """A generated library, named by its store key before it is built.
-
-    The key fixes the content (plan, scale, circuit model versions,
-    signature subset), so it is the library's identity in stage keys;
-    :meth:`load` materialises it.
-    """
-
-    key: str
-    plan: GenerationPlan
-    signatures: Optional[List[OpSignature]] = None
-
-    def load(self, store: Optional[ArtifactStore]) -> ComponentLibrary:
-        """Read the library from ``store``, else build (and store) it."""
-        return _cached_library(store, self.key, self.plan, self.signatures)
-
-
 def _cached_library(
     store: Optional[ArtifactStore],
     key: str,
@@ -186,13 +173,18 @@ def workload_plan(
     return GenerationPlan(counts, seed=seed)
 
 
-def workload_library_request(
-    accelerator: ImageAccelerator, scale: float, seed: int = 0
-) -> LibraryRequest:
+def workload_library(
+    accelerator: ImageAccelerator,
+    scale: float,
+    seed: int = 0,
+    store: Optional[ArtifactStore] = None,
+) -> ComponentLibrary:
     """The library covering ``accelerator``'s signatures (see
-    :func:`workload_plan`), cached per signature set."""
+    :func:`workload_plan`), store-cached per signature set."""
     plan = workload_plan(accelerator, scale, seed=seed)
-    return LibraryRequest(_plan_key("workload-library", plan, scale), plan)
+    return _cached_library(
+        store, _plan_key("workload-library", plan, scale), plan
+    )
 
 
 @dataclass
@@ -249,9 +241,7 @@ def workload_setup(
         name, n_images=n_images, image_shape=image_shape,
         registry=registry, store=store,
     )
-    library = workload_library_request(
-        bundle.accelerator, scale, seed=seed
-    ).load(store)
+    library = workload_library(bundle.accelerator, scale, seed, store)
     return WorkloadSetup(bundle=bundle, library=library, seed=seed)
 
 
@@ -297,18 +287,6 @@ def scaled_library(
 ) -> ComponentLibrary:
     """The Table 2 library at ``scale``, store-cached when asked.
 
-    See :func:`scaled_library_request` for ``signatures`` and the key.
-    """
-    return scaled_library_request(scale, seed, signatures).load(store)
-
-
-def scaled_library_request(
-    scale: float,
-    seed: int = 0,
-    signatures: Optional[Iterable[OpSignature]] = None,
-) -> LibraryRequest:
-    """The Table 2 library at ``scale``, named before it is built.
-
     ``signatures`` (an accelerator's ``op_inventory()``) keeps only the
     components of those operation signatures, the only candidates
     autoAx's Step 1 considers: the Table 2 plan is enumerated as a
@@ -324,8 +302,8 @@ def scaled_library_request(
         kept = sorted({tuple(sig) for sig in signatures} & set(plan.counts))
         if kept == sorted(plan.counts):
             kept = None
-    return LibraryRequest(
-        _plan_key("default-library", plan, scale, kept), plan, kept
+    return _cached_library(
+        store, _plan_key("default-library", plan, scale, kept), plan, kept
     )
 
 

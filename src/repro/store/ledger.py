@@ -11,7 +11,9 @@ the warm store (``resume``) and the root set for garbage collection
 A pipeline manifest also references its run's ``result`` artifact, the
 recorded output a later identical command is served from.  Such a
 replay writes no manifest of its own: it counts itself on the manifest
-it was served from (``replays``, ``last_replayed_at``).
+it was served from (``replays``, ``last_replayed_at``).  The reference
+names the package source digest the result was keyed with, so ``gc``
+drops a result that no command of the current code can look up.
 
 Manifests are ``<root>/runs/<run_id>.json`` files next to the
 artifact index; construct the ledger from an
@@ -28,6 +30,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import StoreError
+from repro.store import replay
 from repro.store.artifacts import atomic_write_bytes
 
 #: Manifest format version (bump on incompatible schema changes).
@@ -74,7 +77,9 @@ class RunLedger:
         """Write (atomically) and return the manifest of one run.
 
         ``result_key`` is the key of the ``result`` artifact that
-        records the run's outcome, if the caller keeps one.
+        records the run's outcome, if the caller keeps one; its
+        reference carries the :func:`~repro.store.replay.source_digest`
+        that key was made with.
         """
         now = time.time()
         manifest = {
@@ -96,7 +101,10 @@ class RunLedger:
         if extra:
             manifest["extra"] = extra
         if result_key is not None:
-            manifest["result"] = {"kind": "result", "key": result_key}
+            manifest["result"] = {
+                "kind": "result", "key": result_key,
+                "source": replay.source_digest(),
+            }
         self._write(manifest)
         return manifest
 
@@ -160,14 +168,21 @@ class RunLedger:
     # -- garbage-collection roots -------------------------------------------
 
     def referenced_artifacts(self) -> Set[Tuple[str, str]]:
-        """The ``(kind, key)`` pairs referenced by any manifest."""
+        """The ``(kind, key)`` pairs referenced by any manifest.
+
+        A ``result`` recorded under another package source digest is
+        left out: its key carries that digest, so no command of the
+        current code looks it up.  A reference without a digest
+        (written before references carried one) is kept.
+        """
         refs: Set[Tuple[str, str]] = set()
+        source = replay.source_digest()
         for manifest in self.runs():
             for stage in manifest.get("stages", ()):
                 for artifact in stage.get("artifacts", ()):
                     refs.add((artifact["kind"], artifact["key"]))
             result = manifest.get("result")
-            if result:
+            if result and result.get("source", source) == source:
                 refs.add((result["kind"], result["key"]))
         return refs
 

@@ -228,15 +228,16 @@ def test_dense_profiles_blob_still_hits(tmp_path, monkeypatch, sobel,
     assert warm.final_points.tolist() == cold.final_points.tolist()
 
 
-def test_run_store_from_before_input_keys_replays_after_one_miss(
+def test_run_store_filled_through_the_direct_api_hits_every_stage(
     tmp_path, capsys
 ):
-    """A ``run`` store filled before runs were named by input keys,
-    when the stage keys fingerprinted the library's records and the
-    images' bytes and no ``result`` was recorded.  Its stages miss once
-    (the key move), the library is read from its stored blob (no
-    component characterised), the front is the same, and the next run
-    is served through the result lookup."""
+    """A ``run`` store filled through the direct API, which keys stages
+    by the fingerprints of the library's records and the images' bytes
+    and records no ``result`` (as ``repro run --store`` did before the
+    CLI named its inputs by store keys, and does again).  The CLI hits
+    every stage, the library is read from its stored blob (no component
+    characterised), the front is the same, and the next run is served
+    through the result lookup."""
     from repro.accelerators.sobel import SobelEdgeDetector
     from repro.core.pipeline import AutoAx, AutoAxConfig
     from repro.experiments.setup import scaled_library
@@ -266,7 +267,7 @@ def test_run_store_from_before_input_keys_replays_after_one_miss(
 
     reset_metrics()
     cold = _cli_json(capsys, *argv)
-    assert set(cold["stage_cache"].values()) == {"miss"}
+    assert set(cold["stage_cache"].values()) == {"hit"}
     order = old.final_points[:, 1].argsort()
     assert cold["front"] == [
         [float(s), float(a)] for s, a in old.final_points[order]

@@ -67,6 +67,8 @@ def _assert_served(doc, cold, label="accelerator"):
 
 class TestServed:
     def test_replay_is_the_recorded_document(self, store, cold, capsys):
+        from repro.store.replay import source_digest
+
         doc = _replay(store, capsys)
         _assert_served(doc, cold)
         [manifest] = RunLedger(store).runs()
@@ -75,6 +77,7 @@ class TestServed:
         assert manifest["last_replayed_at"]
         assert manifest["result"] == {
             "kind": "result", "key": _result(store).key,
+            "source": source_digest(),
         }
 
     def test_result_records_the_stage_artifacts(self, store, cold):
@@ -226,6 +229,27 @@ class TestReplayKey:
         assert again["run_id"] == doc["run_id"]
         assert len(RunLedger(store).runs()) == 2
 
+    def test_gc_drops_the_result_of_other_source(
+        self, store, cold, monkeypatch, capsys
+    ):
+        """Each result's manifest reference names the source digest it
+        was keyed with; ``runs gc`` keeps only the current code's."""
+        from repro.store import replay
+
+        old = _result(store).key
+        monkeypatch.setattr(replay, "source_digest", lambda: "0" * 64)
+        doc = _replay(store, capsys)
+        assert doc["run_id"] != cold["run_id"]
+        [new] = [r.key for r in store.entries("result") if r.key != old]
+        gc = _json(capsys, ["runs", "gc", "--store-dir", str(store.root)])
+        assert gc["gc"]["by_kind"]["result"]["count"] == 1
+        assert [r.key for r in store.entries("result")] == [new]
+        # both manifests remain, and so do their stage artifacts
+        assert len(RunLedger(store).runs()) == 2
+        again = _replay(store, capsys)
+        assert again["run_id"] == doc["run_id"]
+        assert set(again["stage_cache"].values()) == {"hit"}
+
     def test_out_is_not_in_the_key(self, tmp_path):
         """Where the CSV goes changes no result (the CLI side is
         ``TestServed.test_human_replay_and_csv``: a cold run without
@@ -253,28 +277,47 @@ class TestUnchanged:
         self, store, tmp_path, capsys
     ):
         from repro.accelerators.sobel import SobelEdgeDetector
-        from repro.core.identity import AutoAxConfig, stage_inputs
-        from repro.imaging.datasets import DEFAULT_SHAPE, image_key
+        from repro.core.pipeline import AutoAxConfig
+        from repro.imaging.datasets import benchmark_images
         from repro.library.io import load_library, save_library
-        from repro.store import accelerator_fingerprint, library_fingerprint
+        from repro.store import (
+            accelerator_fingerprint,
+            images_fingerprint,
+            library_fingerprint,
+        )
+
+        def config_hash(library):
+            inputs = {
+                "accelerator": content_hash(
+                    accelerator_fingerprint(SobelEdgeDetector())
+                ),
+                "library": content_hash(library_fingerprint(library)),
+                "images": content_hash(
+                    images_fingerprint(benchmark_images(1))
+                ),
+                "scenarios": None,
+            }
+            config = AutoAxConfig(n_train=6, n_test=3, max_evaluations=60)
+            return content_hash(
+                {"inputs": inputs, "config": config.cache_payload()}
+            )
 
         path = tmp_path / "lib.json"
         generated = _json(capsys, RUN + ["--store", str(store.root)])
         library = store.get("library", store.entries("library")[0].key)
+        assert RunLedger(store).get(generated["run_id"])["config_hash"] \
+            == config_hash(library)
         save_library(library, str(path))
         argv = RUN + ["--library", str(path), "--store", str(store.root)]
         cold = _json(capsys, argv)
         assert cold["front"] == generated["front"]
         manifest = RunLedger(store).get(cold["run_id"])
-        inputs = stage_inputs(
-            content_hash(accelerator_fingerprint(SobelEdgeDetector())),
-            content_hash(library_fingerprint(load_library(str(path)))),
-            content_hash([image_key(0, DEFAULT_SHAPE)]),
+        assert manifest["config_hash"] == config_hash(
+            load_library(str(path))
         )
-        config = AutoAxConfig(n_train=6, n_test=3, max_evaluations=60)
-        assert manifest["config_hash"] == content_hash(
-            {"inputs": inputs, "config": config.cache_payload()}
-        )
+        # The file holds the generated library's records: every stage
+        # hits.
+        assert set(cold["stage_cache"].values()) == {"hit"}
         replay = _json(capsys, argv)
         assert replay["run_id"] == cold["run_id"]
         assert set(replay["stage_cache"].values()) == {"hit"}
@@ -287,10 +330,40 @@ class TestUnchanged:
         assert set(edited["stage_cache"].values()) == {"hit"}
         assert edited["front"] == cold["front"]
 
+    def test_cli_and_direct_api_share_stage_keys(self, store, cold):
+        """The CLI names a run's inputs by content, as the direct API
+        does: ``AutoAx`` on the library, images and config of a
+        ``repro run --store`` hits all five stages on that store."""
+        from repro.accelerators.sobel import SobelEdgeDetector
+        from repro.core.pipeline import AutoAx, AutoAxConfig
+        from repro.experiments.setup import scaled_library
+        from repro.imaging.datasets import benchmark_images
+
+        accelerator = SobelEdgeDetector()
+        direct = AutoAx(
+            accelerator,
+            scaled_library(0.0005, seed=0,
+                           signatures=accelerator.op_inventory()),
+            benchmark_images(1),
+            config=AutoAxConfig(n_train=6, n_test=3, max_evaluations=60),
+            store=store,
+        ).run()
+        assert direct.stage_cache == {
+            name: "hit" for name in cold["stage_cache"]
+        }
+        assert direct.engine_stats["engine_built"] is False
+        manifest = RunLedger(store).get(direct.run_id)
+        assert manifest["config_hash"] == RunLedger(store).get(
+            cold["run_id"]
+        )["config_hash"]
+        order = direct.final_points[:, 1].argsort()
+        assert [[float(s), float(a)] for s, a in
+                direct.final_points[order]] == cold["front"]
+
     def test_direct_api_keys_by_content(self, sobel, tiny_library,
                                         small_images, store):
-        """``AutoAx.run`` without ``inputs`` fingerprints its inputs as
-        before, records no result and references none."""
+        """``AutoAx.run`` fingerprints its inputs, records no result
+        and references none."""
         from repro.core.pipeline import AutoAx, AutoAxConfig
         from repro.store import (
             accelerator_fingerprint,
